@@ -5,18 +5,16 @@ runs the identity and cross-check suites with one PASS/FAIL line per
 item, and `scan` reports the exact central mass of the refined
 3-enumeration distribution.  Output is byte-deterministic; JSON
 serializes every integer as a decimal string so magnitude never costs
-precision.  ASM3_THREADS caps how many suite items may be evaluated
-concurrently.
+precision.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -80,18 +78,6 @@ class RunConfig:
     max_m: int = 8
     max_n: int = 6
     fmt: str = "csv"
-    threads: int = 1
-
-
-def _threads_from_env() -> int:
-    raw = os.environ.get("ASM3_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        val = int(raw)
-    except ValueError:
-        return 1
-    return max(val, 1)
 
 
 # -- table --------------------------------------------------------------
@@ -450,15 +436,26 @@ def _suite_items(cfg: RunConfig) -> List[Callable[[], List[CheckResult]]]:
     return items
 
 
+def _run_block(block: Callable[[], List[CheckResult]]) -> List[CheckResult]:
+    """Results of one suite block; a block that raises is one failed check.
+
+    The traceback goes to stderr and the message into the result's detail,
+    so the remaining blocks still run and report.
+    """
+    try:
+        return block()
+    except Exception as exc:
+        traceback.print_exc()
+        return [
+            CheckResult(
+                block.__name__, f"raised {type(exc).__name__}", False, str(exc)
+            )
+        ]
+
+
 def cmd_verify(cfg: RunConfig, out=None) -> int:
     out = out or sys.stdout
-    items = _suite_items(cfg)
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            blocks = list(pool.map(lambda item: item(), items))
-    else:
-        blocks = [item() for item in items]
-    results = [r for block in blocks for r in block]
+    results = [r for item in _suite_items(cfg) for r in _run_block(item)]
     if cfg.fmt == "json":
         doc = {
             "command": "verify",
@@ -561,13 +558,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command, threads=_threads_from_env())
+    cfg = RunConfig(command=args.command)
     cfg.fmt = args.format
     if args.command == "table":
         cfg.n_values = parse_n_values(args.n)
         cfg.weight_x = parse_rational(args.x)
         if any(n < 1 for n in cfg.n_values):
             raise ValueError("sizes must be >= 1")
+        if cfg.weight_x not in (1, 3) and max(cfg.n_values) > oracle.DP_LIMIT:
+            raise ValueError(
+                f"sizes above {oracle.DP_LIMIT} need x = 1 or x = 3"
+            )
     elif args.command == "verify":
         cfg.suite = args.suite
         cfg.max_m = args.max_m

@@ -20,7 +20,7 @@ from typing import Iterable, List, Sequence, Tuple, Union
 
 from .densepoly import DensePoly
 from .errors import OutOfRange
-from .hyper import hyp
+from .hyper import hyp, series_coeffs
 from .report import CheckResult
 
 Count = Union[int, Fraction]
@@ -256,15 +256,9 @@ def h1_poly(n: int) -> DensePoly:
         factorial(2 * n - 1) * factorial(2 * n - 2),
         factorial(3 * n - 2) * factorial(n - 1),
     )
-    coeffs = []
-    ratio = Fraction(1)
-    for j in range(n):
-        if j:
-            ratio *= Fraction(
-                (-n + j) * (n + j - 1), (-2 * n + 1 + j) * j
-            )
-        coeffs.append(pref * ratio)
-    return DensePoly(coeffs)
+    return DensePoly(
+        [pref * c for c in series_coeffs((1 - n, n), (2 - 2 * n,), n - 1)]
+    )
 
 
 def h3_poly(n: int) -> DensePoly:

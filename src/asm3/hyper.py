@@ -8,14 +8,15 @@ and a vanishing lower Pochhammer visible instead of silently resolving
 the 0/0, and DegenerateParameters is raised for it.  Arguments may be
 rational or live in Q(s); results follow the argument.  Rational
 function arguments are never pushed through here, callers clear
-denominators into polynomial arithmetic first.
+denominators into polynomial arithmetic first, multiplying the
+coefficients from series_coeffs into their own polynomial powers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple, Union
+from typing import List, Tuple, Union
 
 from .errors import DegenerateParameters
 from .qfield import QsElem
@@ -78,35 +79,46 @@ class HypSpec:
         return int(max(witnesses))
 
 
-def hyp_terminating(spec: HypSpec):
-    """Exact value of the terminating series described by spec.
+def series_coeffs(upper, lower, n: int) -> List[Fraction]:
+    """Coefficients c_0..c_n of sum_j [prod (a)_j / (prod (c)_j j!)] z^j.
 
-    Terms are accumulated through the truncation order N.  When a lower
-    Pochhammer factor vanishes at a step whose numerator has not already
-    died at a strictly earlier step, the series is degenerate and
-    DegenerateParameters is raised; a simultaneous first vanishing of
-    numerator and denominator is treated the same way.
+    Each step multiplies by the term ratio prod (a+j-1) / (j prod (c+j-1)).
+    The list stops early once an upper factor vanishes, since every later
+    coefficient carries that zero, and is empty for n < 0.  A lower
+    factor vanishing at a step whose numerator has not already died at a
+    strictly earlier step raises DegenerateParameters; a simultaneous
+    first vanishing of numerator and denominator is treated the same way.
     """
-    n = spec.termination_order
-    z = spec.argument
-    term = Fraction(1)
-    total: Argument = Fraction(1)
+    out = [Fraction(1)] if n >= 0 else []
     for j in range(1, n + 1):
-        den = Fraction(j)
-        for c in spec.lower:
+        den = j
+        for c in lower:
             den *= c + j - 1
         if not den:
             raise DegenerateParameters(
                 f"lower Pochhammer factor vanishes at term {j}"
             )
-        num = Fraction(1)
-        for a in spec.upper:
+        num = 1
+        for a in upper:
             num *= a + j - 1
         if not num:
-            # every later term carries this zero; nothing more can change
             break
-        term = term * (num / den) * z
-        total = total + term
+        out.append(out[-1] * num / den)
+    return out
+
+
+def hyp_terminating(spec: HypSpec):
+    """Exact value of the terminating series described by spec.
+
+    Terms are accumulated through the truncation order N; degenerate
+    parameters raise as described in series_coeffs.
+    """
+    coeffs = series_coeffs(spec.upper, spec.lower, spec.termination_order)
+    total: Argument = coeffs[0]
+    power: Argument = Fraction(1)
+    for c in coeffs[1:]:
+        power = power * spec.argument
+        total = total + c * power
     return total
 
 

@@ -27,8 +27,8 @@ from functools import lru_cache
 from math import factorial
 
 from .densepoly import DensePoly
-from .errors import DegenerateParameters, PoleAtSample
-from .hyper import gen_binomial, pochhammer
+from .errors import PoleAtSample
+from .hyper import gen_binomial, pochhammer, series_coeffs
 from .laurent import LaurentPoly
 from .qfield import OMEGA, OMEGA_BAR, Q, QBAR, S, QsElem
 from .report import CheckResult
@@ -129,19 +129,9 @@ def phi(m: int, k: int) -> PhiPoly:
     for _ in range(m):
         small_pow.append(small_pow[-1] * _SMALL)
         big_pow.append(big_pow[-1] * _BIG)
-    total = small_pow[m]
-    ratio = Fraction(1)
-    for j in range(1, m + 1):
-        den = Fraction((-m - k + j - 1) * j)
-        num = Fraction((-m + j - 1) * (k + j))
-        if not den:
-            raise DegenerateParameters(
-                f"phi({m}, {k}): lower factor vanishes at term {j}"
-            )
-        if not num:
-            break
-        ratio *= num / den
-        total = total + small_pow[m - j] * big_pow[j] * ratio
+    total = LaurentPoly()
+    for j, c in enumerate(series_coeffs((-m, k + 1), (-m - k,), m)):
+        total = total + small_pow[m - j] * big_pow[j] * c
     return PhiPoly(m, k, total * S ** (-m))
 
 
@@ -250,22 +240,12 @@ def e_poly(m: int) -> DensePoly:
         lin_pow.append(lin_pow[-1] * lin)
 
     first = DensePoly()
-    ratio = Fraction(1)
-    for j in range(m + 1):
-        if j:
-            ratio *= Fraction(
-                (-m + j - 1) * (m + 2 + j - 1), (-2 * m - 1 + j - 1) * j
-            )
-        first = first + lin_pow[j] * t_pow[m - j] * t2_pow[m - j] * ratio
+    for j, c in enumerate(series_coeffs((-m, m + 2), (-2 * m - 1,), m)):
+        first = first + lin_pow[j] * t_pow[m - j] * t2_pow[m - j] * c
 
     second = DensePoly()
-    ratio = Fraction(1)
-    for j in range(m):
-        if j:
-            ratio *= Fraction(
-                (-m + 1 + j - 1) * (m + 2 + j - 1), (-2 * m + j - 1) * j
-            )
-        second = second + lin_pow[j] * t_pow[m - j] * t2_pow[m - 1 - j] * ratio
+    for j, c in enumerate(series_coeffs((1 - m, m + 2), (-2 * m,), m - 1)):
+        second = second + lin_pow[j] * t_pow[m - j] * t2_pow[m - 1 - j] * c
 
     pref = Fraction(
         factorial(2 * m) * factorial(2 * m + 2),
@@ -312,20 +292,8 @@ def ode_check_h(m: int) -> bool:
 
 def _one_sided_series(upper, lower, base_exp: int, step: int, n_terms: int):
     """sum_j r_j x^(base_exp + step*j) with r_j the series coefficients."""
-    coeffs: dict = {}
-    ratio = Fraction(1)
-    for j in range(n_terms + 1):
-        if j:
-            num = Fraction(1)
-            for a in upper:
-                num *= a + j - 1
-            den = Fraction(j)
-            for c in lower:
-                den *= c + j - 1
-            ratio *= num / den
-        e = base_exp + step * j
-        coeffs[e] = coeffs.get(e, 0) + ratio
-    return LaurentPoly(coeffs)
+    coeffs = series_coeffs(upper, lower, n_terms)
+    return LaurentPoly({base_exp + step * j: c for j, c in enumerate(coeffs)})
 
 
 def fg_2f1_check(m: int) -> bool:

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from asm3 import cli
+from asm3 import cli, counts, oracle
+from asm3.errors import DegenerateParameters, NonExactDivision
 
 F = Fraction
 
@@ -141,35 +142,53 @@ def test_output_is_deterministic(capsys):
     assert first == second
 
 
-def test_thread_env_does_not_change_output(capsys, monkeypatch):
-    cli.main(["verify", "--suite", "closed-forms", "--max-m", "2", "--max-n", "3"])
-    solo = capsys.readouterr().out
-    monkeypatch.setenv("ASM3_THREADS", "4")
-    cli.main(["verify", "--suite", "closed-forms", "--max-m", "2", "--max-n", "3"])
-    threaded = capsys.readouterr().out
-    assert solo == threaded
+@pytest.mark.parametrize(
+    "exc", [DegenerateParameters, NonExactDivision, ZeroDivisionError]
+)
+def test_raising_block_is_one_failed_check(capsys, monkeypatch, exc):
+    def recurrence_check(max_m):
+        raise exc("broken on purpose")
 
+    monkeypatch.setattr(counts, "recurrence_check", recurrence_check)
+    argv = ["verify", "--suite", "closed-forms", "--max-m", "1", "--max-n", "3"]
+    assert cli.main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    fails = [line for line in lines if not line.startswith(("PASS", "#"))]
+    assert fails == [f"FAIL,recursions,raised {exc.__name__}"]
+    # the blocks after the raising one still ran
+    assert "PASS,scan_small_case,n=4" in lines
+    passed = len(lines) - 2
+    assert lines[-1] == f"# {passed}/{passed + 1} checks passed"
 
-def test_thread_env_parsing(monkeypatch):
-    monkeypatch.delenv("ASM3_THREADS", raising=False)
-    assert cli._threads_from_env() == 1
-    monkeypatch.setenv("ASM3_THREADS", "6")
-    assert cli._threads_from_env() == 6
-    monkeypatch.setenv("ASM3_THREADS", "0")
-    assert cli._threads_from_env() == 1
-    monkeypatch.setenv("ASM3_THREADS", "soup")
-    assert cli._threads_from_env() == 1
+    assert cli.main(argv + ["--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert {
+        "name": "recursions",
+        "params": f"raised {exc.__name__}",
+        "passed": False,
+    } in doc["results"]
+
+    def recursions():
+        return counts.recurrence_check(1)
+
+    [res] = cli._run_block(recursions)
+    assert res.detail == "broken on purpose"
 
 
 # -- exit codes ---------------------------------------------------------
 
 
-def test_usage_errors_exit_two(capsys):
+def test_usage_errors_exit_two(capsys, monkeypatch):
+    # oversized fractional-weight tables are refused before any DP runs
+    monkeypatch.setattr(
+        oracle, "dp_refined_enum", lambda n, x: pytest.fail("DP was run")
+    )
     assert cli.main(["table", "--n", "0", "--x", "1"]) == 2
     assert cli.main(["table", "--n", "3", "--x", "zebra"]) == 2
     assert cli.main(["scan", "--n", "4", "--epsilon", "2/3"]) == 2
     assert cli.main(["scan", "--n", "1", "--epsilon", "1/10"]) == 2
     assert cli.main(["table", "--n", "99", "--x", "5/7"]) == 2
+    assert cli.main(["table", "--n", "1..15", "--x", "5/7"]) == 2
     capsys.readouterr()
 
 

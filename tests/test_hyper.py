@@ -1,9 +1,11 @@
+import sys
 from fractions import Fraction
 from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
+from asm3 import counts, hyper, tq
 from asm3.errors import DegenerateParameters
 from asm3.hyper import (
     HypSpec,
@@ -12,6 +14,7 @@ from asm3.hyper import (
     hyp,
     hyp_terminating,
     pochhammer,
+    series_coeffs,
 )
 from asm3.qfield import Q, QsElem
 
@@ -50,12 +53,20 @@ def test_termination_order_uses_most_negative_upper():
 
 def test_known_gauss_values():
     assert hyp((-2, 1), (3,), 1) == Fraction(1, 2)
+    # its coefficients; an order past the termination adds none, a
+    # shorter one truncates
+    full = [1, Fraction(-2, 3), Fraction(1, 6)]
+    assert series_coeffs((-2, 1), (3,), 2) == full
+    assert series_coeffs((-2, 1), (3,), 7) == full
+    assert series_coeffs((-2, 1), (3,), 1) == full[:2]
     assert hyp((-3, Fraction(-1, 3)), (Fraction(4, 3),), 1) == Fraction(11, 7)
 
 
 def test_zero_order_series_is_one_even_with_zero_lower():
     # termination at order 0 never touches the lower parameters
     assert hyp((0, 1), (0,), Fraction(1, 2)) == 1
+    assert series_coeffs((0, 1), (0,), 0) == [1]
+    assert series_coeffs((0, 1), (0,), -1) == []
 
 
 def test_degenerate_lower_parameter_raises():
@@ -63,12 +74,15 @@ def test_degenerate_lower_parameter_raises():
         hyp((-1, 0), (0,), Fraction(1, 2))
     with pytest.raises(DegenerateParameters):
         hyp((-3, 2), (-1,), 1)
+    with pytest.raises(DegenerateParameters):
+        series_coeffs((-3, 2), (-1,), 2)
 
 
 def test_late_lower_zero_after_series_truncates_is_fine():
     # upper kills the series at j = 2; the lower would vanish only at j = 3
     val = hyp((-1, 5), (-2,), 1)
     assert val == 1 + Fraction(-1 * 5, -2)
+    assert series_coeffs((-1, 5), (-2,), 5) == [1, Fraction(-1 * 5, -2)]
 
 
 def test_argument_may_live_in_the_quadratic_field():
@@ -106,3 +120,50 @@ def test_spec_is_hashable_and_frozen():
     with pytest.raises(AttributeError):
         spec.argument = 2
     assert hyp_terminating(spec) == Fraction(1, 2)
+
+
+class _HelperCalled(Exception):
+    pass
+
+
+def test_independent_routes_never_call_the_series_helper(monkeypatch):
+    # every route comparison keeps one side off series_coeffs, so with the
+    # helper disabled in each module that binds it those sides still compute
+    routes = [
+        (counts.b_coeff, (4, 3)),
+        (tq.f_poly, (3,)),
+        (tq.g_poly, (3,)),
+        (tq.q_poly, (3,)),
+        (tq.p_poly, (3,)),
+        (tq.v_poly, (3,)),
+        (counts.refined_asm, (7, 3)),
+        (pochhammer, (Fraction(1, 3), 4)),
+        (gen_binomial, (Fraction(4, 3), 3)),
+    ]
+    expected = [f(*args) for f, args in routes]
+
+    def disabled(*args):
+        raise _HelperCalled
+
+    modules = [
+        mod
+        for name, mod in sys.modules.items()
+        if name == "asm3" or name.startswith("asm3.")
+    ]
+    for mod in modules:
+        if hasattr(mod, "series_coeffs"):
+            monkeypatch.setattr(mod, "series_coeffs", disabled)
+        for obj in vars(mod).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+    assert [f(*args) for f, args in routes] == expected
+    # the series routes do go through the helper
+    for f, args in [
+        (hyper.hyp, ((-2, 1), (3,), 1)),
+        (tq.phi, (2, 2)),
+        (tq.e_poly, (2,)),
+        (counts.h1_poly, (3,)),
+    ]:
+        with pytest.raises(_HelperCalled):
+            f(*args)
