@@ -25,6 +25,10 @@ from .report import CheckResult
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+|\.\d+)?$")
 
+# no a..b range may take one --n argument past this many sizes; the check
+# comes before the range is expanded, so a huge range costs no memory
+MAX_N_VALUES = 1000
+
 
 def parse_rational(text: str) -> Fraction:
     """Accept p/q or a decimal literal with at most 18 fractional digits."""
@@ -48,6 +52,8 @@ def parse_n_values(text: str) -> List[int]:
             lo, hi = int(lo_s), int(hi_s)
             if hi < lo:
                 raise ValueError(f"empty range {item!r}")
+            if len(out) + hi - lo + 1 > MAX_N_VALUES:
+                raise ValueError(f"more than {MAX_N_VALUES} sizes")
             out.extend(range(lo, hi + 1))
         else:
             out.append(int(item))
@@ -456,6 +462,9 @@ def _run_block(block: Callable[[], List[CheckResult]]) -> List[CheckResult]:
 def cmd_verify(cfg: RunConfig, out=None) -> int:
     out = out or sys.stdout
     results = [r for item in _suite_items(cfg) for r in _run_block(item)]
+    for r in results:
+        if not r.passed and r.detail:
+            print(f"FAIL,{r.name},{r.params}: {r.detail}", file=sys.stderr)
     if cfg.fmt == "json":
         doc = {
             "command": "verify",

@@ -5,7 +5,10 @@ states: state S after row k is the set of columns whose partial sum is
 1, so S has exactly k bits set.  A row of the matrix is the difference
 of two consecutive states; it is admissible when its prefix sums stay
 in {0, 1} and close at 1, and it contributes weight x^(p-1) where p is
-its number of +1 entries.
+its number of +1 entries.  One backward pass from the full state, by
+decreasing width, weighs every completion of every state, and so gives
+all n refined counts at once.  It runs in integers only: for x = p/q
+each row weight is scaled by a fixed power of q, divided out at the end.
 
 The second oracle enumerates the same objects as triangles of strictly
 increasing rows where consecutive rows interlace, written directly on
@@ -66,30 +69,40 @@ def _row_successors(n: int, state: int) -> Tuple[Tuple[int, int], ...]:
 
 
 def dp_refined_enum(n: int, x, limit: int = DP_LIMIT) -> EnumTable:
-    """Weighted refined counts by transfer-matrix DP over column masks."""
+    """Weighted refined counts by one backward DP pass over column masks.
+
+    done[S] is the weighted number of ways to complete the matrix from
+    state S down to the full state.  A successor of a width-k state has
+    width k+1, so states taken by decreasing width find every successor
+    already done, and the first row singles out A_n(r; x) = done[1 << (r-1)].
+    For x = p/q each row weight x^(plus-1) is scaled by q^(top-1) into
+    the integer p^(plus-1) * q^(top-plus); the n-1 rows below the first
+    then carry the common factor q^((top-1)(n-1)), divided out at the end.
+    """
     if n < 1 or n > limit:
         raise SizeLimitExceeded(f"n must lie in 1..{limit}")
     x = _normalize_weight(x)
-    one = x ** 0
-    xpow = [x ** max(p - 1, 0) for p in range((n + 3) // 2 + 1)]
+    p, q = x.as_integer_ratio()
+    top = (n + 3) // 2
+    # indexed by plus; every row has at least one +1, so slot 0 is unused
+    weight = [0] + [
+        p ** (plus - 1) * q ** (top - plus) for plus in range(1, top)
+    ]
     full = (1 << n) - 1
-    counts = []
-    for r in range(1, n + 1):
-        layer = {1 << (r - 1): one}
-        for row in range(2, n + 1):
-            nxt: dict = {}
-            for state, w in layer.items():
-                for succ, plus in _row_successors(n, state):
-                    add = w * xpow[plus]
-                    if succ in nxt:
-                        nxt[succ] += add
-                    else:
-                        nxt[succ] = add
-            layer = nxt
-            if any(bin(s).count("1") != row for s in layer):
-                raise AssertionError("state width drifted from the row index")
-        counts.append(layer.get(full, 0))
-    return EnumTable(n, Fraction(x), tuple(counts), Provenance.ORACLE_DP)
+    done = [0] * (full + 1)
+    done[full] = 1
+    for state in sorted(range(1, full), key=int.bit_count, reverse=True):
+        total = 0
+        for succ, plus in _row_successors(n, state):
+            total += weight[plus] * done[succ]
+        done[state] = total
+    tops = [done[1 << (r - 1)] for r in range(1, n + 1)]
+    if q == 1:
+        counts = tuple(tops)
+    else:
+        scale = q ** ((top - 1) * (n - 1))
+        counts = tuple(Fraction(v, scale) for v in tops)
+    return EnumTable(n, Fraction(x), counts, Provenance.ORACLE_DP)
 
 
 def _interlacing_extensions(row: Tuple[int, ...], n: int):

@@ -41,6 +41,12 @@ def test_parse_n_values():
         cli.parse_n_values("5..3")
     with pytest.raises(ValueError):
         cli.parse_n_values("x")
+    cap = cli.MAX_N_VALUES
+    assert len(cli.parse_n_values(f"1..{cap}")) == cap
+    with pytest.raises(ValueError):
+        cli.parse_n_values(f"1..{cap + 1}")
+    with pytest.raises(ValueError):
+        cli.parse_n_values(f"7,1..{cap}")
 
 
 def test_decimal_string_rounding():
@@ -152,7 +158,12 @@ def test_raising_block_is_one_failed_check(capsys, monkeypatch, exc):
     monkeypatch.setattr(counts, "recurrence_check", recurrence_check)
     argv = ["verify", "--suite", "closed-forms", "--max-m", "1", "--max-n", "3"]
     assert cli.main(argv) == 1
-    lines = capsys.readouterr().out.splitlines()
+    captured = capsys.readouterr()
+    assert (
+        f"FAIL,recursions,raised {exc.__name__}: broken on purpose"
+        in captured.err.splitlines()
+    )
+    lines = captured.out.splitlines()
     fails = [line for line in lines if not line.startswith(("PASS", "#"))]
     assert fails == [f"FAIL,recursions,raised {exc.__name__}"]
     # the blocks after the raising one still ran
@@ -189,6 +200,7 @@ def test_usage_errors_exit_two(capsys, monkeypatch):
     assert cli.main(["scan", "--n", "1", "--epsilon", "1/10"]) == 2
     assert cli.main(["table", "--n", "99", "--x", "5/7"]) == 2
     assert cli.main(["table", "--n", "1..15", "--x", "5/7"]) == 2
+    assert cli.main(["table", "--n", "1..2000000000"]) == 2
     capsys.readouterr()
 
 

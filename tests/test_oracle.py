@@ -11,12 +11,14 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from asm3 import counts
 from asm3.errors import SizeLimitExceeded
 from asm3.oracle import (
     DP_LIMIT,
     MT_LIMIT,
+    _row_successors,
     dp_refined_enum,
     mt_refined_enum,
     oracle_cross_check,
@@ -99,6 +101,40 @@ def test_dp_two_enumeration_shares():
         tot = t.total
         for r in range(1, n + 1):
             assert F(t.counts[r - 1], tot) == counts.refined_asm2_ratio(n, r)
+
+
+@given(st.integers(1, 6), st.integers(-50, 50), st.integers(1, 1000))
+@example(6, 0, 1)
+@example(6, 0, 1000)
+@example(6, -5, 7)
+@example(6, -3, 1)
+@example(5, 999, 1000)
+def test_oracles_agree_on_rational_weights(n, p, q):
+    x = F(p, q)
+    got = dp_refined_enum(n, x).counts
+    assert got == mt_refined_enum(n, x).counts
+    kind = int if x.denominator == 1 else F
+    assert all(type(v) is kind for v in got)
+
+
+def test_dp_successors_step_width_by_one():
+    # the backward pass takes states by decreasing width, which is sound
+    # only if every row moves a width-k state to a width-(k+1) state
+    for n in range(1, 9):
+        for state in range(1 << n):
+            width = state.bit_count()
+            for succ, plus in _row_successors(n, state):
+                assert succ.bit_count() == width + 1
+                assert 1 <= plus <= (n + 1) // 2
+
+
+def test_dp_expands_each_state_once():
+    # a work count, not a timing: the single backward pass asks for the
+    # successors of each of the 2**n - 2 inner states once
+    _row_successors.cache_clear()
+    dp_refined_enum(8, F(5, 7))
+    info = _row_successors.cache_info()
+    assert info.hits + info.misses < 2 ** 8
 
 
 def test_oracles_agree_on_fractional_weight():
