@@ -29,6 +29,12 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+|\.\d+)?$")
 # comes before the range is expanded, so a huge range costs no memory
 MAX_N_VALUES = 1000
 
+# the largest verify limits whose `verify --suite all` ran within 60 s on a
+# 2-CPU VM (Python 3.11.7), each with the other limit at its default:
+# max-m 48 took 47 s (50 took 49-62 s), max-n 170 took 52-54 s (180: 64 s)
+MAX_VERIFY_M = 48
+MAX_VERIFY_N = 170
+
 
 def parse_rational(text: str) -> Fraction:
     """Accept p/q or a decimal literal with at most 18 fractional digits."""
@@ -584,6 +590,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         cfg.max_n = args.max_n
         if cfg.max_m < 0 or cfg.max_n < 1:
             raise ValueError("limits must be sensible: max-m >= 0, max-n >= 1")
+        if cfg.max_m > MAX_VERIFY_M or cfg.max_n > MAX_VERIFY_N:
+            raise ValueError(
+                f"limits too large: max-m <= {MAX_VERIFY_M}, "
+                f"max-n <= {MAX_VERIFY_N}"
+            )
     elif args.command == "scan":
         cfg.n_values = parse_n_values(args.n)
         cfg.epsilon = parse_rational(args.epsilon)

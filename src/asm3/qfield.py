@@ -3,91 +3,140 @@
 This field contains the primitive sixth root of unity q = (1 + s)/2,
 which satisfies q - 1/q = s and q**6 = 1, and the primitive cube root
 w = q**2.  That is all the irrationality the rest of the package ever
-needs.  An element is stored as a pair of Fractions (rational part,
-coefficient of s), so every operation is exact; there is no floating
-point anywhere.
+needs.  An element is stored as one reduced integer triple (a, b, d)
+meaning (a + b*s)/d, with d > 0 and gcd(a, b, d) = 1, so equal values
+have equal triples.  Every ring operation is integer arithmetic plus one
+three-way gcd; a Fraction is built only when a caller reads a rational
+part.  There is no floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 Rational = Union[int, Fraction]
 
+# the scalar types that mix with QsElem in arithmetic and comparison
+_RATIONAL_TYPES = (int, Fraction)
+
+
+def _reduced(a: int, b: int, d: int) -> "QsElem":
+    # internal fast path for (a + b*s)/d with integer a, b and d > 0
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    self = object.__new__(QsElem)
+    self.a = a
+    self.b = b
+    self.d = d
+    return self
+
 
 class QsElem:
-    """Element ra + sb*s of Q(s).  Immutable by convention."""
+    """Element (a + b*s)/d of Q(s), in lowest terms.  Immutable by convention.
 
-    __slots__ = ("ra", "sb")
+    `ra` and `sb` read the rational part and the coefficient of s as
+    Fractions.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, ra: Rational = 0, sb: Rational = 0):
-        self.ra = Fraction(ra)
-        self.sb = Fraction(sb)
+        if not isinstance(ra, _RATIONAL_TYPES):
+            ra = Fraction(ra)
+        if not isinstance(sb, _RATIONAL_TYPES):
+            sb = Fraction(sb)
+        p, q = ra.numerator, ra.denominator
+        r, t = sb.numerator, sb.denominator
+        a, b, d = p * t, r * q, q * t
+        g = gcd(a, b, d)
+        self.a = a // g
+        self.b = b // g
+        self.d = d // g
 
-    @classmethod
-    def _raw(cls, ra: Fraction, sb: Fraction) -> "QsElem":
-        # internal fast path: arguments must already be Fractions
-        self = object.__new__(cls)
-        self.ra = ra
-        self.sb = sb
-        return self
+    @property
+    def ra(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def sb(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     @property
     def is_rational(self) -> bool:
-        return not self.sb
+        return not self.b
 
     def to_fraction(self) -> Fraction:
         """Rational part of a rational element; error if s survives."""
-        if self.sb:
+        if self.b:
             raise ValueError(f"{self!r} is not rational")
         return self.ra
 
     def conjugate(self) -> "QsElem":
-        return QsElem._raw(self.ra, -self.sb)
+        return _reduced(self.a, -self.b, self.d)
 
     def norm(self) -> Fraction:
-        # product with the conjugate: a*a - s*s*b*b = a*a + 3*b*b
-        return self.ra * self.ra + 3 * self.sb * self.sb
+        # product with the conjugate: (a*a + 3*b*b) / (d*d)
+        a, b, d = self.a, self.b, self.d
+        return Fraction(a * a + 3 * b * b, d * d)
 
     def inverse(self) -> "QsElem":
-        n = self.norm()
+        # d/(a + b*s) = d*(a - b*s) / (a*a + 3*b*b)
+        a, b, d = self.a, self.b, self.d
+        n = a * a + 3 * b * b
         if not n:
             raise ZeroDivisionError("inverse of zero in Q(s)")
-        return QsElem._raw(self.ra / n, -self.sb / n)
+        return _reduced(d * a, -d * b, n)
 
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, QsElem):
-            return QsElem._raw(self.ra + other.ra, self.sb + other.sb)
-        if isinstance(other, (int, Fraction)):
-            return QsElem._raw(self.ra + other, self.sb)
+            d, e = self.d, other.d
+            if d == e:
+                return _reduced(self.a + other.a, self.b + other.b, d)
+            return _reduced(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
+        if isinstance(other, _RATIONAL_TYPES):
+            p, q = other.numerator, other.denominator
+            d = self.d
+            return _reduced(self.a * q + p * d, self.b * q, d * q)
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, QsElem):
-            return QsElem._raw(self.ra - other.ra, self.sb - other.sb)
-        if isinstance(other, (int, Fraction)):
-            return QsElem._raw(self.ra - other, self.sb)
+            d, e = self.d, other.d
+            if d == e:
+                return _reduced(self.a - other.a, self.b - other.b, d)
+            return _reduced(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
+        if isinstance(other, _RATIONAL_TYPES):
+            p, q = other.numerator, other.denominator
+            d = self.d
+            return _reduced(self.a * q - p * d, self.b * q, d * q)
         return NotImplemented
 
     def __rsub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QsElem._raw(other - self.ra, -self.sb)
+        if isinstance(other, _RATIONAL_TYPES):
+            p, q = other.numerator, other.denominator
+            d = self.d
+            return _reduced(p * d - self.a * q, -self.b * q, d * q)
         return NotImplemented
 
     def __neg__(self):
-        return QsElem._raw(-self.ra, -self.sb)
+        return _reduced(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
         if isinstance(other, QsElem):
-            a, b, c, d = self.ra, self.sb, other.ra, other.sb
-            return QsElem._raw(a * c - 3 * b * d, a * d + b * c)
-        if isinstance(other, (int, Fraction)):
-            return QsElem._raw(self.ra * other, self.sb * other)
+            a, b, c, e = self.a, self.b, other.a, other.b
+            return _reduced(a * c - 3 * b * e, a * e + b * c, self.d * other.d)
+        if isinstance(other, _RATIONAL_TYPES):
+            p, q = other.numerator, other.denominator
+            return _reduced(self.a * p, self.b * p, self.d * q)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -95,14 +144,17 @@ class QsElem:
     def __truediv__(self, other):
         if isinstance(other, QsElem):
             return self * other.inverse()
-        if isinstance(other, (int, Fraction)):
-            if not other:
+        if isinstance(other, _RATIONAL_TYPES):
+            p, q = other.numerator, other.denominator
+            if not p:
                 raise ZeroDivisionError("division by zero")
-            return QsElem._raw(self.ra / other, self.sb / other)
+            if p < 0:
+                p, q = -p, -q
+            return _reduced(self.a * q, self.b * q, self.d * p)
         return NotImplemented
 
     def __rtruediv__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, _RATIONAL_TYPES):
             return self.inverse() * other
         return NotImplemented
 
@@ -125,27 +177,31 @@ class QsElem:
 
     def __eq__(self, other):
         if isinstance(other, QsElem):
-            return self.ra == other.ra and self.sb == other.sb
-        if isinstance(other, (int, Fraction)):
-            return not self.sb and self.ra == other
+            return self.a == other.a and self.b == other.b and self.d == other.d
+        if isinstance(other, _RATIONAL_TYPES):
+            return (
+                not self.b
+                and self.a == other.numerator
+                and self.d == other.denominator
+            )
         return NotImplemented
 
     def __hash__(self):
         # rational elements hash like their Fraction so mixed-key dicts work
-        if not self.sb:
-            return hash(self.ra)
-        return hash((self.ra, self.sb))
+        if not self.b:
+            return hash(self.a) if self.d == 1 else hash(Fraction(self.a, self.d))
+        return hash((self.a, self.b, self.d))
 
     def __bool__(self):
-        return bool(self.ra) or bool(self.sb)
+        return bool(self.a or self.b)
 
     def __repr__(self):
         return f"QsElem({self.ra!r}, {self.sb!r})"
 
     def __str__(self):
-        if not self.sb:
+        if not self.b:
             return str(self.ra)
-        if not self.ra:
+        if not self.a:
             return f"{self.sb}*s"
         return f"{self.ra} + {self.sb}*s"
 

@@ -47,6 +47,15 @@ def _odd_kernel_pow(n: int) -> LaurentPoly:
     return LaurentPoly({1: 1, -1: -1}) ** n
 
 
+@lru_cache(maxsize=None)
+def _kernel_pows(n: int) -> tuple:
+    """(small ** n, big ** n) for the two symmetric kernels."""
+    if n == 0:
+        return LaurentPoly.one(), LaurentPoly.one()
+    small, big = _kernel_pows(n - 1)
+    return small * _SMALL, big * _BIG
+
+
 def c_norm(m: int) -> Fraction:
     """Normalization making the combined family h_poly vanish at x = 1."""
     return Fraction(
@@ -124,14 +133,9 @@ def phi(m: int, k: int) -> PhiPoly:
     """
     if m < 0:
         raise ValueError("order must be >= 0")
-    small_pow = [LaurentPoly.one()]
-    big_pow = [LaurentPoly.one()]
-    for _ in range(m):
-        small_pow.append(small_pow[-1] * _SMALL)
-        big_pow.append(big_pow[-1] * _BIG)
     total = LaurentPoly()
     for j, c in enumerate(series_coeffs((-m, k + 1), (-m - k,), m)):
-        total = total + small_pow[m - j] * big_pow[j] * c
+        total = total + _kernel_pows(m - j)[0] * _kernel_pows(j)[1] * c
     return PhiPoly(m, k, total * S ** (-m))
 
 

@@ -201,6 +201,15 @@ def test_usage_errors_exit_two(capsys, monkeypatch):
     assert cli.main(["table", "--n", "99", "--x", "5/7"]) == 2
     assert cli.main(["table", "--n", "1..15", "--x", "5/7"]) == 2
     assert cli.main(["table", "--n", "1..2000000000"]) == 2
+    # verify limits above the caps are refused before any block runs
+    monkeypatch.setattr(
+        cli, "_suite_items", lambda cfg: pytest.fail("verify was run")
+    )
+    over_m = str(cli.MAX_VERIFY_M + 1)
+    over_n = str(cli.MAX_VERIFY_N + 1)
+    assert cli.main(["verify", "--max-m", over_m]) == 2
+    assert cli.main(["verify", "--max-n", over_n]) == 2
+    assert cli.main(["verify", "--max-m", "1000000000000"]) == 2
     capsys.readouterr()
 
 
