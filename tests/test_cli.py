@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -138,6 +139,22 @@ def test_verify_all_suites_runnable(capsys):
     rc = cli.main(["verify", "--suite", "all", "--max-m", "1", "--max-n", "3"])
     capsys.readouterr()
     assert rc == 0
+
+
+@pytest.mark.parametrize(
+    "fmt, n_lines, digest",
+    [
+        ("csv", 239, "7626d9325786650fe7c04d661275aa173a4beec45b333fcdd83c4f9ca92805a3"),
+        ("json", 1200, "aaf683e8d66d06e2f22981c485ab3a9ed0237b5f395b09980317a19e80d9e74a"),
+    ],
+)
+def test_verify_output_is_pinned(capsys, fmt, n_lines, digest):
+    # every check name, its params and their order, in both formats
+    argv = ["verify", "--suite", "all", "--max-m", "3", "--max-n", "5"]
+    assert cli.main(argv + ["--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == n_lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_output_is_deterministic(capsys):
