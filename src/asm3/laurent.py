@@ -50,10 +50,6 @@ class LaurentPoly:
         return self
 
     @classmethod
-    def x_pow(cls, k: int, coeff: Scalar = 1) -> "LaurentPoly":
-        return cls({k: coeff})
-
-    @classmethod
     def zero(cls) -> "LaurentPoly":
         return cls()
 

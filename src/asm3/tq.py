@@ -108,24 +108,13 @@ def tq_check(p: LaurentPoly) -> bool:
     return (p + p.substitute_scale(OMEGA) + p.substitute_scale(OMEGA_BAR)).is_zero
 
 
-@dataclass(frozen=True)
-class PhiPoly:
-    """Symmetric-kernel Gauss sum of order m and shift k.
-
-    The value is invariant under x -> 1/x, has purely rational
-    coefficients, and is a degree-m polynomial in x + 1/x.
-    """
-
-    m: int
-    k: int
-    value: LaurentPoly
-
-
 @lru_cache(maxsize=None)
-def phi(m: int, k: int) -> PhiPoly:
+def phi(m: int, k: int) -> LaurentPoly:
     """Finite Gauss-type sum over the two symmetric kernels.
 
-    Built from the cleared form: the j-th term carries the coefficient
+    The sum is invariant under x -> 1/x, has purely rational
+    coefficients, and is a degree-m polynomial in x + 1/x.  It is built
+    from the cleared form: the j-th term carries the coefficient
     (-m)_j (k+1)_j / ((-m-k)_j j!) on small^(m-j) * big^j, all divided
     by s^m.  A vanishing (-m-k)_j factor with a numerator that has not
     already died raises DegenerateParameters; the smallest such case is
@@ -136,7 +125,7 @@ def phi(m: int, k: int) -> PhiPoly:
     total = LaurentPoly()
     for j, c in enumerate(series_coeffs((-m, k + 1), (-m - k,), m)):
         total = total + _kernel_pows(m - j)[0] * _kernel_pows(j)[1] * c
-    return PhiPoly(m, k, total * S ** (-m))
+    return total * S ** (-m)
 
 
 @dataclass(frozen=True)
@@ -166,7 +155,7 @@ def q_poly(m: int) -> LaurentPoly:
 def q_poly_phi(m: int) -> LaurentPoly:
     """Gauss-sum route to the same quotient."""
     pref = Fraction(factorial(2 * m), 3 ** m * factorial(m) ** 2)
-    return phi(m, m).value * pref
+    return phi(m, m) * pref
 
 
 @lru_cache(maxsize=None)
@@ -181,9 +170,7 @@ def p_poly(m: int) -> LaurentPoly:
 def p_poly_phi(m: int) -> LaurentPoly:
     """Gauss-sum route; degenerate at m = 0, where phi(1, -1) appears."""
     pref = Fraction(factorial(2 * m), 3 ** m * factorial(m) * factorial(m + 1))
-    combo = phi(m + 1, m - 1).value * (3 * m + 2) - phi(m + 1, m).value * (
-        2 * m + 1
-    )
+    combo = phi(m + 1, m - 1) * (3 * m + 2) - phi(m + 1, m) * (2 * m + 1)
     return combo * pref
 
 
@@ -214,10 +201,10 @@ def v_poly_phi(m: int) -> LaurentPoly:
         factorial(2 * m) * factorial(2 * m + 2),
         factorial(m + 1) * factorial(3 * m + 2),
     )
-    acc = phi(m, m + 1).value * (2 * m + 1)
+    acc = phi(m, m + 1) * (2 * m + 1)
     if m >= 1:
         w = LaurentPoly({1: 1, 0: -1, -1: 1})
-        acc = acc - w * phi(m - 1, m + 1).value * m
+        acc = acc - w * phi(m - 1, m + 1) * m
     return acc * pref
 
 
@@ -327,7 +314,7 @@ def fg_2f1_check(m: int) -> bool:
     return f_ref == f_poly(m) and g_ref == g_poly(m)
 
 
-def gauss_relation_checks(m: int, k_values=None) -> list:
+def gauss_relation_checks(m: int) -> list:
     """Contiguous relations and route agreements at one index.
 
     Covers the expressions of g, h, p, v through adjacent families, the
@@ -337,8 +324,6 @@ def gauss_relation_checks(m: int, k_values=None) -> list:
     """
     if m < 0:
         raise ValueError("index must be >= 0")
-    if k_values is None:
-        k_values = range(m + 1)
     out = []
     tag = f"m={m}"
     even3 = LaurentPoly({3: 1, -3: 1})
@@ -370,22 +355,16 @@ def gauss_relation_checks(m: int, k_values=None) -> list:
 
     u = LaurentPoly({1: 1, -1: 1})
     sq = LaurentPoly({2: 1, 0: 1, -2: 1})
-    for k in k_values:
+    for k in range(m + 1):
         ktag = f"m={m} k={k}"
         if m >= 1:
             coeff = Fraction(m * (m + 2 * k + 1), 3 * (m + k + 1) * (m + k))
-            rhs = u * phi(m, k).value - sq * phi(m - 1, k).value * coeff
-            out.append(
-                CheckResult("phi_step_order", ktag, phi(m + 1, k).value == rhs)
-            )
-        rhs = phi(m, k).value * Fraction(m + 2 * k + 2, 2 * (m + k + 1))
+            rhs = u * phi(m, k) - sq * phi(m - 1, k) * coeff
+            out.append(CheckResult("phi_step_order", ktag, phi(m + 1, k) == rhs))
+        rhs = phi(m, k) * Fraction(m + 2 * k + 2, 2 * (m + k + 1))
         if m >= 1:
-            rhs = rhs + u * phi(m - 1, k + 1).value * Fraction(
-                m, 2 * (m + k + 1)
-            )
-        out.append(
-            CheckResult("phi_step_shift", ktag, phi(m, k + 1).value == rhs)
-        )
+            rhs = rhs + u * phi(m - 1, k + 1) * Fraction(m, 2 * (m + k + 1))
+        out.append(CheckResult("phi_step_shift", ktag, phi(m, k + 1) == rhs))
     return out
 
 

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from asm3 import cli, counts, oracle
+from asm3 import checks, cli, counts, oracle
 from asm3.errors import DegenerateParameters, NonExactDivision
+from asm3.report import CheckResult
 
 F = Fraction
 
@@ -23,7 +24,7 @@ def test_parse_rational_forms():
 
 
 def test_parse_rational_rejects_garbage():
-    for bad in ("abc", "1/2/3", "1.2.3", "2e5", "", "1/"):
+    for bad in ("abc", "1/2/3", "1.2.3", "2e5", "", "1/", "1/0", "0/0"):
         with pytest.raises(ValueError):
             cli.parse_rational(bad)
 
@@ -196,11 +197,12 @@ def test_raising_block_is_one_failed_check(capsys, monkeypatch, exc):
         "passed": False,
     } in doc["results"]
 
-    def recursions():
-        return counts.recurrence_check(1)
-
-    [res] = cli._run_block(recursions)
-    assert res.detail == "broken on purpose"
+    [res] = checks.run_block(checks.recursions, 1, 3)
+    assert res == CheckResult(
+        "recursions", f"raised {exc.__name__}", False, "broken on purpose"
+    )
+    with pytest.raises(ValueError):
+        checks.run("no-such-suite", 1, 3)
 
 
 # -- exit codes ---------------------------------------------------------
@@ -218,9 +220,19 @@ def test_usage_errors_exit_two(capsys, monkeypatch):
     assert cli.main(["table", "--n", "99", "--x", "5/7"]) == 2
     assert cli.main(["table", "--n", "1..15", "--x", "5/7"]) == 2
     assert cli.main(["table", "--n", "1..2000000000"]) == 2
+    assert cli.main(["table", "--n", "3", "--x", "1/0"]) == 2
+    assert cli.main(["scan", "--n", "4", "--epsilon", "1/0"]) == 2
+    # closed-form tables whose counts pass the int-to-str digit limit are
+    # refused before any row is computed
+    monkeypatch.setattr(
+        counts, "closed_form_table", lambda n, x: pytest.fail("table was run")
+    )
+    assert cli.main(["table", "--n", "195", "--x", "1"]) == 2
+    assert cli.main(["table", "--n", "1..157", "--x", "3"]) == 2
+    assert cli.main(["table", "--n", "1000", "--x", "3"]) == 2
     # verify limits above the caps are refused before any block runs
     monkeypatch.setattr(
-        cli, "_suite_items", lambda cfg: pytest.fail("verify was run")
+        checks, "run", lambda *args: pytest.fail("verify was run")
     )
     over_m = str(cli.MAX_VERIFY_M + 1)
     over_n = str(cli.MAX_VERIFY_N + 1)
@@ -228,6 +240,14 @@ def test_usage_errors_exit_two(capsys, monkeypatch):
     assert cli.main(["verify", "--max-n", over_n]) == 2
     assert cli.main(["verify", "--max-m", "1000000000000"]) == 2
     capsys.readouterr()
+
+
+def test_table_prints_up_to_the_digit_cap(capsys):
+    for x, n in cli.MAX_TABLE_N.items():
+        assert cli.main(["table", "--n", str(n), "--x", str(x)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == n + 1
+        assert max(len(line) for line in lines) > 4000
 
 
 def test_unknown_subcommand_exits_two(capsys):

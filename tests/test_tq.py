@@ -109,15 +109,15 @@ def test_v_is_one_at_one():
 
 
 def test_phi_values():
-    assert phi(0, 0).value == LaurentPoly({0: 1})
-    assert phi(2, 0).value == LaurentPoly({2: F(2, 3), 0: F(5, 3), -2: F(2, 3)})
-    assert phi(2, 1).value == LaurentPoly({2: F(7, 9), 0: F(16, 9), -2: F(7, 9)})
+    assert phi(0, 0) == LaurentPoly({0: 1})
+    assert phi(2, 0) == LaurentPoly({2: F(2, 3), 0: F(5, 3), -2: F(2, 3)})
+    assert phi(2, 1) == LaurentPoly({2: F(7, 9), 0: F(16, 9), -2: F(7, 9)})
 
 
 def test_phi_structural_invariants():
     for m in range(6):
         for k in range(4):
-            val = phi(m, k).value
+            val = phi(m, k)
             assert val.invert_x() == val
             assert val.is_rational
             if not val.is_zero:
