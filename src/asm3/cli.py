@@ -22,8 +22,9 @@ from .errors import OutOfRange, SizeLimitExceeded
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+|\.\d+)?$")
 
-# no a..b range may take one --n argument past this many sizes; the check
-# comes before the range is expanded, so a huge range costs no memory
+# no --n argument may list more than this many sizes, counting every
+# entry of a comma list and every size of an a..b range; the check comes
+# before a range is expanded, so a huge range costs no memory
 MAX_N_VALUES = 1000
 
 # the largest verify limits whose `verify --suite all` ran within 60 s on a
@@ -37,6 +38,15 @@ MAX_VERIFY_N = 170
 # measured: n = 195 at x = 1 and n = 157 at x = 3 have 4319- and 4303-digit
 # counts), which would fail only after the whole table was computed
 MAX_TABLE_N = {1: 194, 3: 156}
+
+# the largest scan size whose exact mass prints under that same limit at
+# every epsilon: the mass is below 1, and its denominator divides that of
+# gcd(T(m, .)) * (2m+1)! m! / (w * 3^m (3m+2)!), with T(m, .) the
+# recurrence row and w = 2 or 9 the weight denominator.  That bound has
+# 4300 digits at n = 8723 and 4301 at n = 8724; it grows by about 0.49
+# digits per size and wobbles by under 20 (computed at every n in
+# 8662..8759 and at every 74th n from 2002 up)
+MAX_SCAN_N = 8723
 
 
 def parse_rational(text: str) -> Fraction:
@@ -64,11 +74,11 @@ def parse_n_values(text: str) -> List[int]:
             lo, hi = int(lo_s), int(hi_s)
             if hi < lo:
                 raise ValueError(f"empty range {item!r}")
-            if len(out) + hi - lo + 1 > MAX_N_VALUES:
-                raise ValueError(f"more than {MAX_N_VALUES} sizes")
-            out.extend(range(lo, hi + 1))
         else:
-            out.append(int(item))
+            lo = hi = int(item)
+        if len(out) + hi - lo + 1 > MAX_N_VALUES:
+            raise ValueError(f"more than {MAX_N_VALUES} sizes")
+        out.extend(range(lo, hi + 1))
     if not out:
         raise ValueError("no sizes given")
     return out
@@ -102,14 +112,19 @@ def cmd_table(args: argparse.Namespace) -> int:
             )
     elif max(n_values) > oracle.DP_LIMIT:
         raise ValueError(f"sizes above {oracle.DP_LIMIT} need x = 1 or x = 3")
-    rows: List[Tuple[int, int, str]] = []
-    for n in n_values:
+    # a repeated size is computed once; its rows still print at every repeat
+    values = {}
+    for n in dict.fromkeys(n_values):
         if x in MAX_TABLE_N:
             table = counts.closed_form_table(n, x)
         else:
             table = oracle.dp_refined_enum(n, x)
-        for r, value in enumerate(table.counts, start=1):
-            rows.append((n, r, str(value)))
+        values[n] = [str(value) for value in table.counts]
+    rows: List[Tuple[int, int, str]] = [
+        (n, r, value)
+        for n in n_values
+        for r, value in enumerate(values[n], start=1)
+    ]
     out = sys.stdout
     if args.format == "json":
         doc = {
@@ -176,6 +191,11 @@ def cmd_scan(args: argparse.Namespace) -> int:
         raise ValueError("epsilon must lie strictly between 0 and 1/2")
     if any(n < 2 for n in n_values):
         raise ValueError("scan sizes must be >= 2")
+    if max(n_values) > MAX_SCAN_N:
+        raise ValueError(
+            f"scan sizes above {MAX_SCAN_N} can have masses of more than "
+            f"4300 digits"
+        )
     masses = counts.concentration_scan(n_values, epsilon)
     out = sys.stdout
     if args.format == "json":

@@ -7,6 +7,11 @@ family b(m, .) behind the refined 3-enumeration, the generating
 polynomials of both refinements, the recursion checks that reproduce
 the closed forms, and an exact scan of the central mass of the refined
 distribution.  Everything is integer or Fraction arithmetic.
+
+b(m, .) has two routes here.  b_coeff evaluates the paper's single sum
+at one alpha, O(m) big binomials per value.  b_table and the scan build
+the whole integer row T(m, 0..2m) from an exact order-4 recurrence in
+alpha, one integer step per value, seeded by b_coeff at alpha = 0..3.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from math import comb, factorial
 from typing import Iterable, List, Sequence, Tuple, Union
 
 from .densepoly import DensePoly
-from .errors import OutOfRange
+from .errors import NonExactDivision, OutOfRange
 from .hyper import hyp, series_coeffs
 from .report import CheckResult
 
@@ -186,9 +191,61 @@ def b_coeff_4f3(m: int, alpha: int) -> Fraction:
     return pref * bracket
 
 
+def _b_scale(m: int) -> Tuple[int, int]:
+    """Numerator and denominator of the factor that takes T(m, .) to b(m, .).
+
+    T(m, alpha) is the integer sum inside b_coeff; the factor
+    (2m+1)! m! / (3^m (3m+2)!) depends on m alone.
+    """
+    return factorial(2 * m + 1) * factorial(m), 3 ** m * factorial(3 * m + 2)
+
+
+def _t_row(m: int) -> List[int]:
+    """T(m, 0..2m) by an exact order-4 recurrence in alpha.
+
+    The seeds T(m, 0..3) come from b_coeff.  Each later value solves
+
+        2(a+4)(a-2m+1)               T(a+4)
+      + (5a^2-20am+19a+12m^2-48m+12) T(a+3)
+      - 2(8m+1)(a-m+2)               T(a+2)
+      + (-5a^2-21a+8m^2+10m-16)      T(a+1)
+      - 2(a+3)(a-2m)                 T(a)    = 0
+
+    for T(a+4).  The leading coefficient vanishes only at a = 2m-1,
+    past the last step a = 2m-4, so the recurrence runs over the whole
+    range and the reflection symmetry stays a check, not an input.  The
+    recurrence was guessed and is checked, not proved: a nonzero
+    remainder in any step raises NonExactDivision.
+    """
+    num, den = _b_scale(m)
+    row = [
+        _int_exact(b_coeff(m, a) * den / num)
+        for a in range(min(4, 2 * m + 1))
+    ]
+    for a in range(2 * m - 3):
+        t0, t1, t2, t3 = row[a:]
+        rest = (
+            (5 * a * a - 20 * a * m + 19 * a + 12 * m * m - 48 * m + 12) * t3
+            - 2 * (8 * m + 1) * (a - m + 2) * t2
+            + (-5 * a * a - 21 * a + 8 * m * m + 10 * m - 16) * t1
+            - 2 * (a + 3) * (a - 2 * m) * t0
+        )
+        nxt, rem = divmod(-rest, 2 * (a + 4) * (a - 2 * m + 1))
+        if rem:
+            raise NonExactDivision(f"recurrence step to T({m}, {a + 4})")
+        row.append(nxt)
+    return row
+
+
 @lru_cache(maxsize=None)
 def b_table(m: int) -> BCoeffs:
-    return BCoeffs(m, tuple(b_coeff(m, a) for a in range(2 * m + 1)))
+    """b(m, 0..2m) from the recurrence row T(m, .) times the m-only factor.
+
+    b_coeff stays the independent direct-sum route; the verify suite
+    compares this table with the 4F3 and polynomial routes.
+    """
+    scale = Fraction(*_b_scale(m))
+    return BCoeffs(m, tuple(scale * t for t in _t_row(m)))
 
 
 def refined_asm3(n: int, r: int) -> int:
@@ -321,32 +378,33 @@ def concentration_scan(
     """Exact central mass of the refined 3-enumeration distribution.
 
     For each order n, sums the shares of the columns whose normalized
-    position (r-1)/(n-1) lies strictly within eps of 1/2.  Shares are
-    computed from the b-coefficients directly so the astronomically
-    large totals never materialize.
+    position (r-1)/(n-1) lies strictly within eps of 1/2.  The window is
+    summed over the integer recurrence row T(m, .), and the m-only factor
+    and the mixing weights enter once, in one Fraction per n, so the
+    astronomically large totals never materialize.
     """
     eps = Fraction(eps)
     if not 0 < eps < Fraction(1, 2):
         raise OutOfRange("eps must satisfy 0 < eps < 1/2")
-    half = Fraction(1, 2)
+    p, q = eps.numerator, eps.denominator
     out = []
     for n in sorted(set(int(v) for v in n_values)):
         if n < 2:
             raise OutOfRange("scan needs n >= 2")
         if n % 2 == 0:
             m = (n - 2) // 2
-            weights = ((0, Fraction(1, 2)), (1, Fraction(1, 2)))
+            weights, weight_den = (1, 1), 2
         else:
             m = (n - 3) // 2
-            weights = (
-                (0, Fraction(2, 9)),
-                (1, Fraction(5, 9)),
-                (2, Fraction(2, 9)),
-            )
-        bt = b_table(m)
-        mass = Fraction(0)
+            weights, weight_den = (2, 5, 2), 9
+        row = _t_row(m)
+        total = 0
         for r in range(1, n + 1):
-            if abs(Fraction(r - 1, n - 1) - half) < eps:
-                mass += sum(w * bt[r - 1 - off] for off, w in weights)
-        out.append((n, mass))
+            # |(r-1)/(n-1) - 1/2| < eps, cleared of denominators
+            if abs(2 * r - 1 - n) * q < 2 * p * (n - 1):
+                for off, w in enumerate(weights):
+                    if 0 <= r - 1 - off <= 2 * m:
+                        total += w * row[r - 1 - off]
+        num, den = _b_scale(m)
+        out.append((n, Fraction(total * num, weight_den * den)))
     return out

@@ -6,7 +6,11 @@ DivisionByZero = ZeroDivisionError
 
 
 class NonExactDivision(ArithmeticError):
-    """Polynomial division left a nonzero remainder."""
+    """A division expected to be exact left a nonzero remainder.
+
+    Raised by polynomial division and by the integer steps of the
+    recurrence that builds b(m, .).
+    """
 
 
 class EvalAtZero(ZeroDivisionError):

@@ -49,6 +49,12 @@ def test_parse_n_values():
         cli.parse_n_values(f"1..{cap + 1}")
     with pytest.raises(ValueError):
         cli.parse_n_values(f"7,1..{cap}")
+    # every comma entry counts, repeats included
+    assert len(cli.parse_n_values(",".join(["194"] * cap))) == cap
+    with pytest.raises(ValueError):
+        cli.parse_n_values(",".join(["194"] * (cap + 1)))
+    with pytest.raises(ValueError):
+        cli.parse_n_values(f"1..{cap},7")
 
 
 def test_decimal_string_rounding():
@@ -239,6 +245,15 @@ def test_usage_errors_exit_two(capsys, monkeypatch):
     assert cli.main(["verify", "--max-m", over_m]) == 2
     assert cli.main(["verify", "--max-n", over_n]) == 2
     assert cli.main(["verify", "--max-m", "1000000000000"]) == 2
+    # scans whose masses pass the int-to-str digit limit are refused before
+    # any mass is computed
+    monkeypatch.setattr(
+        counts, "concentration_scan", lambda *args: pytest.fail("scan was run")
+    )
+    over_scan = str(cli.MAX_SCAN_N + 1)
+    assert cli.main(["scan", "--n", over_scan]) == 2
+    assert cli.main(["scan", "--n", f"40,{over_scan}", "--epsilon", "2/5"]) == 2
+    assert cli.main(["scan", "--n", "1000000000000"]) == 2
     capsys.readouterr()
 
 
@@ -248,6 +263,32 @@ def test_table_prints_up_to_the_digit_cap(capsys):
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == n + 1
         assert max(len(line) for line in lines) > 4000
+
+
+def test_scan_prints_up_to_the_digit_cap(capsys):
+    n = cli.MAX_SCAN_N
+    for eps in ("1/10", "49/100"):
+        assert cli.main(["scan", "--n", str(n), "--epsilon", eps]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2 and lines[1].startswith(f"{n},{eps},")
+        assert len(lines[1]) > 8000
+
+
+def test_table_computes_each_distinct_size_once(capsys, monkeypatch):
+    calls = []
+    closed_form = counts.closed_form_table
+
+    def counted(n, x):
+        calls.append(n)
+        return closed_form(n, x)
+
+    monkeypatch.setattr(counts, "closed_form_table", counted)
+    assert cli.main(["table", "--n", "3,2,3,3", "--x", "3"]) == 0
+    assert calls == [3, 2]
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert rows == ["3,1,2", "3,2,5", "3,3,2", "2,1,1", "2,2,1"] + [
+        "3,1,2", "3,2,5", "3,3,2"
+    ] * 2
 
 
 def test_unknown_subcommand_exits_two(capsys):

@@ -22,7 +22,7 @@ from asm3.counts import (
     total_asm,
     total_asm3,
 )
-from asm3.errors import OutOfRange
+from asm3.errors import NonExactDivision, OutOfRange
 from asm3.report import all_passed, failures
 from asm3.tq import e_poly
 
@@ -116,6 +116,43 @@ def test_b_routes_agree():
         assert sum(vals) == 1
         assert all(b_coeff_4f3(m, a) == vals[a] for a in range(2 * m + 1))
         assert tuple(e_poly(m).coeffs) == vals
+
+
+def test_b_table_recurrence_matches_direct_sums():
+    for m in range(61):
+        bt = b_table(m)
+        assert all(b_coeff(m, a) == bt[a] for a in range(2 * m + 1)), m
+
+
+def test_b_table_recurrence_spot_values_at_m_640():
+    bt = b_table(640)
+    for a in (0, 1, 3, 4, 5, 319, 640, 977, 1276, 1279, 1280):
+        assert b_coeff(640, a) == bt[a], a
+
+
+def test_b_table_recurrence_corrupted_seed_fails_loudly(monkeypatch):
+    direct = counts.b_coeff
+
+    def corrupted(m, alpha):
+        return direct(m, alpha) * (2 if alpha == 2 else 1)
+
+    monkeypatch.setattr(counts, "b_coeff", corrupted)
+    with pytest.raises(NonExactDivision):
+        counts._t_row(10)
+
+
+def test_scan_takes_only_the_recurrence_seeds_from_b_coeff(monkeypatch):
+    # the O(m^2) direct sums must stay out of the scan's hot path
+    calls = []
+    direct = counts.b_coeff
+
+    def counted(m, alpha):
+        calls.append(m)
+        return direct(m, alpha)
+
+    monkeypatch.setattr(counts, "b_coeff", counted)
+    concentration_scan([1280], F(1, 10))
+    assert 0 < len(calls) <= 4 and set(calls) == {639}
 
 
 def test_refined_asm2_ratio():
