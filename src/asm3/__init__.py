@@ -5,144 +5,9 @@ enumeration of alternating sign matrices in which every -1 entry carries
 a weight x, with closed forms at x = 1 and x = 3, two independent
 brute-force oracles for small orders, the underlying family of Laurent
 polynomial solutions of a three-term shift equation, and an exact scan
-of how the refined 3-enumeration concentrates at the center.
+of how the refined 3-enumeration concentrates at the center.  Each part
+lives in its own submodule (counts, oracle, tq, hyper, ...), and callers
+import from those.
 """
 
-from .counts import (
-    BCoeffs,
-    EnumTable,
-    Provenance,
-    asm3_table,
-    asm_table,
-    b_coeff,
-    b_coeff_4f3,
-    b_table,
-    closed_form_table,
-    concentration_scan,
-    h1_poly,
-    h3_poly,
-    recurrence_check,
-    refined_asm,
-    refined_asm2_ratio,
-    refined_asm3,
-    total_asm,
-    total_asm3,
-)
-from .densepoly import DensePoly
-from .errors import (
-    DegenerateParameters,
-    DivisionByZero,
-    EvalAtZero,
-    NonExactDivision,
-    OutOfRange,
-    PoleAtSample,
-    SizeLimitExceeded,
-)
-from .hyper import HypSpec, chu_vandermonde_check, gen_binomial, hyp, pochhammer
-from .laurent import LaurentPoly
-from .oracle import (
-    DP_LIMIT,
-    MT_LIMIT,
-    dp_refined_enum,
-    mt_refined_enum,
-    oracle_cross_check,
-)
-from .qfield import OMEGA, OMEGA_BAR, ONE, Q, QBAR, S, ZERO, QsElem
-from .report import CheckResult, all_passed, failures
-from .tq import (
-    TqFamily,
-    c_norm,
-    e_poly,
-    f_poly,
-    fg_2f1_check,
-    g_poly,
-    gauss_relation_checks,
-    h_poly,
-    ode_check_f,
-    ode_check_h,
-    p_poly,
-    p_poly_phi,
-    phi,
-    q_poly,
-    q_poly_phi,
-    tq_check,
-    tq_family,
-    transform_checks,
-    v_poly,
-    v_poly_phi,
-    v_poly_q,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BCoeffs",
-    "CheckResult",
-    "DP_LIMIT",
-    "DegenerateParameters",
-    "DensePoly",
-    "DivisionByZero",
-    "EnumTable",
-    "EvalAtZero",
-    "HypSpec",
-    "LaurentPoly",
-    "MT_LIMIT",
-    "NonExactDivision",
-    "OMEGA",
-    "OMEGA_BAR",
-    "ONE",
-    "OutOfRange",
-    "PoleAtSample",
-    "Provenance",
-    "Q",
-    "QBAR",
-    "QsElem",
-    "S",
-    "SizeLimitExceeded",
-    "TqFamily",
-    "ZERO",
-    "all_passed",
-    "asm3_table",
-    "asm_table",
-    "b_coeff",
-    "b_coeff_4f3",
-    "b_table",
-    "c_norm",
-    "chu_vandermonde_check",
-    "closed_form_table",
-    "concentration_scan",
-    "dp_refined_enum",
-    "e_poly",
-    "f_poly",
-    "failures",
-    "fg_2f1_check",
-    "g_poly",
-    "gauss_relation_checks",
-    "gen_binomial",
-    "h1_poly",
-    "h3_poly",
-    "h_poly",
-    "hyp",
-    "mt_refined_enum",
-    "ode_check_f",
-    "ode_check_h",
-    "oracle_cross_check",
-    "p_poly",
-    "p_poly_phi",
-    "phi",
-    "pochhammer",
-    "q_poly",
-    "q_poly_phi",
-    "recurrence_check",
-    "refined_asm",
-    "refined_asm2_ratio",
-    "refined_asm3",
-    "total_asm",
-    "total_asm3",
-    "tq_check",
-    "tq_family",
-    "transform_checks",
-    "v_poly",
-    "v_poly_phi",
-    "v_poly_q",
-]

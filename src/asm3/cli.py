@@ -18,7 +18,6 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import checks, counts, oracle
-from .errors import OutOfRange, SizeLimitExceeded
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+|\.\d+)?$")
 
@@ -84,16 +83,16 @@ def parse_n_values(text: str) -> List[int]:
     return out
 
 
-def decimal_string(fr: Fraction, digits: int = 12) -> str:
-    """Fixed-point decimal rendering of an exact rational, half-up."""
+def decimal_string(fr: Fraction) -> str:
+    """Fixed-point decimal of an exact rational to 12 places, half-up."""
     sign = "-" if fr < 0 else ""
     fr = abs(fr)
-    scale = 10 ** digits
+    scale = 10 ** 12
     q, rem = divmod(fr.numerator * scale, fr.denominator)
     if 2 * rem >= fr.denominator:
         q += 1
     whole, part = divmod(q, scale)
-    return f"{sign}{whole}.{part:0{digits}d}"
+    return f"{sign}{whole}.{part:012d}"
 
 
 # -- table --------------------------------------------------------------
@@ -276,7 +275,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0 if exc.code == 0 else 2
     try:
         return args.func(args)
-    except (OutOfRange, SizeLimitExceeded, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,9 +1,5 @@
 """Exception types shared across the package."""
 
-# Division by an exact zero uses the builtin everywhere; the alias keeps the
-# contract surface importable from one place.
-DivisionByZero = ZeroDivisionError
-
 
 class NonExactDivision(ArithmeticError):
     """A division expected to be exact left a nonzero remainder.

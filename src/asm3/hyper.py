@@ -1,22 +1,22 @@
 """Terminating hypergeometric sums with exact rational parameters.
 
-A series sum_{j>=0} [prod_i (a_i)_j / prod_i (c_i)_j] * z^j / j! is
-evaluated only when some upper parameter a_i is a nonpositive integer,
-so the sum is finite.  The truncation order is taken from the most
-negative such parameter; this makes a clash between a vanishing upper
-and a vanishing lower Pochhammer visible instead of silently resolving
-the 0/0, and DegenerateParameters is raised for it.  Arguments may be
-rational or live in Q(s); results follow the argument.  Rational
-function arguments are never pushed through here, callers clear
+hyp(upper, lower, z) evaluates sum_{j>=0} [prod_i (a_i)_j / prod_i
+(c_i)_j] * z^j / j! only when some upper parameter a_i is a nonpositive
+integer, so the sum is finite.  The truncation order is taken from the
+most negative such parameter; this makes a clash between a vanishing
+upper and a vanishing lower Pochhammer visible instead of silently
+resolving the 0/0, and DegenerateParameters is raised for it.  Arguments
+may be rational or live in Q(s); results follow the argument.  Rational
+function arguments are never pushed through hyp: callers clear
 denominators into polynomial arithmetic first, multiplying the
-coefficients from series_coeffs into their own polynomial powers.
+coefficients from series_coeffs, the one term-ratio loop, into their own
+polynomial powers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple, Union
+from typing import List, Union
 
 from .errors import DegenerateParameters
 from .qfield import QsElem
@@ -51,34 +51,6 @@ def pochhammer(a: Rational, j: int) -> Fraction:
     return out
 
 
-def _is_nonpositive_int(a: Fraction) -> bool:
-    return a.denominator == 1 and a <= 0
-
-
-@dataclass(frozen=True)
-class HypSpec:
-    """Parameter block of a terminating series."""
-
-    upper: Tuple[Fraction, ...]
-    lower: Tuple[Fraction, ...]
-    argument: Argument
-
-    @classmethod
-    def of(cls, upper, lower, argument) -> "HypSpec":
-        up = tuple(Fraction(a) for a in upper)
-        low = tuple(Fraction(c) for c in lower)
-        if isinstance(argument, int):
-            argument = Fraction(argument)
-        return cls(up, low, argument)
-
-    @property
-    def termination_order(self) -> int:
-        witnesses = [-a for a in self.upper if _is_nonpositive_int(a)]
-        if not witnesses:
-            raise ValueError("no nonpositive integer upper parameter")
-        return int(max(witnesses))
-
-
 def series_coeffs(upper, lower, n: int) -> List[Fraction]:
     """Coefficients c_0..c_n of sum_j [prod (a)_j / (prod (c)_j j!)] z^j.
 
@@ -107,24 +79,25 @@ def series_coeffs(upper, lower, n: int) -> List[Fraction]:
     return out
 
 
-def hyp_terminating(spec: HypSpec):
-    """Exact value of the terminating series described by spec.
+def hyp(upper, lower, argument):
+    """Exact value of the terminating series with these parameters.
 
-    Terms are accumulated through the truncation order N; degenerate
-    parameters raise as described in series_coeffs.
+    Parameters are ints or Fractions.  The sum runs through the order N
+    of the most negative nonpositive integer upper parameter -N, and
+    ValueError is raised when no upper parameter is one; degenerate
+    parameters raise as described in series_coeffs.  The result is a
+    Fraction for a rational argument and a QsElem for one in Q(s).
     """
-    coeffs = series_coeffs(spec.upper, spec.lower, spec.termination_order)
+    orders = [-a for a in upper if a.denominator == 1 and a <= 0]
+    if not orders:
+        raise ValueError("no nonpositive integer upper parameter")
+    coeffs = series_coeffs(upper, lower, int(max(orders)))
     total: Argument = coeffs[0]
     power: Argument = Fraction(1)
     for c in coeffs[1:]:
-        power = power * spec.argument
+        power = power * argument
         total = total + c * power
     return total
-
-
-def hyp(upper, lower, argument):
-    """Convenience wrapper building the HypSpec inline."""
-    return hyp_terminating(HypSpec.of(upper, lower, argument))
 
 
 def chu_vandermonde_check(m: int, b: Rational, c: Rational) -> bool:

@@ -68,7 +68,7 @@ def _row_successors(n: int, state: int) -> Tuple[Tuple[int, int], ...]:
     return tuple(out)
 
 
-def dp_refined_enum(n: int, x, limit: int = DP_LIMIT) -> EnumTable:
+def dp_refined_enum(n: int, x) -> EnumTable:
     """Weighted refined counts by one backward DP pass over column masks.
 
     done[S] is the weighted number of ways to complete the matrix from
@@ -79,8 +79,8 @@ def dp_refined_enum(n: int, x, limit: int = DP_LIMIT) -> EnumTable:
     the integer p^(plus-1) * q^(top-plus); the n-1 rows below the first
     then carry the common factor q^((top-1)(n-1)), divided out at the end.
     """
-    if n < 1 or n > limit:
-        raise SizeLimitExceeded(f"n must lie in 1..{limit}")
+    if n < 1 or n > DP_LIMIT:
+        raise SizeLimitExceeded(f"n must lie in 1..{DP_LIMIT}")
     x = _normalize_weight(x)
     p, q = x.as_integer_ratio()
     top = (n + 3) // 2
@@ -123,7 +123,7 @@ def _interlacing_extensions(row: Tuple[int, ...], n: int):
     yield from build(0, 1, [])
 
 
-def mt_refined_enum(n: int, x, limit: int = MT_LIMIT) -> EnumTable:
+def mt_refined_enum(n: int, x) -> EnumTable:
     """Weighted refined counts by recursion over interlacing triangles.
 
     The recursion weighs a completion of a partial triangle from its
@@ -132,8 +132,8 @@ def mt_refined_enum(n: int, x, limit: int = MT_LIMIT) -> EnumTable:
     lower one.  Completions are cached per row, which leaves the
     recursion structure untouched.
     """
-    if n < 1 or n > limit:
-        raise SizeLimitExceeded(f"n must lie in 1..{limit}")
+    if n < 1 or n > MT_LIMIT:
+        raise SizeLimitExceeded(f"n must lie in 1..{MT_LIMIT}")
     x = _normalize_weight(x)
     cache: dict = {}
 

@@ -62,7 +62,8 @@ def test_decimal_string_rounding():
     assert cli.decimal_string(F(2, 3)) == "0.666666666667"
     assert cli.decimal_string(F(-1, 2)) == "-0.500000000000"
     assert cli.decimal_string(F(5)) == "5.000000000000"
-    assert cli.decimal_string(F(1, 8), digits=3) == "0.125"
+    # half-up at the twelfth place: 0.0000000000125 rounds up
+    assert cli.decimal_string(F(1, 8 * 10**10)) == "0.000000000013"
 
 
 # -- subcommands --------------------------------------------------------

@@ -8,11 +8,9 @@ from hypothesis import given, strategies as st
 from asm3 import counts, hyper, tq
 from asm3.errors import DegenerateParameters
 from asm3.hyper import (
-    HypSpec,
     chu_vandermonde_check,
     gen_binomial,
     hyp,
-    hyp_terminating,
     pochhammer,
     series_coeffs,
 )
@@ -43,16 +41,24 @@ def test_pochhammer_values():
 
 
 def test_termination_order_uses_most_negative_upper():
-    spec = HypSpec.of((-3, -1, Fraction(1, 2)), (2,), 1)
-    assert spec.termination_order == 3
-    spec = HypSpec.of((0, 5), (1,), 1)
-    assert spec.termination_order == 0
+    # the order is 3, from -3, so the sum reaches j = 2, where the lower
+    # (-1)_j vanishes with the upper (-1)_j; an order of 1, from -1, would
+    # stop before the clash, as it does when no upper parameter is -3
+    with pytest.raises(DegenerateParameters):
+        hyp((-1, -3), (-1,), 1)
+    assert hyp((-1, 5), (-1,), 1) == 6
+    # an upper parameter of 0 gives exactly 1
+    assert hyp((0, 5), (1,), 7) == 1
+    assert hyp((-2, 0), (1,), Fraction(1, 3)) == 1
     with pytest.raises(ValueError):
-        HypSpec.of((Fraction(1, 2), 2), (1,), 1).termination_order
+        hyp((Fraction(1, 2), 2), (1,), 1)
 
 
 def test_known_gauss_values():
     assert hyp((-2, 1), (3,), 1) == Fraction(1, 2)
+    # an int argument gives a Fraction, also at order 0
+    assert type(hyp((-2, 1), (3,), 1)) is Fraction
+    assert type(hyp((0, 1), (3,), 1)) is Fraction
     # its coefficients; an order past the termination adds none, a
     # shorter one truncates
     full = [1, Fraction(-2, 3), Fraction(1, 6)]
@@ -112,14 +118,6 @@ def test_matched_upper_lower_pair_cancels(m, b, d, z):
     base = hyp((Fraction(-m), b), (d + 7,), z)
     padded = hyp((Fraction(-m), b, d + 12), (d + 7, d + 12), z)
     assert base == padded
-
-
-def test_spec_is_hashable_and_frozen():
-    spec = HypSpec.of((-2, 1), (3,), 1)
-    assert hash(spec) == hash(HypSpec.of((-2, 1), (3,), 1))
-    with pytest.raises(AttributeError):
-        spec.argument = 2
-    assert hyp_terminating(spec) == Fraction(1, 2)
 
 
 class _HelperCalled(Exception):
