@@ -21,6 +21,12 @@ from . import checks, counts, oracle
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+|\.\d+)?$")
 
+# the largest numerator or denominator, in lowest terms, of a parsed
+# rational: every `table` count at x = p/q with |p|, q <= 10^18 and n up to
+# oracle.DP_LIMIT = 16 has under 1,040 digits (measured at seven weights of
+# that height), far below the 4300-digit int-to-str limit
+MAX_HEIGHT = 10 ** 18
+
 # no --n argument may list more than this many sizes, counting every
 # entry of a comma list and every size of an a..b range; the check comes
 # before a range is expanded, so a huge range costs no memory
@@ -28,7 +34,11 @@ MAX_N_VALUES = 1000
 
 # the largest verify limits whose `verify --suite all` ran within 60 s on a
 # 2-CPU VM (Python 3.11.7), each with the other limit at its default:
-# max-m 48 took 47 s (50 took 49-62 s), max-n 170 took 52-54 s (180: 64 s)
+# max-m 48 took 47 s (50 took 49-62 s), max-n 170 took 52-54 s (180: 64 s).
+# Re-measured after the DP became a column sweep: max-n 170 took 55.9 and
+# 62.4 s at 31-43 MB peak RSS (the cached DP, run beside it, 65.5 s at
+# 388 MB), and both caps at once took 105.1 s at 43 MB (was 108.6 s at
+# 401 MB); the VM's speed swings, so these are single runs
 MAX_VERIFY_M = 48
 MAX_VERIFY_N = 170
 
@@ -49,18 +59,20 @@ MAX_SCAN_N = 8723
 
 
 def parse_rational(text: str) -> Fraction:
-    """Accept p/q or a decimal literal with at most 18 fractional digits."""
+    """Accept p/q or a decimal literal of height at most MAX_HEIGHT."""
     text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise ValueError(f"not a rational literal: {text!r}")
-    if "." in text:
-        frac_digits = len(text.split(".", 1)[1])
-        if frac_digits > 18:
-            raise ValueError("more than 18 fractional digits")
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator: {text!r}") from None
+    if abs(value.numerator) > MAX_HEIGHT or value.denominator > MAX_HEIGHT:
+        raise ValueError(
+            f"numerator and denominator must be at most {MAX_HEIGHT} "
+            f"in absolute value"
+        )
+    return value
 
 
 def parse_n_values(text: str) -> List[int]:

@@ -1,32 +1,32 @@
 """Two independent brute-force ground truths for the refined counts.
 
-The first oracle runs a transfer-matrix dynamic program over bitmask
-states: state S after row k is the set of columns whose partial sum is
-1, so S has exactly k bits set.  A row of the matrix is the difference
-of two consecutive states; it is admissible when its prefix sums stay
-in {0, 1} and close at 1, and it contributes weight x^(p-1) where p is
-its number of +1 entries.  One backward pass from the full state, by
-decreasing width, weighs every completion of every state, and so gives
-all n refined counts at once.  It runs in integers only: for x = p/q
-each row weight is scaled by a fixed power of q, divided out at the end.
+The first oracle is a transfer-matrix sweep over column-sum bitmasks.
+It fills the matrix one entry at a time, row by row, carrying the mask
+of columns whose partial sum is 1 and the running prefix sum of the
+current row, which must stay in {0, 1} and close at 1.  Every entry has
+a local integer weight, so for x = p/q the sweep runs in integers and
+one power of q is divided out at the end.  Only the states of the
+current column are kept, and the n refined counts are read from the
+states after n-1 rows.
 
 The second oracle enumerates the same objects as triangles of strictly
 increasing rows where consecutive rows interlace, written directly on
 sorted tuples with no bitmasks and no shared code with the DP.  Each
 step down weights x to the power of the entries that disappear.  The
-refined index r is the single entry of the top row in both pictures.
+refined index r is the single entry of the top row in this picture,
+and of the bottom row in the sweep, which is the same count by the
+upside-down flip.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Tuple, Union
 
 from .counts import EnumTable, Provenance
 from .errors import SizeLimitExceeded
 
-DP_LIMIT = 14
+DP_LIMIT = 16
 MT_LIMIT = 8
 
 Weight = Union[int, Fraction]
@@ -39,69 +39,54 @@ def _normalize_weight(x) -> Weight:
     return x
 
 
-@lru_cache(maxsize=None)
-def _row_successors(n: int, state: int) -> Tuple[Tuple[int, int], ...]:
-    """All states reachable from state by one admissible row.
-
-    Walks the columns keeping the running prefix of the row difference,
-    which may only sit at 0 or 1 and must end at 1.  Returns pairs
-    (next_state, number_of_plus_ones).
-    """
-    out = []
-
-    def walk(col: int, acc: int, prefix: int, plus: int) -> None:
-        if col == n:
-            if prefix == 1:
-                out.append((acc, plus))
-            return
-        bit = (state >> col) & 1
-        if bit:
-            walk(col + 1, acc | (1 << col), prefix, plus)
-            if prefix == 1:
-                walk(col + 1, acc, 0, plus)
-        else:
-            walk(col + 1, acc, prefix, plus)
-            if prefix == 0:
-                walk(col + 1, acc | (1 << col), 1, plus + 1)
-
-    walk(0, 0, 0, 0)
-    return tuple(out)
-
-
 def dp_refined_enum(n: int, x) -> EnumTable:
-    """Weighted refined counts by one backward DP pass over column masks.
+    """Weighted refined counts by one forward sweep, column by column.
 
-    done[S] is the weighted number of ways to complete the matrix from
-    state S down to the full state.  A successor of a width-k state has
-    width k+1, so states taken by decreasing width find every successor
-    already done, and the first row singles out A_n(r; x) = done[1 << (r-1)].
-    For x = p/q each row weight x^(plus-1) is scaled by q^(top-1) into
-    the integer p^(plus-1) * q^(top-plus); the n-1 rows below the first
-    then carry the common factor q^((top-1)(n-1)), divided out at the end.
+    A state is the column-sum mask, with the columns left of the cursor
+    already updated by the current row, plus the row's prefix bit at
+    position n.  Each step decides one entry: a 0 keeps the column, a -1
+    needs a column sum of 1 and prefix 1, a +1 needs sum 0 and prefix 0;
+    a row is admissible when it ends at prefix 1.  For x = p/q the local
+    weights are integers: q for a column whose sum stays 1, p for one
+    that drops to 0, and 1 otherwise.  Row k has k-1 columns at sum 1
+    before it, so it carries q^(k-1) x^(number of -1 entries), and rows
+    1..n-1 together carry q^((n-1)(n-2)/2), divided out at the end.
+
+    The last row is forced: its single 1 sits in the one column still at
+    sum 0.  Flipping the matrix upside down keeps the number of -1
+    entries and swaps the first row with the last, so A_n(r; x) is the
+    weight of the mask with only column r empty after n-1 rows.
     """
     if n < 1 or n > DP_LIMIT:
         raise SizeLimitExceeded(f"n must lie in 1..{DP_LIMIT}")
     x = _normalize_weight(x)
     p, q = x.as_integer_ratio()
-    top = (n + 3) // 2
-    # indexed by plus; every row has at least one +1, so slot 0 is unused
-    weight = [0] + [
-        p ** (plus - 1) * q ** (top - plus) for plus in range(1, top)
-    ]
-    full = (1 << n) - 1
-    done = [0] * (full + 1)
-    done[full] = 1
-    for state in sorted(range(1, full), key=int.bit_count, reverse=True):
-        total = 0
-        for succ, plus in _row_successors(n, state):
-            total += weight[plus] * done[succ]
-        done[state] = total
-    tops = [done[1 << (r - 1)] for r in range(1, n + 1)]
+    prefix = 1 << n
+    states = {0: 1}
+    for _ in range(n - 1):
+        for col in range(n):
+            bit = 1 << col
+            nxt: dict = {}
+            get = nxt.get
+            for state, w in states.items():
+                if state & bit:
+                    nxt[state] = get(state, 0) + w * q
+                    if state & prefix:
+                        key = state ^ bit ^ prefix
+                        nxt[key] = get(key, 0) + w * p
+                else:
+                    nxt[state] = get(state, 0) + w
+                    if not state & prefix:
+                        key = state | bit | prefix
+                        nxt[key] = get(key, 0) + w
+            states = nxt
+        states = {s ^ prefix: w for s, w in states.items() if s & prefix}
+    empty = [states[(prefix - 1) ^ (1 << r)] for r in range(n)]
     if q == 1:
-        counts = tuple(tops)
+        counts = tuple(empty)
     else:
-        scale = q ** ((top - 1) * (n - 1))
-        counts = tuple(Fraction(v, scale) for v in tops)
+        scale = q ** ((n - 1) * (n - 2) // 2)
+        counts = tuple(Fraction(v, scale) for v in empty)
     return EnumTable(n, Fraction(x), counts, Provenance.ORACLE_DP)
 
 

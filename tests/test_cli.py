@@ -21,10 +21,17 @@ def test_parse_rational_forms():
     assert cli.parse_rational("0.25") == F(1, 4)
     assert cli.parse_rational("-1.5") == F(-3, 2)
     assert cli.parse_rational(" 1/3 ") == F(1, 3)
+    # the height limit is read in lowest terms
+    top = cli.MAX_HEIGHT
+    assert cli.parse_rational(f"-{top}/{top - 1}") == F(-top, top - 1)
+    assert cli.parse_rational(f"{2 * top}/{2 * top - 2}") == F(top, top - 1)
+    assert cli.parse_rational("0.5" + "0" * 30) == F(1, 2)
 
 
 def test_parse_rational_rejects_garbage():
-    for bad in ("abc", "1/2/3", "1.2.3", "2e5", "", "1/", "1/0", "0/0"):
+    top = cli.MAX_HEIGHT
+    over = (f"{top + 1}", f"-{top + 1}/3", f"1/{top + 1}", "1/" + "7" * 600)
+    for bad in ("abc", "1/2/3", "1.2.3", "2e5", "", "1/", "1/0", "0/0") + over:
         with pytest.raises(ValueError):
             cli.parse_rational(bad)
 
@@ -225,7 +232,8 @@ def test_usage_errors_exit_two(capsys, monkeypatch):
     assert cli.main(["scan", "--n", "4", "--epsilon", "2/3"]) == 2
     assert cli.main(["scan", "--n", "1", "--epsilon", "1/10"]) == 2
     assert cli.main(["table", "--n", "99", "--x", "5/7"]) == 2
-    assert cli.main(["table", "--n", "1..15", "--x", "5/7"]) == 2
+    assert cli.main(["table", "--n", "1..17", "--x", "5/7"]) == 2
+    assert cli.main(["table", "--n", "10", "--x", "1/" + "7" * 600]) == 2
     assert cli.main(["table", "--n", "1..2000000000"]) == 2
     assert cli.main(["table", "--n", "3", "--x", "1/0"]) == 2
     assert cli.main(["scan", "--n", "4", "--epsilon", "1/0"]) == 2
