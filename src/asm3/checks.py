@@ -15,7 +15,6 @@ reach library code through module attributes (`counts.b_table`,
 
 from __future__ import annotations
 
-import traceback
 from fractions import Fraction
 from typing import Callable, Iterator, List, Tuple
 
@@ -261,6 +260,8 @@ def run_block(block: Block, max_m: int, max_n: int) -> List[CheckResult]:
     try:
         return list(block(max_m, max_n))
     except Exception as exc:
+        import traceback  # only a raising block pays for this import
+
         traceback.print_exc()
         return [
             CheckResult(

@@ -11,7 +11,6 @@ precision.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from fractions import Fraction
@@ -19,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import checks, counts, oracle
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+|\.\d+)?$")
+_RATIONAL_RE = re.compile(r"([+-]?)(\d+)(?:/(\d+)|\.(\d+))?")
 
 # the largest numerator or denominator, in lowest terms, of a parsed
 # rational: every `table` count at x = p/q with |p|, q <= 10^18 and n up to
@@ -27,18 +26,24 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+|\.\d+)?$")
 # that height), far below the 4300-digit int-to-str limit
 MAX_HEIGHT = 10 ** 18
 
+# the longest digit run, without the zeros that do not change its value,
+# that a rational within MAX_HEIGHT can need: a decimal whose fractional
+# part has k such digits has a denominator of at least 2^k in lowest terms,
+# and 2^59 < 10^18 < 2^60.  A longer p/q run is refused even when a common
+# factor would bring it within the height.  The cap is checked before any
+# int is built, since Python refuses to read an int of over 4300 digits
+MAX_DIGITS = 59
+
 # no --n argument may list more than this many sizes, counting every
 # entry of a comma list and every size of an a..b range; the check comes
 # before a range is expanded, so a huge range costs no memory
 MAX_N_VALUES = 1000
 
-# the largest verify limits whose `verify --suite all` ran within 60 s on a
-# 2-CPU VM (Python 3.11.7), each with the other limit at its default:
-# max-m 48 took 47 s (50 took 49-62 s), max-n 170 took 52-54 s (180: 64 s).
-# Re-measured after the DP became a column sweep: max-n 170 took 55.9 and
-# 62.4 s at 31-43 MB peak RSS (the cached DP, run beside it, 65.5 s at
-# 388 MB), and both caps at once took 105.1 s at 43 MB (was 108.6 s at
-# 401 MB); the VM's speed swings, so these are single runs
+# wall-time caps on `verify --suite all`, measured on a 2-CPU VM (Python
+# 3.11.7) with the other limit at its default: max-m 48 took 47 s (50 took
+# 49-62 s); max-n 170 took 52, 54, 55.9 and 62.4 s, so it does not stay
+# under a minute on every run (180 took 64 s); both caps at once took
+# 105.1 s at 43 MB peak RSS.  The VM's speed swings from run to run
 MAX_VERIFY_M = 48
 MAX_VERIFY_N = 170
 
@@ -59,14 +64,32 @@ MAX_SCAN_N = 8723
 
 
 def parse_rational(text: str) -> Fraction:
-    """Accept p/q or a decimal literal of height at most MAX_HEIGHT."""
-    text = text.strip()
-    if not _RATIONAL_RE.match(text):
+    """Accept p/q or a decimal literal of height at most MAX_HEIGHT.
+
+    Zeros that do not change the value (leading ones of each digit run,
+    trailing ones of a decimal's fractional part) are dropped first, so a
+    run longer than MAX_DIGITS is refused before any integer is built.
+    """
+    match = _RATIONAL_RE.fullmatch(text.strip())
+    if not match:
         raise ValueError(f"not a rational literal: {text!r}")
-    try:
-        value = Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator: {text!r}") from None
+    sign, whole, den, frac = match.groups()
+    whole = whole.lstrip("0")
+    if den is not None:
+        den = den.lstrip("0")
+    frac = (frac or "").rstrip("0")
+    if max(len(whole), len(den or ""), len(frac)) > MAX_DIGITS:
+        raise ValueError(
+            f"more than {MAX_DIGITS} significant digits in one digit run: "
+            f"numerator and denominator must be at most {MAX_HEIGHT} "
+            f"in absolute value"
+        )
+    if den == "":
+        raise ValueError(f"zero denominator: {text!r}")
+    value = Fraction(
+        int(sign + (whole + frac or "0")),
+        int(den) if den is not None else 10 ** len(frac),
+    )
     if abs(value.numerator) > MAX_HEIGHT or value.denominator > MAX_HEIGHT:
         raise ValueError(
             f"numerator and denominator must be at most {MAX_HEIGHT} "
@@ -107,6 +130,13 @@ def decimal_string(fr: Fraction) -> str:
     return f"{sign}{whole}.{part:012d}"
 
 
+def _write_json(out, doc) -> None:
+    # imported here: only a --format json run pays for loading json
+    import json
+
+    out.write(json.dumps(doc, indent=2) + "\n")
+
+
 # -- table --------------------------------------------------------------
 
 
@@ -145,7 +175,7 @@ def cmd_table(args: argparse.Namespace) -> int:
                 {"n": str(n), "r": str(r), "value": v} for n, r, v in rows
             ],
         }
-        out.write(json.dumps(doc, indent=2) + "\n")
+        _write_json(out, doc)
     else:
         out.write("n,r,value\n")
         for n, r, v in rows:
@@ -183,7 +213,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 for r in results
             ],
         }
-        out.write(json.dumps(doc, indent=2) + "\n")
+        _write_json(out, doc)
     else:
         for r in results:
             status = "PASS" if r.passed else "FAIL"
@@ -225,7 +255,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
                 for n, mass in masses
             ],
         }
-        out.write(json.dumps(doc, indent=2) + "\n")
+        _write_json(out, doc)
     else:
         out.write("n,epsilon,mass_exact,mass_decimal\n")
         for n, mass in masses:

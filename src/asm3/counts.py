@@ -17,11 +17,10 @@ alpha, one integer step per value, seeded by b_coeff at alpha = 0..3.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, List, NamedTuple, Sequence, Tuple, Union
 
 from .densepoly import DensePoly
 from .errors import NonExactDivision, OutOfRange
@@ -38,8 +37,7 @@ class Provenance(enum.Enum):
     ORACLE_MT = "oracle-mt"
 
 
-@dataclass(frozen=True)
-class EnumTable:
+class EnumTable(NamedTuple):
     """One refined enumeration: counts indexed by r = 1..n."""
 
     n: int
@@ -55,9 +53,13 @@ class EnumTable:
         return self.counts == self.counts[::-1]
 
 
-@dataclass(frozen=True)
-class BCoeffs:
-    """Normalized refined-3-enumeration coefficients b(m, 0..2m)."""
+class BCoeffs(NamedTuple):
+    """Normalized refined-3-enumeration coefficients b(m, 0..2m).
+
+    `[alpha]` indexes the values: it returns b(m, alpha), or 0 outside
+    0..2m.  The fields `.m` and `.values` are read without `[ ]`, and
+    unpacking still yields `(m, values)`.
+    """
 
     m: int
     values: Tuple[Fraction, ...]

@@ -21,10 +21,10 @@ memoized; polynomials are immutable so sharing cached instances is safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from typing import NamedTuple
 
 from .densepoly import DensePoly
 from .errors import PoleAtSample
@@ -128,8 +128,7 @@ def phi(m: int, k: int) -> LaurentPoly:
     return total * S ** (-m)
 
 
-@dataclass(frozen=True)
-class TqFamily:
+class TqFamily(NamedTuple):
     """The three solution families of one index, with the normalization."""
 
     m: int

@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from asm3 import checks, cli, counts, oracle
+from asm3 import checks, cli, counts, oracle, tq
 from asm3.errors import DegenerateParameters, NonExactDivision
 from asm3.report import CheckResult
 
@@ -26,6 +30,10 @@ def test_parse_rational_forms():
     assert cli.parse_rational(f"-{top}/{top - 1}") == F(-top, top - 1)
     assert cli.parse_rational(f"{2 * top}/{2 * top - 2}") == F(top, top - 1)
     assert cli.parse_rational("0.5" + "0" * 30) == F(1, 2)
+    # zeros that do not change the value never count against the digit cap
+    assert cli.parse_rational("0.5" + "0" * 5000) == F(1, 2)
+    assert cli.parse_rational("0" * 5000 + "3/" + "0" * 5000 + "4") == F(3, 4)
+    assert cli.parse_rational("-" + "0" * 5000) == 0
 
 
 def test_parse_rational_rejects_garbage():
@@ -40,6 +48,21 @@ def test_parse_rational_digit_limit():
     assert cli.parse_rational("0." + "3" * 18) == F(int("3" * 18), 10 ** 18)
     with pytest.raises(ValueError):
         cli.parse_rational("0." + "3" * 19)
+    # 1/2^59 needs a 59-digit fractional part and lies within the height;
+    # 1/2^60 needs 60 digits and does not
+    cap = cli.MAX_DIGITS
+    assert cli.parse_rational("0." + str(5**cap).rjust(cap, "0")) == F(1, 2**cap)
+    over = (
+        "0." + str(5 ** (cap + 1)).rjust(cap + 1, "0"),
+        "1/" + "7" * 5000,
+        "0.5" + "0" * 5000 + "1",
+        "7" * 5000,
+    )
+    for bad in over:
+        with pytest.raises(ValueError) as info:
+            cli.parse_rational(bad)
+        assert str(cap) in str(info.value)
+        assert "set_int_max_str_digits" not in str(info.value)
 
 
 def test_parse_n_values():
@@ -88,6 +111,9 @@ def test_table_fractional_weight_goes_through_oracle(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "3,2,19/7" in out
+    # a long literal of a short value is the same weight
+    assert cli.main(["table", "--n", "3", "--x", "0.5" + "0" * 5000]) == 0
+    assert capsys.readouterr().out == "n,r,value\n3,1,2\n3,2,5/2\n3,3,2\n"
 
 
 def test_table_json_serializes_integers_as_strings(capsys):
@@ -195,6 +221,7 @@ def test_raising_block_is_one_failed_check(capsys, monkeypatch, exc):
         f"FAIL,recursions,raised {exc.__name__}: broken on purpose"
         in captured.err.splitlines()
     )
+    assert "Traceback (most recent call last)" in captured.err
     lines = captured.out.splitlines()
     fails = [line for line in lines if not line.startswith(("PASS", "#"))]
     assert fails == [f"FAIL,recursions,raised {exc.__name__}"]
@@ -237,6 +264,11 @@ def test_usage_errors_exit_two(capsys, monkeypatch):
     assert cli.main(["table", "--n", "1..2000000000"]) == 2
     assert cli.main(["table", "--n", "3", "--x", "1/0"]) == 2
     assert cli.main(["scan", "--n", "4", "--epsilon", "1/0"]) == 2
+    # literals too long for Python's int-to-str limit are refused by the
+    # digit cap, whose message names no interpreter setting
+    assert cli.main(["table", "--n", "3", "--x", "1/" + "7" * 5000]) == 2
+    assert cli.main(["table", "--n", "3", "--x", "0.5" + "0" * 4999 + "1"]) == 2
+    assert "set_int_max_str_digits" not in capsys.readouterr().err
     # closed-form tables whose counts pass the int-to-str digit limit are
     # refused before any row is computed
     monkeypatch.setattr(
@@ -308,3 +340,52 @@ def test_unknown_subcommand_exits_two(capsys):
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     assert "table" in capsys.readouterr().out
+
+
+# -- start-up -----------------------------------------------------------
+
+
+def test_startup_loads_no_unused_stdlib():
+    # modules that only a rare path uses (json output, a raising block) or
+    # that the records no longer need must stay out of every run's start-up
+    code = (
+        "import asm3.cli, sys; asm3.cli.build_parser(); "
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'json', "
+        "'traceback') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
+
+
+def test_records_are_immutable_values():
+    records = [
+        CheckResult("a", "n=1", True),
+        counts.asm_table(4),
+        counts.b_table(2),
+        tq.tq_family(1),
+    ]
+    for rec in records:
+        same = type(rec)(*rec)
+        assert rec == same and rec is not same
+        assert rec != rec._replace(**{rec._fields[0]: "other"})
+        with pytest.raises(AttributeError):
+            setattr(rec, rec._fields[0], "other")
+        with pytest.raises(AttributeError):
+            rec.extra = 1
+    for rec in records[:3]:
+        assert hash(rec) == hash(type(rec)(*rec))
+    # the family holds LaurentPoly values, which are unhashable by design
+    with pytest.raises(TypeError):
+        hash(records[3])
+    # [alpha] indexes the values, unpacking gives the fields
+    m, values = records[2]
+    assert m == 2 and values == records[2].values
+    assert records[2][4] == values[4] and records[2][5] == 0
