@@ -31,8 +31,9 @@ MAX_HEIGHT = 10 ** 18
 # part has k such digits has a denominator of at least 2^k in lowest terms,
 # and 2^59 < 10^18 < 2^60.  A longer p/q run is refused even when a common
 # factor would bring it within the height.  The cap is checked before any
-# int is built, since Python refuses to read an int of over 4300 digits
-MAX_DIGITS = 59
+# int is built, since Python refuses to read an int of over 4300 digits.
+# Sizes given to --n are held to the same cap
+MAX_DIGITS = MAX_HEIGHT.bit_length() - 1
 
 # no --n argument may list more than this many sizes, counting every
 # entry of a comma list and every size of an a..b range; the check comes
@@ -63,6 +64,12 @@ MAX_TABLE_N = {1: 194, 3: 156}
 MAX_SCAN_N = 8723
 
 
+def _quote(text: str) -> str:
+    # an error quotes a bounded prefix of the rejected text, so its length
+    # does not grow with the input
+    return repr(text) if len(text) <= 40 else repr(text[:40]) + "..."
+
+
 def parse_rational(text: str) -> Fraction:
     """Accept p/q or a decimal literal of height at most MAX_HEIGHT.
 
@@ -72,7 +79,7 @@ def parse_rational(text: str) -> Fraction:
     """
     match = _RATIONAL_RE.fullmatch(text.strip())
     if not match:
-        raise ValueError(f"not a rational literal: {text!r}")
+        raise ValueError(f"not a rational literal: {_quote(text)}")
     sign, whole, den, frac = match.groups()
     whole = whole.lstrip("0")
     if den is not None:
@@ -85,7 +92,7 @@ def parse_rational(text: str) -> Fraction:
             f"in absolute value"
         )
     if den == "":
-        raise ValueError(f"zero denominator: {text!r}")
+        raise ValueError(f"zero denominator: {_quote(text)}")
     value = Fraction(
         int(sign + (whole + frac or "0")),
         int(den) if den is not None else 10 ** len(frac),
@@ -98,6 +105,20 @@ def parse_rational(text: str) -> Fraction:
     return value
 
 
+def _parse_size(text: str) -> int:
+    # int() counts leading zeros toward Python's 4300-digit limit, so they
+    # are dropped before the digit cap is checked and the int is built
+    body = text.strip()
+    sign = body[:1] if body[:1] in ("+", "-") else ""
+    digits = body[len(sign):]
+    if not digits.isdecimal():
+        raise ValueError(f"not an integer: {_quote(text)}")
+    digits = digits.lstrip("0")
+    if len(digits) > MAX_DIGITS:
+        raise ValueError(f"size of more than {MAX_DIGITS} digits: {_quote(text)}")
+    return int(sign + (digits or "0"))
+
+
 def parse_n_values(text: str) -> List[int]:
     """Accept comma-separated entries, each an integer or a..b range."""
     out: List[int] = []
@@ -105,11 +126,11 @@ def parse_n_values(text: str) -> List[int]:
         item = item.strip()
         if ".." in item:
             lo_s, hi_s = item.split("..", 1)
-            lo, hi = int(lo_s), int(hi_s)
+            lo, hi = _parse_size(lo_s), _parse_size(hi_s)
             if hi < lo:
-                raise ValueError(f"empty range {item!r}")
+                raise ValueError(f"empty range {_quote(item)}")
         else:
-            lo = hi = int(item)
+            lo = hi = _parse_size(item)
         if len(out) + hi - lo + 1 > MAX_N_VALUES:
             raise ValueError(f"more than {MAX_N_VALUES} sizes")
         out.extend(range(lo, hi + 1))

@@ -54,20 +54,10 @@ class EnumTable(NamedTuple):
 
 
 class BCoeffs(NamedTuple):
-    """Normalized refined-3-enumeration coefficients b(m, 0..2m).
-
-    `[alpha]` indexes the values: it returns b(m, alpha), or 0 outside
-    0..2m.  The fields `.m` and `.values` are read without `[ ]`, and
-    unpacking still yields `(m, values)`.
-    """
+    """Normalized refined-3-enumeration coefficients b(m, 0..2m)."""
 
     m: int
     values: Tuple[Fraction, ...]
-
-    def __getitem__(self, alpha: int) -> Fraction:
-        if 0 <= alpha <= 2 * self.m:
-            return self.values[alpha]
-        return Fraction(0)
 
 
 def _int_exact(fr: Fraction) -> int:

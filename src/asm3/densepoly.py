@@ -81,18 +81,6 @@ class DensePoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "DensePoly":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = DensePoly((1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = DensePoly((other,))

@@ -98,18 +98,3 @@ def hyp(upper, lower, argument):
         power = power * argument
         total = total + c * power
     return total
-
-
-def chu_vandermonde_check(m: int, b: Rational, c: Rational) -> bool:
-    """Check the evaluation at unit argument of a (-m, b; c) series.
-
-    The closed form is (c - b)_m / (c)_m; a vanishing (c)_m surfaces as
-    DegenerateParameters from the series itself.
-    """
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    b = Fraction(b)
-    c = Fraction(c)
-    lhs = hyp((Fraction(-m), b), (c,), Fraction(1))
-    rhs = pochhammer(c - b, m) / pochhammer(c, m)
-    return lhs == rhs

@@ -16,10 +16,10 @@ True
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Tuple, Union
+from typing import Mapping, Tuple, Union
 
 from .errors import EvalAtZero, NonExactDivision
-from .qfield import ONE, ZERO, QsElem
+from .qfield import ZERO, QsElem
 
 Scalar = Union[int, Fraction, QsElem]
 
@@ -48,10 +48,6 @@ class LaurentPoly:
         self = object.__new__(cls)
         self._c = {k: v for k, v in c.items() if v}
         return self
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
 
     @classmethod
     def one(cls) -> "LaurentPoly":
@@ -86,10 +82,6 @@ class LaurentPoly:
 
     def coeff(self, k: int) -> QsElem:
         return self._c.get(k, ZERO)
-
-    def terms(self) -> Iterable[Tuple[int, QsElem]]:
-        for k in sorted(self._c):
-            yield k, self._c[k]
 
     # -- ring operations ------------------------------------------------
 
@@ -141,14 +133,6 @@ class LaurentPoly:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, QsElem)):
-            w = _coerce(other)
-            return self * w.inverse()
-        if isinstance(other, LaurentPoly):
-            return self.divide_exact(other)
-        return NotImplemented
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if not isinstance(n, int) or n < 0:
@@ -229,20 +213,9 @@ class LaurentPoly:
 
     def eval_at(self, x0: Scalar) -> QsElem:
         """Exact value at a nonzero point of Q(s)."""
-        w = _coerce(x0)
-        if not w:
+        if not _coerce(x0):
             raise EvalAtZero("Laurent polynomial evaluated at x = 0")
-        if not self._c:
-            return ZERO
-        exps = sorted(self._c)
-        pw = w ** exps[0]
-        acc = ZERO
-        prev = exps[0]
-        for k in exps:
-            pw = pw * w ** (k - prev)
-            prev = k
-            acc = acc + self._c[k] * pw
-        return acc
+        return sum(self.substitute_scale(x0)._c.values(), ZERO)
 
     def euler_d(self) -> "LaurentPoly":
         """Euler derivative x * d/dx: multiplies each term by its exponent."""
@@ -252,7 +225,7 @@ class LaurentPoly:
         if not self._c:
             return "LaurentPoly(0)"
         bits = []
-        for k, v in self.terms():
+        for k, v in sorted(self._c.items()):
             if k == 0:
                 bits.append(f"({v})")
             elif k == 1:

@@ -70,19 +70,8 @@ class QsElem:
     def is_rational(self) -> bool:
         return not self.b
 
-    def to_fraction(self) -> Fraction:
-        """Rational part of a rational element; error if s survives."""
-        if self.b:
-            raise ValueError(f"{self!r} is not rational")
-        return self.ra
-
     def conjugate(self) -> "QsElem":
         return _reduced(self.a, -self.b, self.d)
-
-    def norm(self) -> Fraction:
-        # product with the conjugate: (a*a + 3*b*b) / (d*d)
-        a, b, d = self.a, self.b, self.d
-        return Fraction(a * a + 3 * b * b, d * d)
 
     def inverse(self) -> "QsElem":
         # d/(a + b*s) = d*(a - b*s) / (a*a + 3*b*b)

@@ -85,6 +85,13 @@ def test_parse_n_values():
         cli.parse_n_values(",".join(["194"] * (cap + 1)))
     with pytest.raises(ValueError):
         cli.parse_n_values(f"1..{cap},7")
+    # a bound is held to the digit cap once its leading zeros are dropped
+    digits = cli.MAX_DIGITS
+    assert cli.parse_n_values("0" * 5000 + "3, -0..1") == [3, 0, 1]
+    for bad in ("9" * (digits + 1), "1.." + "9" * 5000, "-" + "9" * (digits + 1)):
+        with pytest.raises(ValueError) as info:
+            cli.parse_n_values(bad)
+        assert str(digits) in str(info.value)
 
 
 def test_decimal_string_rounding():
@@ -264,10 +271,13 @@ def test_usage_errors_exit_two(capsys, monkeypatch):
     assert cli.main(["table", "--n", "1..2000000000"]) == 2
     assert cli.main(["table", "--n", "3", "--x", "1/0"]) == 2
     assert cli.main(["scan", "--n", "4", "--epsilon", "1/0"]) == 2
-    # literals too long for Python's int-to-str limit are refused by the
-    # digit cap, whose message names no interpreter setting
+    # literals and sizes too long for Python's int-to-str limit are refused
+    # by the digit cap, whose message names no interpreter setting
     assert cli.main(["table", "--n", "3", "--x", "1/" + "7" * 5000]) == 2
     assert cli.main(["table", "--n", "3", "--x", "0.5" + "0" * 4999 + "1"]) == 2
+    assert cli.main(["table", "--n", "9" * 5000]) == 2
+    assert cli.main(["table", "--n", "1.." + "9" * 5000]) == 2
+    assert cli.main(["scan", "--n", "9" * 5000]) == 2
     assert "set_int_max_str_digits" not in capsys.readouterr().err
     # closed-form tables whose counts pass the int-to-str digit limit are
     # refused before any row is computed
@@ -296,6 +306,19 @@ def test_usage_errors_exit_two(capsys, monkeypatch):
     assert cli.main(["scan", "--n", f"40,{over_scan}", "--epsilon", "2/5"]) == 2
     assert cli.main(["scan", "--n", "1000000000000"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--n", "3", "--x", "x" * 100_000],
+        ["scan", "--n", "4", "--epsilon", "1/" + "0" * 100_000],
+        ["table", "--n", "9.." + "0" * 3000 + "1"],
+    ],
+)
+def test_errors_quote_a_bounded_prefix(capsys, argv):
+    assert cli.main(argv) == 2
+    assert len(capsys.readouterr().err.encode()) < 300
 
 
 def test_table_prints_up_to_the_digit_cap(capsys):
@@ -385,7 +408,7 @@ def test_records_are_immutable_values():
     # the family holds LaurentPoly values, which are unhashable by design
     with pytest.raises(TypeError):
         hash(records[3])
-    # [alpha] indexes the values, unpacking gives the fields
+    # indexing and unpacking give the fields
     m, values = records[2]
     assert m == 2 and values == records[2].values
-    assert records[2][4] == values[4] and records[2][5] == 0
+    assert records[2][1] is values

@@ -28,9 +28,8 @@ def test_construction_and_parts():
 def test_rational_embedding_round_trip():
     z = QsElem(Fraction(-9, 4))
     assert z.is_rational
-    assert z.to_fraction() == Fraction(-9, 4)
-    with pytest.raises(ValueError):
-        S.to_fraction()
+    assert z.ra == Fraction(-9, 4) and z.sb == 0
+    assert not S.is_rational
 
 
 def test_square_root_of_minus_three():
@@ -78,11 +77,11 @@ def test_inverse_cancels(a):
 
 @given(elements)
 def test_norm_is_multiplicative_with_conjugate(a):
-    # norm(a) = a * conj(a) as a rational, and it vanishes only at zero
+    # a * conj(a) is the rational ra^2 + 3 sb^2, which vanishes only at zero
     prod = a * a.conjugate()
     assert prod.is_rational
-    assert prod.to_fraction() == a.norm()
-    assert (a.norm() == 0) == (not a)
+    assert prod == a.ra ** 2 + 3 * a.sb ** 2
+    assert (prod == 0) == (not a)
 
 
 def test_pow_negative_exponent():
@@ -174,8 +173,7 @@ def test_operations_match_fraction_pair_reference(x, y, r, n):
         assert isinstance(got, QsElem)
         assert _canonical(got)
         assert _pair(got) == want
-    assert u.norm() == a * a + 3 * b * b
-    assert isinstance(u.norm(), Fraction)
+    assert u * u.conjugate() == a * a + 3 * b * b
 
 
 @given(elements, elements)
