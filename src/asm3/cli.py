@@ -70,6 +70,14 @@ def _quote(text: str) -> str:
     return repr(text) if len(text) <= 40 else repr(text[:40]) + "..."
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse echoes a rejected value whole; a message longer than any it
+    # writes from this parser's own text keeps only a quoted prefix, and the
+    # usage line above it still lists every choice.  Subparsers inherit this
+    def error(self, message):
+        super().error(message if len(message) <= 120 else _quote(message))
+
+
 def parse_rational(text: str) -> Fraction:
     """Accept p/q or a decimal literal of height at most MAX_HEIGHT.
 
@@ -288,7 +296,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="asm3",
         description=(
             "Exact refined enumeration of alternating sign matrices with "

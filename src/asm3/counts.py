@@ -16,7 +16,6 @@ alpha, one integer step per value, seeded by b_coeff at alpha = 0..3.
 
 from __future__ import annotations
 
-import enum
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -30,20 +29,11 @@ from .report import CheckResult
 Count = Union[int, Fraction]
 
 
-class Provenance(enum.Enum):
-    CLOSED_FORM = "closed-form"
-    THEOREM = "theorem"
-    ORACLE_DP = "oracle-dp"
-    ORACLE_MT = "oracle-mt"
-
-
 class EnumTable(NamedTuple):
     """One refined enumeration: counts indexed by r = 1..n."""
 
     n: int
-    weight_x: Fraction
     counts: Tuple[Count, ...]
-    provenance: Provenance
 
     @property
     def total(self) -> Count:
@@ -273,14 +263,14 @@ def refined_asm2_ratio(n: int, r: int) -> Fraction:
 
 def asm_table(n: int) -> EnumTable:
     counts = tuple(refined_asm(n, r) for r in range(1, n + 1))
-    return EnumTable(n, Fraction(1), counts, Provenance.CLOSED_FORM)
+    return EnumTable(n, counts)
 
 
 def asm3_table(n: int) -> EnumTable:
     if n == 1:
-        return EnumTable(1, Fraction(3), (total_asm3(1),), Provenance.THEOREM)
+        return EnumTable(1, (total_asm3(1),))
     counts = tuple(refined_asm3(n, r) for r in range(1, n + 1))
-    return EnumTable(n, Fraction(3), counts, Provenance.THEOREM)
+    return EnumTable(n, counts)
 
 
 def closed_form_table(n: int, x) -> EnumTable:

@@ -1,99 +1,92 @@
-"""Dense polynomials in one variable t with exact rational coefficients."""
+"""Dense polynomials in one variable t with exact rational coefficients.
+
+A DensePoly is a dense, rational view of one LaurentPoly with exponents
+0..degree.  Its ring operations are LaurentPoly's; reading a coefficient
+builds a Fraction, and evaluation is its own Horner rule.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterable, Union
 
+from .laurent import LaurentPoly
+from .qfield import _RATIONAL_TYPES
+
 Scalar = Union[int, Fraction]
 
 
-def _trim(coeffs):
-    c = [Fraction(v) for v in coeffs]
-    while c and not c[-1]:
-        c.pop()
-    return tuple(c)
+def _wrap(p: LaurentPoly) -> "DensePoly":
+    self = object.__new__(DensePoly)
+    self._p = p
+    return self
+
+
+def _operand(other):
+    # the LaurentPoly or rational scalar to combine with, or None when
+    # other is neither (a Q(s) element included)
+    if isinstance(other, DensePoly):
+        return other._p
+    if isinstance(other, _RATIONAL_TYPES):
+        return other
+    return None
 
 
 class DensePoly:
     """Coefficient vector (constant term first), trailing zeros trimmed."""
 
-    __slots__ = ("_c",)
+    __slots__ = ("_p",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        self._c = _trim(coeffs)
+        self._p = LaurentPoly({k: Fraction(v) for k, v in enumerate(coeffs)})
 
     @property
     def coeffs(self):
-        return self._c
+        return tuple(self.coeff(k) for k in range(self.degree + 1))
 
     @property
     def degree(self) -> int:
-        return len(self._c) - 1
+        return -1 if self._p.is_zero else self._p.max_exp
 
     @property
     def is_zero(self) -> bool:
-        return not self._c
+        return self._p.is_zero
 
     def coeff(self, k: int) -> Fraction:
-        if 0 <= k < len(self._c):
-            return self._c[k]
-        return Fraction(0)
+        return self._p.coeff(k).ra
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = DensePoly((other,))
-        if not isinstance(other, DensePoly):
-            return NotImplemented
-        n = max(len(self._c), len(other._c))
-        return DensePoly(self.coeff(i) + other.coeff(i) for i in range(n))
+        other = _operand(other)
+        return NotImplemented if other is None else _wrap(self._p + other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = DensePoly((other,))
-        if not isinstance(other, DensePoly):
-            return NotImplemented
-        n = max(len(self._c), len(other._c))
-        return DensePoly(self.coeff(i) - other.coeff(i) for i in range(n))
+        other = _operand(other)
+        return NotImplemented if other is None else _wrap(self._p - other)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __neg__(self):
-        return DensePoly(-v for v in self._c)
+        return _wrap(-self._p)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return DensePoly(v * other for v in self._c)
-        if not isinstance(other, DensePoly):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return DensePoly()
-        out = [Fraction(0)] * (len(self._c) + len(other._c) - 1)
-        for i, a in enumerate(self._c):
-            if not a:
-                continue
-            for j, b in enumerate(other._c):
-                out[i + j] += a * b
-        return DensePoly(out)
+        other = _operand(other)
+        return NotImplemented if other is None else _wrap(self._p * other)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = DensePoly((other,))
-        if not isinstance(other, DensePoly):
-            return NotImplemented
-        return self._c == other._c
+        other = _operand(other)
+        return NotImplemented if other is None else self._p == other
 
     __hash__ = None
 
     def eval_at(self, v):
         """Horner evaluation; v may be a Fraction or live in Q(s)."""
         acc = 0
-        for c in reversed(self._c):
+        for c in reversed(self.coeffs):
             acc = acc * v + c
         if isinstance(acc, int):
             acc = Fraction(acc)
@@ -108,7 +101,8 @@ class DensePoly:
         return DensePoly(self.coeff(deg - i) for i in range(deg + 1))
 
     def is_palindromic(self) -> bool:
-        return self._c == self._c[::-1]
+        c = self.coeffs
+        return c == c[::-1]
 
     def __repr__(self):
-        return f"DensePoly({list(self._c)!r})"
+        return f"DensePoly({list(self.coeffs)!r})"

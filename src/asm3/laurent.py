@@ -9,7 +9,7 @@ operation returns a fresh polynomial.
 >>> p = LaurentPoly({1: 1, -1: -1})
 >>> p * p == LaurentPoly({2: 1, 0: -2, -2: 1})
 True
->>> (p ** 3).divide_exact(p) == p * p
+>>> (p * p * p).divide_exact(p) == p * p
 True
 """
 
@@ -133,18 +133,6 @@ class LaurentPoly:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, QsElem)):

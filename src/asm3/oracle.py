@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Tuple, Union
 
-from .counts import EnumTable, Provenance
+from .counts import EnumTable
 from .errors import SizeLimitExceeded
 
 DP_LIMIT = 16
@@ -87,7 +87,7 @@ def dp_refined_enum(n: int, x) -> EnumTable:
     else:
         scale = q ** ((n - 1) * (n - 2) // 2)
         counts = tuple(Fraction(v, scale) for v in empty)
-    return EnumTable(n, Fraction(x), counts, Provenance.ORACLE_DP)
+    return EnumTable(n, counts)
 
 
 def _interlacing_extensions(row: Tuple[int, ...], n: int):
@@ -136,7 +136,7 @@ def mt_refined_enum(n: int, x) -> EnumTable:
         return total
 
     counts = tuple(below((r,)) for r in range(1, n + 1))
-    return EnumTable(n, Fraction(x), counts, Provenance.ORACLE_MT)
+    return EnumTable(n, counts)
 
 
 def oracle_cross_check(n: int, x) -> bool:

@@ -36,6 +36,17 @@ def _reduced(a: int, b: int, d: int) -> "QsElem":
     return self
 
 
+def _lift(v) -> "QsElem | None":
+    # the operand of a ring operation as a QsElem; None when it is neither
+    # a QsElem nor a rational.  The hot operations test for a QsElem first
+    # and skip this call
+    if isinstance(v, QsElem):
+        return v
+    if isinstance(v, _RATIONAL_TYPES):
+        return QsElem(v)
+    return None
+
+
 class QsElem:
     """Element (a + b*s)/d of Q(s), in lowest terms.  Immutable by convention.
 
@@ -84,68 +95,48 @@ class QsElem:
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, QsElem):
-            d, e = self.d, other.d
-            if d == e:
-                return _reduced(self.a + other.a, self.b + other.b, d)
-            return _reduced(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
-        if isinstance(other, _RATIONAL_TYPES):
-            p, q = other.numerator, other.denominator
-            d = self.d
-            return _reduced(self.a * q + p * d, self.b * q, d * q)
-        return NotImplemented
+        other = other if isinstance(other, QsElem) else _lift(other)
+        if other is None:
+            return NotImplemented
+        d, e = self.d, other.d
+        if d == e:
+            return _reduced(self.a + other.a, self.b + other.b, d)
+        return _reduced(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, QsElem):
-            d, e = self.d, other.d
-            if d == e:
-                return _reduced(self.a - other.a, self.b - other.b, d)
-            return _reduced(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
-        if isinstance(other, _RATIONAL_TYPES):
-            p, q = other.numerator, other.denominator
-            d = self.d
-            return _reduced(self.a * q - p * d, self.b * q, d * q)
-        return NotImplemented
+        other = other if isinstance(other, QsElem) else _lift(other)
+        if other is None:
+            return NotImplemented
+        d, e = self.d, other.d
+        if d == e:
+            return _reduced(self.a - other.a, self.b - other.b, d)
+        return _reduced(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
 
     def __rsub__(self, other):
-        if isinstance(other, _RATIONAL_TYPES):
-            p, q = other.numerator, other.denominator
-            d = self.d
-            return _reduced(p * d - self.a * q, -self.b * q, d * q)
-        return NotImplemented
+        other = _lift(other)
+        return NotImplemented if other is None else other - self
 
     def __neg__(self):
         return _reduced(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
-        if isinstance(other, QsElem):
-            a, b, c, e = self.a, self.b, other.a, other.b
-            return _reduced(a * c - 3 * b * e, a * e + b * c, self.d * other.d)
-        if isinstance(other, _RATIONAL_TYPES):
-            p, q = other.numerator, other.denominator
-            return _reduced(self.a * p, self.b * p, self.d * q)
-        return NotImplemented
+        other = other if isinstance(other, QsElem) else _lift(other)
+        if other is None:
+            return NotImplemented
+        a, b, c, e = self.a, self.b, other.a, other.b
+        return _reduced(a * c - 3 * b * e, a * e + b * c, self.d * other.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, QsElem):
-            return self * other.inverse()
-        if isinstance(other, _RATIONAL_TYPES):
-            p, q = other.numerator, other.denominator
-            if not p:
-                raise ZeroDivisionError("division by zero")
-            if p < 0:
-                p, q = -p, -q
-            return _reduced(self.a * q, self.b * q, self.d * p)
-        return NotImplemented
+        other = _lift(other)
+        return NotImplemented if other is None else self * other.inverse()
 
     def __rtruediv__(self, other):
-        if isinstance(other, _RATIONAL_TYPES):
-            return self.inverse() * other
-        return NotImplemented
+        other = _lift(other)
+        return NotImplemented if other is None else other / self
 
     def __pow__(self, n: int) -> "QsElem":
         if not isinstance(n, int):

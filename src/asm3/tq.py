@@ -44,7 +44,9 @@ _BIG = LaurentPoly({1: Q, -1: -QBAR})
 @lru_cache(maxsize=None)
 def _odd_kernel_pow(n: int) -> LaurentPoly:
     """(x - 1/x) ** n."""
-    return LaurentPoly({1: 1, -1: -1}) ** n
+    if n == 0:
+        return LaurentPoly.one()
+    return _odd_kernel_pow(n - 1) * LaurentPoly({1: 1, -1: -1})
 
 
 @lru_cache(maxsize=None)

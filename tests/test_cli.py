@@ -314,6 +314,10 @@ def test_usage_errors_exit_two(capsys, monkeypatch):
         ["table", "--n", "3", "--x", "x" * 100_000],
         ["scan", "--n", "4", "--epsilon", "1/" + "0" * 100_000],
         ["table", "--n", "9.." + "0" * 3000 + "1"],
+        ["verify", "--suite", "x" * 100_000],
+        ["table", "--n", "3", "--format", "x" * 100_000],
+        ["verify", "--max-m", "9" * 5000],
+        ["verify", "--max-n", "9" * 5000],
     ],
 )
 def test_errors_quote_a_bounded_prefix(capsys, argv):

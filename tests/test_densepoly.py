@@ -1,7 +1,9 @@
+import operator
 from fractions import Fraction
 
 import pytest
 
+from asm3 import densepoly, qfield
 from asm3.densepoly import DensePoly
 from asm3.qfield import Q, QsElem
 
@@ -52,3 +54,39 @@ def test_is_palindromic():
     assert DensePoly((2,)).is_palindromic()
     assert DensePoly().is_palindromic()
     assert not DensePoly((1, 2)).is_palindromic()
+
+
+def test_ring_operations_build_no_fraction(monkeypatch):
+    # +, - and * run on the integer Q(s) kernel of the underlying
+    # LaurentPoly; only reading a coefficient builds a Fraction
+    p = DensePoly((Fraction(1, 2), -3, Fraction(2, 7)))
+    r = DensePoly((5, Fraction(-1, 3)))
+    expected = [p + r, p - r, p * r, p * Fraction(3, 4) + 1, 2 - p, -p]
+
+    def no_fraction(*args, **kwargs):
+        raise AssertionError("a Fraction was built in DensePoly arithmetic")
+
+    monkeypatch.setattr(qfield, "Fraction", no_fraction)
+    monkeypatch.setattr(densepoly, "Fraction", no_fraction)
+    got = [p + r, p - r, p * r, p * Fraction(3, 4) + 1, 2 - p, -p]
+    assert all(a == b for a, b in zip(got, expected))
+
+
+def test_coefficients_read_as_fractions():
+    p = DensePoly((1, Fraction(2, 3), 4)) * DensePoly((1, 1))
+    assert all(type(c) is Fraction for c in p.coeffs)
+    assert p.coeffs == (1, Fraction(5, 3), Fraction(14, 3), 4)
+    assert type(p.coeff(1)) is Fraction and type(p.coeff(9)) is Fraction
+
+
+def test_quadratic_field_coefficients_are_refused():
+    p = DensePoly((1, 2))
+    with pytest.raises(TypeError):
+        DensePoly((1, QsElem(0, 1)))
+    with pytest.raises(TypeError):
+        DensePoly((Q,))
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(p, Q)
+        with pytest.raises(TypeError):
+            op(Q, p)

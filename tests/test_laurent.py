@@ -48,14 +48,6 @@ def test_basic_arithmetic():
     assert p + 1 == LaurentPoly({1: 1, 0: 1, -1: -1})
 
 
-def test_pow_matches_repeated_multiplication():
-    p = LaurentPoly({1: 1, -1: -1})
-    assert p ** 0 == LaurentPoly.one()
-    assert p ** 3 == p * p * p
-    with pytest.raises(ValueError):
-        p ** -1
-
-
 @given(polys, polys, polys)
 def test_ring_axioms(a, b, c):
     assert a + b == b + a

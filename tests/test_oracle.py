@@ -156,8 +156,3 @@ def test_size_limits():
         mt_refined_enum(MT_LIMIT + 1, 1)
     with pytest.raises(SizeLimitExceeded):
         dp_refined_enum(0, 1)
-
-
-def test_provenance_tags():
-    assert dp_refined_enum(2, 1).provenance is counts.Provenance.ORACLE_DP
-    assert mt_refined_enum(2, 1).provenance is counts.Provenance.ORACLE_MT
