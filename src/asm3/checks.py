@@ -95,36 +95,28 @@ def b_family(max_m: int, max_n: int) -> Iterator[CheckResult]:
 
 
 def generating_polys(max_m: int, max_n: int) -> Iterator[CheckResult]:
-    for n in range(1, max_n + 1):
-        hp = counts.h1_poly(n)
-        total = counts.total_asm(n)
-        tag = f"n={n}"
-        yield CheckResult(
-            "h1_matches_refinement",
-            tag,
-            all(
-                hp.coeff(r - 1) * total == counts.refined_asm(n, r)
-                for r in range(1, n + 1)
-            ),
-        )
-        yield CheckResult("h1_reciprocal", tag, hp.reversed_poly(n - 1) == hp)
-        yield CheckResult("h1_unit_at_one", tag, hp.eval_at(1) == 1)
-    for n in range(2, max_n + 1):
-        hp3 = counts.h3_poly(n)
-        total3 = counts.total_asm3(n)
-        tag = f"n={n}"
-        yield CheckResult(
-            "h3_matches_refinement",
-            tag,
-            all(
-                hp3.coeff(r - 1) * total3 == counts.refined_asm3(n, r)
-                for r in range(1, n + 1)
-            ),
-        )
-        yield CheckResult(
-            "h3_reciprocal", tag, hp3.reversed_poly(n - 1) == hp3
-        )
-        yield CheckResult("h3_unit_at_one", tag, hp3.eval_at(1) == 1)
+    # built per call, so a monkeypatched counts function is the one called
+    families = (
+        ("h1", 1, counts.h1_poly, counts.total_asm, counts.refined_asm),
+        ("h3", 2, counts.h3_poly, counts.total_asm3, counts.refined_asm3),
+    )
+    for name, n_min, poly, total, refined in families:
+        for n in range(n_min, max_n + 1):
+            hp = poly(n)
+            count = total(n)
+            tag = f"n={n}"
+            yield CheckResult(
+                f"{name}_matches_refinement",
+                tag,
+                all(
+                    hp.coeff(r - 1) * count == refined(n, r)
+                    for r in range(1, n + 1)
+                ),
+            )
+            yield CheckResult(
+                f"{name}_reciprocal", tag, hp.reversed_poly(n - 1) == hp
+            )
+            yield CheckResult(f"{name}_unit_at_one", tag, hp.eval_at(1) == 1)
 
 
 def recursions(max_m: int, max_n: int) -> Iterator[CheckResult]:

@@ -14,7 +14,8 @@ import argparse
 import re
 import sys
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Iterable, List, Optional, Sequence
 
 from . import checks, counts, oracle
 
@@ -159,11 +160,27 @@ def decimal_string(fr: Fraction) -> str:
     return f"{sign}{whole}.{part:012d}"
 
 
-def _write_json(out, doc) -> None:
-    # imported here: only a --format json run pays for loading json
-    import json
+def _emit(
+    args: argparse.Namespace,
+    params: dict,
+    results: Iterable[dict],
+    lines: Iterable[str],
+) -> None:
+    """Write one command's stdout in the format that --format chose.
 
-    out.write(json.dumps(doc, indent=2) + "\n")
+    JSON is the document {"command", "params", "results"} with `results`
+    listed; CSV is `lines`, written as they come.  Only the iterable of
+    the chosen format is consumed, so both can be lazy generators and a
+    large table streams to stdout.
+    """
+    if args.format == "json":
+        # imported here: only a --format json run pays for loading json
+        import json
+
+        doc = {"command": args.command, "params": params, "results": list(results)}
+        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    else:
+        sys.stdout.writelines(lines)
 
 
 # -- table --------------------------------------------------------------
@@ -190,25 +207,13 @@ def cmd_table(args: argparse.Namespace) -> int:
         else:
             table = oracle.dp_refined_enum(n, x)
         values[n] = [str(value) for value in table.counts]
-    rows: List[Tuple[int, int, str]] = [
-        (n, r, value)
-        for n in n_values
-        for r, value in enumerate(values[n], start=1)
-    ]
-    out = sys.stdout
-    if args.format == "json":
-        doc = {
-            "command": "table",
-            "params": {"n": [str(n) for n in n_values], "x": str(x)},
-            "results": [
-                {"n": str(n), "r": str(r), "value": v} for n, r, v in rows
-            ],
-        }
-        _write_json(out, doc)
-    else:
-        out.write("n,r,value\n")
-        for n, r, v in rows:
-            out.write(f"{n},{r},{v}\n")
+    rows = ((n, r, v) for n in n_values for r, v in enumerate(values[n], 1))
+    _emit(
+        args,
+        {"n": [str(n) for n in n_values], "x": str(x)},
+        ({"n": str(n), "r": str(r), "value": v} for n, r, v in rows),
+        chain(["n,r,value\n"], (f"{n},{r},{v}\n" for n, r, v in rows)),
+    )
     return 0
 
 
@@ -228,26 +233,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if not r.passed and r.detail:
             print(f"FAIL,{r.name},{r.params}: {r.detail}", file=sys.stderr)
     n_fail = sum(1 for r in results if not r.passed)
-    out = sys.stdout
-    if args.format == "json":
-        doc = {
-            "command": "verify",
-            "params": {
-                "suite": args.suite,
-                "max_m": str(args.max_m),
-                "max_n": str(args.max_n),
-            },
-            "results": [
-                {"name": r.name, "params": r.params, "passed": r.passed}
+    _emit(
+        args,
+        {"suite": args.suite, "max_m": str(args.max_m), "max_n": str(args.max_n)},
+        ({"name": r.name, "params": r.params, "passed": r.passed} for r in results),
+        chain(
+            (
+                f"{'PASS' if r.passed else 'FAIL'},{r.name},{r.params}\n"
                 for r in results
-            ],
-        }
-        _write_json(out, doc)
-    else:
-        for r in results:
-            status = "PASS" if r.passed else "FAIL"
-            out.write(f"{status},{r.name},{r.params}\n")
-        out.write(f"# {len(results) - n_fail}/{len(results)} checks passed\n")
+            ),
+            [f"# {len(results) - n_fail}/{len(results)} checks passed\n"],
+        ),
+    )
     return 0 if n_fail == 0 else 1
 
 
@@ -266,29 +263,19 @@ def cmd_scan(args: argparse.Namespace) -> int:
             f"scan sizes above {MAX_SCAN_N} can have masses of more than "
             f"4300 digits"
         )
-    masses = counts.concentration_scan(n_values, epsilon)
-    out = sys.stdout
-    if args.format == "json":
-        doc = {
-            "command": "scan",
-            "params": {
-                "epsilon": str(epsilon),
-                "n": [str(n) for n in sorted(set(n_values))],
-            },
-            "results": [
-                {
-                    "n": str(n),
-                    "mass_exact": str(mass),
-                    "mass_decimal": decimal_string(mass),
-                }
-                for n, mass in masses
-            ],
-        }
-        _write_json(out, doc)
-    else:
-        out.write("n,epsilon,mass_exact,mass_decimal\n")
-        for n, mass in masses:
-            out.write(f"{n},{epsilon},{mass},{decimal_string(mass)}\n")
+    rows = (
+        (n, mass, decimal_string(mass))
+        for n, mass in counts.concentration_scan(n_values, epsilon)
+    )
+    _emit(
+        args,
+        {"epsilon": str(epsilon), "n": [str(n) for n in sorted(set(n_values))]},
+        ({"n": str(n), "mass_exact": str(m), "mass_decimal": d} for n, m, d in rows),
+        chain(
+            ["n,epsilon,mass_exact,mass_decimal\n"],
+            (f"{n},{epsilon},{m},{d}\n" for n, m, d in rows),
+        ),
+    )
     return 0
 
 
@@ -312,14 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument(
         "--x", default="1", help="weight per -1 entry (p/q or decimal)"
     )
-    p_table.add_argument("--format", choices=("csv", "json"), default="csv")
     p_table.set_defaults(func=cmd_table)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", choices=checks.SUITES, default="all")
     p_verify.add_argument("--max-m", type=int, default=8)
     p_verify.add_argument("--max-n", type=int, default=6)
-    p_verify.add_argument("--format", choices=("csv", "json"), default="csv")
     p_verify.set_defaults(func=cmd_verify)
 
     p_scan = sub.add_parser("scan", help="central mass of the 3-enumeration")
@@ -327,9 +312,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--n", required=True, help="sizes: an integer, a..b, or a comma list"
     )
     p_scan.add_argument("--epsilon", default="1/10", help="half-width, in (0, 1/2)")
-    p_scan.add_argument("--format", choices=("csv", "json"), default="csv")
     p_scan.set_defaults(func=cmd_scan)
 
+    # declared last so that each usage line lists it after the command's
+    # own options
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 

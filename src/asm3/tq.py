@@ -220,24 +220,23 @@ def e_poly(m: int) -> DensePoly:
     """
     if m < 0:
         raise ValueError("index must be >= 0")
-    t = DensePoly((0, 1))
-    t_plus_2 = DensePoly((2, 1))
+    quad = DensePoly((0, 2, 1))  # t(t+2), the denominator of the argument
     lin = DensePoly((1, 2))
-    t_pow = [DensePoly((1,))]
-    t2_pow = [DensePoly((1,))]
+    quad_pow = [DensePoly((1,))]
     lin_pow = [DensePoly((1,))]
     for _ in range(m):
-        t_pow.append(t_pow[-1] * t)
-        t2_pow.append(t2_pow[-1] * t_plus_2)
+        quad_pow.append(quad_pow[-1] * quad)
         lin_pow.append(lin_pow[-1] * lin)
 
     first = DensePoly()
     for j, c in enumerate(series_coeffs((-m, m + 2), (-2 * m - 1,), m)):
-        first = first + lin_pow[j] * t_pow[m - j] * t2_pow[m - j] * c
+        first = first + lin_pow[j] * quad_pow[m - j] * c
 
+    # each term of the second sum has one factor t more than (t(t+2))^(m-1-j)
     second = DensePoly()
     for j, c in enumerate(series_coeffs((1 - m, m + 2), (-2 * m,), m - 1)):
-        second = second + lin_pow[j] * t_pow[m - j] * t2_pow[m - 1 - j] * c
+        second = second + lin_pow[j] * quad_pow[m - 1 - j] * c
+    second = second * DensePoly((0, 1))
 
     pref = Fraction(
         factorial(2 * m) * factorial(2 * m + 2),
@@ -407,8 +406,6 @@ def transform_checks(m: int, sample_xs) -> list:
     const = None
     for x0 in sample_xs:
         x0 = Fraction(x0)
-        if not x0:
-            raise PoleAtSample("sample x = 0")
         xq = QsElem(x0)
         big = Q * xq - QBAR * xq.inverse()
         if not big:

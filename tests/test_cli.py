@@ -205,6 +205,39 @@ def test_verify_output_is_pinned(capsys, fmt, n_lines, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv, n_lines, digest",
+    [
+        (
+            ["table", "--n", "1..9", "--x", "5/7"],
+            46,
+            "ba68fe82f73d79dade143574dfe754ffbe4310ac607557d16d1cdaa92e8d82f5",
+        ),
+        (
+            ["table", "--n", "1..9", "--x", "5/7", "--format", "json"],
+            244,
+            "8ca700978600d62c29c934da7de756dcb7e62dbb495c13eb9ca7250cc55a9a07",
+        ),
+        (
+            ["scan", "--n", "40,80", "--epsilon", "1/10"],
+            3,
+            "530033fd88bf0bd0fe54db1aa41dc548b287ac210d49ee7e037355fd64e3cc98",
+        ),
+        (
+            ["scan", "--n", "40,80", "--epsilon", "1/10", "--format", "json"],
+            22,
+            "0d07a8bc18aa442ee9acbf41786f2775b10ba01032bdde74c84eae40f02e47ad",
+        ),
+    ],
+)
+def test_table_and_scan_output_is_pinned(capsys, argv, n_lines, digest):
+    # every value, its formatting and the document around it, whole
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == n_lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_output_is_deterministic(capsys):
     cli.main(["verify", "--suite", "tq-identities", "--max-m", "2"])
     first = capsys.readouterr().out
