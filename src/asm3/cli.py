@@ -191,22 +191,22 @@ def cmd_table(args: argparse.Namespace) -> int:
     x = parse_rational(args.x)
     if any(n < 1 for n in n_values):
         raise ValueError("sizes must be >= 1")
-    if x in MAX_TABLE_N:
-        if max(n_values) > MAX_TABLE_N[x]:
-            raise ValueError(
-                f"sizes above {MAX_TABLE_N[x]} at x = {x} have counts of "
-                f"more than 4300 digits"
-            )
-    elif max(n_values) > oracle.DP_LIMIT:
-        raise ValueError(f"sizes above {oracle.DP_LIMIT} need x = 1 or x = 3")
+    # the closed form at its weight, else the DP oracle; looked up per call
+    route = {1: counts.asm_table, 3: counts.asm3_table}.get(x)
+    if route is None:
+        if max(n_values) > oracle.DP_LIMIT:
+            raise ValueError(f"sizes above {oracle.DP_LIMIT} need x = 1 or x = 3")
+        route = lambda n: oracle.dp_refined_enum(n, x)
+    elif max(n_values) > MAX_TABLE_N[x]:
+        raise ValueError(
+            f"sizes above {MAX_TABLE_N[x]} at x = {x} have counts of "
+            f"more than 4300 digits"
+        )
     # a repeated size is computed once; its rows still print at every repeat
-    values = {}
-    for n in dict.fromkeys(n_values):
-        if x in MAX_TABLE_N:
-            table = counts.closed_form_table(n, x)
-        else:
-            table = oracle.dp_refined_enum(n, x)
-        values[n] = [str(value) for value in table.counts]
+    values = {
+        n: [str(value) for value in route(n).counts]
+        for n in dict.fromkeys(n_values)
+    }
     rows = ((n, r, v) for n in n_values for r, v in enumerate(values[n], 1))
     _emit(
         args,
@@ -221,21 +221,22 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.max_m < 0 or args.max_n < 1:
+    max_m, max_n = _parse_size(args.max_m), _parse_size(args.max_n)
+    if max_m < 0 or max_n < 1:
         raise ValueError("limits must be sensible: max-m >= 0, max-n >= 1")
-    if args.max_m > MAX_VERIFY_M or args.max_n > MAX_VERIFY_N:
+    if max_m > MAX_VERIFY_M or max_n > MAX_VERIFY_N:
         raise ValueError(
             f"limits too large: max-m <= {MAX_VERIFY_M}, "
             f"max-n <= {MAX_VERIFY_N}"
         )
-    results = checks.run(args.suite, args.max_m, args.max_n)
+    results = checks.run(args.suite, max_m, max_n)
     for r in results:
         if not r.passed and r.detail:
             print(f"FAIL,{r.name},{r.params}: {r.detail}", file=sys.stderr)
     n_fail = sum(1 for r in results if not r.passed)
     _emit(
         args,
-        {"suite": args.suite, "max_m": str(args.max_m), "max_n": str(args.max_n)},
+        {"suite": args.suite, "max_m": str(max_m), "max_n": str(max_n)},
         ({"name": r.name, "params": r.params, "passed": r.passed} for r in results),
         chain(
             (
@@ -303,8 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", choices=checks.SUITES, default="all")
-    p_verify.add_argument("--max-m", type=int, default=8)
-    p_verify.add_argument("--max-n", type=int, default=6)
+    # read by _parse_size in cmd_verify, the integer grammar of --n
+    p_verify.add_argument("--max-m", default="8")
+    p_verify.add_argument("--max-n", default="6")
     p_verify.set_defaults(func=cmd_verify)
 
     p_scan = sub.add_parser("scan", help="central mass of the 3-enumeration")

@@ -141,35 +141,24 @@ def b_coeff_4f3(m: int, alpha: int) -> Fraction:
         2 ** alpha * comb(3 * m + 3, alpha) * comb(2 * m + 1 - alpha, m + 1),
         3 ** m * comb(3 * m + 2, m + 1),
     )
+    # the two sums differ only in the second upper parameter, -alpha/2 and
+    # -alpha/2 + 1
+    upper = [
+        Fraction(1 - alpha, 2),
+        Fraction(-alpha, 2),
+        Fraction(m + 2),
+        Fraction(2 * m + 2 - alpha),
+    ]
     lower = (
         Fraction(3 * m + 4 - alpha, 2),
         Fraction(3 * m + 5 - alpha, 2),
         Fraction(m - alpha + 1),
     )
     z = Fraction(1, 4)
-    first = hyp(
-        (
-            Fraction(-(alpha - 1), 2),
-            Fraction(-alpha, 2),
-            Fraction(m + 2),
-            Fraction(2 * m + 2 - alpha),
-        ),
-        lower,
-        z,
-    )
-    bracket = 2 * first
+    bracket = 2 * hyp(upper, lower, z)
     if alpha:
-        second = hyp(
-            (
-                Fraction(-(alpha - 1), 2),
-                Fraction(-alpha, 2) + 1,
-                Fraction(m + 2),
-                Fraction(2 * m + 2 - alpha),
-            ),
-            lower,
-            z,
-        )
-        bracket -= Fraction(alpha, m + 1) * second
+        upper[1] += 1
+        bracket -= Fraction(alpha, m + 1) * hyp(upper, lower, z)
     return pref * bracket
 
 
@@ -271,15 +260,6 @@ def asm3_table(n: int) -> EnumTable:
         return EnumTable(1, (total_asm3(1),))
     counts = tuple(refined_asm3(n, r) for r in range(1, n + 1))
     return EnumTable(n, counts)
-
-
-def closed_form_table(n: int, x) -> EnumTable:
-    x = Fraction(x)
-    if x == 1:
-        return asm_table(n)
-    if x == 3:
-        return asm3_table(n)
-    raise OutOfRange("closed forms cover x = 1 and x = 3 only")
 
 
 @lru_cache(maxsize=None)

@@ -9,21 +9,13 @@ class NonExactDivision(ArithmeticError):
     """
 
 
-class EvalAtZero(ZeroDivisionError):
-    """A Laurent polynomial was evaluated at x = 0."""
-
-
 class DegenerateParameters(ValueError):
     """A terminating series hit a vanishing lower Pochhammer factor."""
 
 
 class OutOfRange(ValueError):
-    """An index argument lies outside its documented range."""
+    """An index or size argument lies outside its documented range."""
 
 
 class PoleAtSample(ZeroDivisionError):
-    """A substitution sample landed on a pole of the variable change."""
-
-
-class SizeLimitExceeded(ValueError):
-    """Requested size is beyond the configured brute-force cap."""
+    """A sample point hit a pole: x = 0, or a zero of a denominator."""

@@ -1,10 +1,11 @@
 """Sparse Laurent polynomials in one variable x over Q(s).
 
-Coefficients live in Q(s); rationals embed with a zero s-part.  The
-representation is a dict from integer exponents to nonzero coefficients,
-which suits the thin supports that show up here (arithmetic progressions
-of step 6 between -3m-2 and 3m+2).  Instances are immutable: every
-operation returns a fresh polynomial.
+Coefficients live in Q(s) and are given as int, Fraction or QsElem;
+anything else raises TypeError, and rationals embed with a zero s-part.
+The representation is a dict from integer exponents to nonzero
+coefficients, which suits the thin supports that show up here
+(arithmetic progressions of step 6 between -3m-2 and 3m+2).  Instances
+are immutable: every operation returns a fresh polynomial.
 
 >>> p = LaurentPoly({1: 1, -1: -1})
 >>> p * p == LaurentPoly({2: 1, 0: -2, -2: 1})
@@ -18,16 +19,19 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Tuple, Union
 
-from .errors import EvalAtZero, NonExactDivision
-from .qfield import ZERO, QsElem
+from .errors import NonExactDivision, PoleAtSample
+from .qfield import ZERO, QsElem, _lift
 
 Scalar = Union[int, Fraction, QsElem]
 
 
-def _coerce(v: Scalar) -> QsElem:
-    if isinstance(v, QsElem):
+def _operand(v) -> "LaurentPoly | None":
+    # the other side of +, - or ==: a scalar becomes a constant polynomial,
+    # and None stands for an unsupported type
+    if isinstance(v, LaurentPoly):
         return v
-    return QsElem(v)
+    w = _lift(v)
+    return None if w is None else LaurentPoly._clean({0: w})
 
 
 class LaurentPoly:
@@ -37,7 +41,9 @@ class LaurentPoly:
         c = {}
         if coeffs:
             for k, v in coeffs.items():
-                q = _coerce(v)
+                q = _lift(v)
+                if q is None:
+                    raise TypeError(f"coefficient of type {type(v).__name__}")
                 if q:
                     c[int(k)] = q
         self._c = c
@@ -86,9 +92,8 @@ class LaurentPoly:
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, QsElem)):
-            other = LaurentPoly({0: other})
-        if not isinstance(other, LaurentPoly):
+        other = _operand(other)
+        if other is None:
             return NotImplemented
         c = dict(self._c)
         for k, v in other._c.items():
@@ -98,14 +103,8 @@ class LaurentPoly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, QsElem)):
-            other = LaurentPoly({0: other})
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        c = dict(self._c)
-        for k, v in other._c.items():
-            c[k] = c.get(k, ZERO) - v
-        return LaurentPoly._clean(c)
+        other = _operand(other)
+        return NotImplemented if other is None else self + -other
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -125,21 +124,16 @@ class LaurentPoly:
                     else:
                         acc[k] = prod
             return LaurentPoly._clean(acc)
-        if isinstance(other, (int, Fraction, QsElem)):
-            w = _coerce(other)
-            if not w:
-                return LaurentPoly()
-            return LaurentPoly._clean({k: v * w for k, v in self._c.items()})
-        return NotImplemented
+        w = _lift(other)
+        if w is None:
+            return NotImplemented
+        return LaurentPoly._clean({k: v * w for k, v in self._c.items()})
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, QsElem)):
-            other = LaurentPoly({0: other})
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self._c == other._c
+        other = _operand(other)
+        return NotImplemented if other is None else self._c == other._c
 
     __hash__ = None  # mutable-looking container; not meant for dict keys
 
@@ -179,10 +173,12 @@ class LaurentPoly:
         return LaurentPoly._clean({offset + i: c for i, c in enumerate(quot)})
 
     def substitute_scale(self, c: Scalar) -> "LaurentPoly":
-        """p(x) -> p(c*x) for an invertible scalar c."""
-        w = _coerce(c)
+        """p(x) -> p(c*x) for a nonzero scalar c; c = 0 hits the pole x = 0."""
+        w = _lift(c)
+        if w is None:
+            raise TypeError(f"scale factor of type {type(c).__name__}")
         if not w:
-            raise ZeroDivisionError("scale factor must be invertible")
+            raise PoleAtSample("Laurent polynomial scaled or evaluated at x = 0")
         if not self._c:
             return LaurentPoly()
         exps = sorted(self._c)
@@ -200,9 +196,7 @@ class LaurentPoly:
         return LaurentPoly._clean({-k: v for k, v in self._c.items()})
 
     def eval_at(self, x0: Scalar) -> QsElem:
-        """Exact value at a nonzero point of Q(s)."""
-        if not _coerce(x0):
-            raise EvalAtZero("Laurent polynomial evaluated at x = 0")
+        """Exact value at a nonzero point of Q(s), by substitute_scale."""
         return sum(self.substitute_scale(x0)._c.values(), ZERO)
 
     def euler_d(self) -> "LaurentPoly":

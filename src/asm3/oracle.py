@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Tuple, Union
 
 from .counts import EnumTable
-from .errors import SizeLimitExceeded
+from .errors import OutOfRange
 
 DP_LIMIT = 16
 MT_LIMIT = 8
@@ -58,7 +58,7 @@ def dp_refined_enum(n: int, x) -> EnumTable:
     weight of the mask with only column r empty after n-1 rows.
     """
     if n < 1 or n > DP_LIMIT:
-        raise SizeLimitExceeded(f"n must lie in 1..{DP_LIMIT}")
+        raise OutOfRange(f"n must lie in 1..{DP_LIMIT}")
     x = _normalize_weight(x)
     p, q = x.as_integer_ratio()
     prefix = 1 << n
@@ -118,7 +118,7 @@ def mt_refined_enum(n: int, x) -> EnumTable:
     recursion structure untouched.
     """
     if n < 1 or n > MT_LIMIT:
-        raise SizeLimitExceeded(f"n must lie in 1..{MT_LIMIT}")
+        raise OutOfRange(f"n must lie in 1..{MT_LIMIT}")
     x = _normalize_weight(x)
     cache: dict = {}
 
@@ -137,8 +137,3 @@ def mt_refined_enum(n: int, x) -> EnumTable:
 
     counts = tuple(below((r,)) for r in range(1, n + 1))
     return EnumTable(n, counts)
-
-
-def oracle_cross_check(n: int, x) -> bool:
-    """Agreement of the two oracles on the full refined table."""
-    return dp_refined_enum(n, x).counts == mt_refined_enum(n, x).counts

@@ -37,9 +37,9 @@ def _reduced(a: int, b: int, d: int) -> "QsElem":
 
 
 def _lift(v) -> "QsElem | None":
-    # the operand of a ring operation as a QsElem; None when it is neither
-    # a QsElem nor a rational.  The hot operations test for a QsElem first
-    # and skip this call
+    # a scalar operand as a QsElem; None when it is neither a QsElem nor a
+    # rational.  Every mixed operation here and in laurent lifts through
+    # this; the hot operations test for a QsElem first and skip the call
     if isinstance(v, QsElem):
         return v
     if isinstance(v, _RATIONAL_TYPES):
@@ -50,6 +50,7 @@ def _lift(v) -> "QsElem | None":
 class QsElem:
     """Element (a + b*s)/d of Q(s), in lowest terms.  Immutable by convention.
 
+    Both parts must be int or Fraction, anything else raises TypeError.
     `ra` and `sb` read the rational part and the coefficient of s as
     Fractions.
     """
@@ -57,10 +58,8 @@ class QsElem:
     __slots__ = ("a", "b", "d")
 
     def __init__(self, ra: Rational = 0, sb: Rational = 0):
-        if not isinstance(ra, _RATIONAL_TYPES):
-            ra = Fraction(ra)
-        if not isinstance(sb, _RATIONAL_TYPES):
-            sb = Fraction(sb)
+        if not (isinstance(ra, _RATIONAL_TYPES) and isinstance(sb, _RATIONAL_TYPES)):
+            raise TypeError("the parts of a QsElem must be int or Fraction")
         p, q = ra.numerator, ra.denominator
         r, t = sb.numerator, sb.denominator
         a, b, d = p * t, r * q, q * t

@@ -173,14 +173,18 @@ def test_verify_small_suite_passes(capsys):
 
 
 def test_verify_json_shape(capsys):
-    rc = cli.main(
-        ["verify", "--suite", "oracle", "--max-n", "3", "--format", "json"]
-    )
-    doc = json.loads(capsys.readouterr().out)
+    argv = ["verify", "--suite", "oracle", "--format", "json", "--max-n"]
+    rc = cli.main(argv + ["3"])
+    out = capsys.readouterr().out
+    doc = json.loads(out)
     assert rc == 0
     assert doc["command"] == "verify"
+    assert doc["params"]["max_n"] == "3"
     assert all(set(r) == {"name", "params", "passed"} for r in doc["results"])
     assert all(r["passed"] is True for r in doc["results"])
+    # a limit is read like a size of --n, so leading zeros change nothing
+    assert cli.main(argv + ["0" * 5000 + "3"]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_verify_all_suites_runnable(capsys):
@@ -314,9 +318,8 @@ def test_usage_errors_exit_two(capsys, monkeypatch):
     assert "set_int_max_str_digits" not in capsys.readouterr().err
     # closed-form tables whose counts pass the int-to-str digit limit are
     # refused before any row is computed
-    monkeypatch.setattr(
-        counts, "closed_form_table", lambda n, x: pytest.fail("table was run")
-    )
+    for route in ("asm_table", "asm3_table"):
+        monkeypatch.setattr(counts, route, lambda n: pytest.fail("table was run"))
     assert cli.main(["table", "--n", "195", "--x", "1"]) == 2
     assert cli.main(["table", "--n", "1..157", "--x", "3"]) == 2
     assert cli.main(["table", "--n", "1000", "--x", "3"]) == 2
@@ -329,6 +332,8 @@ def test_usage_errors_exit_two(capsys, monkeypatch):
     assert cli.main(["verify", "--max-m", over_m]) == 2
     assert cli.main(["verify", "--max-n", over_n]) == 2
     assert cli.main(["verify", "--max-m", "1000000000000"]) == 2
+    # the limits follow the integer grammar of --n, which has no underscores
+    assert cli.main(["verify", "--max-m", "1_0"]) == 2
     # scans whose masses pass the int-to-str digit limit are refused before
     # any mass is computed
     monkeypatch.setattr(
@@ -377,19 +382,44 @@ def test_scan_prints_up_to_the_digit_cap(capsys):
 
 def test_table_computes_each_distinct_size_once(capsys, monkeypatch):
     calls = []
-    closed_form = counts.closed_form_table
+    closed_form = counts.asm3_table
 
-    def counted(n, x):
+    def counted(n):
         calls.append(n)
-        return closed_form(n, x)
+        return closed_form(n)
 
-    monkeypatch.setattr(counts, "closed_form_table", counted)
+    monkeypatch.setattr(counts, "asm3_table", counted)
     assert cli.main(["table", "--n", "3,2,3,3", "--x", "3"]) == 0
     assert calls == [3, 2]
     rows = capsys.readouterr().out.splitlines()[1:]
     assert rows == ["3,1,2", "3,2,5", "3,3,2", "2,1,1", "2,2,1"] + [
         "3,1,2", "3,2,5", "3,3,2"
     ] * 2
+
+
+def test_table_picks_one_route_per_weight(capsys, monkeypatch):
+    # x = 1 and x = 3 have closed forms; every other weight goes to the DP
+    routes = {"asm_table": counts, "asm3_table": counts, "dp_refined_enum": oracle}
+    real = {name: getattr(mod, name) for name, mod in routes.items()}
+    for x, expected in (
+        ("1", "asm_table"),
+        ("3", "asm3_table"),
+        ("2", "dp_refined_enum"),
+        ("5/7", "dp_refined_enum"),
+    ):
+        calls = []
+        for name, mod in routes.items():
+
+            def route(*args, name=name):
+                if name != expected:
+                    pytest.fail(f"{name} was run at x = {x}")
+                calls.append(name)
+                return real[name](*args)
+
+            monkeypatch.setattr(mod, name, route)
+        assert cli.main(["table", "--n", "4", "--x", x]) == 0
+        assert calls == [expected]
+        assert len(capsys.readouterr().out.splitlines()) == 5
 
 
 def test_unknown_subcommand_exits_two(capsys):

@@ -9,7 +9,6 @@ from asm3.counts import (
     b_coeff,
     b_coeff_4f3,
     b_table,
-    closed_form_table,
     concentration_scan,
     h1_poly,
     h3_poly,
@@ -182,13 +181,6 @@ def test_generating_polynomial_weighted():
         assert hp.reversed_poly(n - 1) == hp
         for r in range(1, n + 1):
             assert hp.coeff(r - 1) * total == refined_asm3(n, r)
-
-
-def test_closed_form_table_dispatch():
-    assert closed_form_table(5, 1).counts == asm_table(5).counts
-    assert closed_form_table(5, 3).counts == asm3_table(5).counts
-    with pytest.raises(OutOfRange):
-        closed_form_table(5, 2)
 
 
 def test_one_by_one_tables():

@@ -25,6 +25,22 @@ def test_construction_and_parts():
     assert QsElem(Fraction(2, 7)).is_rational
 
 
+def test_only_exact_scalars_are_accepted():
+    # a float or a string is never read as a rational, so no binary
+    # approximation of 0.1 can slip into a coefficient
+    for bad in (0.5, 0.1, "1/3"):
+        with pytest.raises(TypeError):
+            QsElem(bad)
+        with pytest.raises(TypeError):
+            QsElem(1, bad)
+        with pytest.raises(TypeError):
+            LaurentPoly({0: bad})
+        with pytest.raises(TypeError):
+            LaurentPoly({1: 1}).substitute_scale(bad)
+        with pytest.raises(TypeError):
+            LaurentPoly({1: 1}) * bad
+
+
 def test_rational_embedding_round_trip():
     z = QsElem(Fraction(-9, 4))
     assert z.is_rational
@@ -200,7 +216,8 @@ def test_canonical_form():
     assert Q * 2 - S == 1 and (Q * 2 - S).d == 1
     for part in (z.ra, z.sb, ONE.ra, ONE.sb, S.sb):
         assert type(part) is Fraction
-    assert QsElem("1/3", 0.5) == QsElem(Fraction(1, 3), Fraction(1, 2))
+    with pytest.raises(TypeError):
+        QsElem("1/3", 0.5)
 
 
 def test_division_by_zero_raises():
