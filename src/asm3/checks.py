@@ -189,33 +189,53 @@ def degeneracy_guards(max_m: int, max_n: int) -> Iterator[CheckResult]:
 # -- oracle -------------------------------------------------------------
 
 
+def _horner(coeffs, x: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def against_closed_forms(max_m: int, max_n: int) -> Iterator[CheckResult]:
+    # one sweep per n at x = 2^B; the weights 1, 3 and 2 are read from
+    # the unpacked polynomials
     for n in range(1, min(max_n, oracle.DP_LIMIT) + 1):
-        t1 = oracle.dp_refined_enum(n, 1)
+        bits = oracle.packing_bits(n)
+        polys = [
+            oracle.unpack(v, bits)
+            for v in oracle.dp_refined_enum(n, 1 << bits).counts
+        ]
+        t1, t3, t2 = (tuple(_horner(p, x) for p in polys) for x in (1, 3, 2))
         yield CheckResult(
             "dp_matches_refined",
             f"n={n} x=1",
-            t1.counts == counts.asm_table(n).counts,
+            t1 == counts.asm_table(n).counts,
         )
-        t3 = oracle.dp_refined_enum(n, 3)
         yield CheckResult(
             "dp_matches_refined3",
             f"n={n} x=3",
-            t3.counts == counts.asm3_table(n).counts,
+            t3 == counts.asm3_table(n).counts,
         )
-        t2 = oracle.dp_refined_enum(n, 2)
+        total2 = sum(t2)
         share_ok = all(
-            Fraction(t2.counts[r - 1], t2.total)
-            == counts.refined_asm2_ratio(n, r)
+            Fraction(t2[r - 1], total2) == counts.refined_asm2_ratio(n, r)
             for r in range(1, n + 1)
         )
         yield CheckResult("dp_matches_ratio2", f"n={n} x=2", share_ok)
 
 
 def cross(max_m: int, max_n: int) -> Iterator[CheckResult]:
+    # the packed integers at x = 2^B are equal exactly when the two
+    # polynomials are; only when they differ is each weight swept apart,
+    # so that a failure names its weight
     for n in range(1, min(max_n, oracle.MT_LIMIT) + 1):
+        packed = 1 << oracle.packing_bits(n)
+        same = (
+            oracle.dp_refined_enum(n, packed).counts
+            == oracle.mt_refined_enum(n, packed).counts
+        )
         for x in (1, 2, 3):
-            ok = (
+            ok = same or (
                 oracle.dp_refined_enum(n, x).counts
                 == oracle.mt_refined_enum(n, x).counts
             )

@@ -16,6 +16,7 @@ alpha, one integer step per value, seeded by b_coeff at alpha = 0..3.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -24,6 +25,7 @@ from typing import Iterable, List, NamedTuple, Sequence, Tuple, Union
 from .densepoly import DensePoly
 from .errors import NonExactDivision, OutOfRange
 from .hyper import hyp, series_coeffs
+from .qfield import _rational
 from .report import CheckResult
 
 Count = Union[int, Fraction]
@@ -335,7 +337,7 @@ def recurrence_check(max_m: int) -> List[CheckResult]:
 
 
 def concentration_scan(
-    n_values: Iterable[int], eps: Union[Fraction, int, str]
+    n_values: Iterable[int], eps: Union[Fraction, int]
 ) -> List[Tuple[int, Fraction]]:
     """Exact central mass of the refined 3-enumeration distribution.
 
@@ -345,12 +347,12 @@ def concentration_scan(
     and the mixing weights enter once, in one Fraction per n, so the
     astronomically large totals never materialize.
     """
-    eps = Fraction(eps)
+    eps = Fraction(_rational(eps))
     if not 0 < eps < Fraction(1, 2):
         raise OutOfRange("eps must satisfy 0 < eps < 1/2")
     p, q = eps.numerator, eps.denominator
     out = []
-    for n in sorted(set(int(v) for v in n_values)):
+    for n in sorted(set(operator.index(v) for v in n_values)):
         if n < 2:
             raise OutOfRange("scan needs n >= 2")
         if n % 2 == 0:

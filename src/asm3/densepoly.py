@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 from .laurent import LaurentPoly
-from .qfield import _RATIONAL_TYPES
+from .qfield import _RATIONAL_TYPES, _rational
 
 Scalar = Union[int, Fraction]
 
@@ -38,7 +38,7 @@ class DensePoly:
     __slots__ = ("_p",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        self._p = LaurentPoly({k: Fraction(v) for k, v in enumerate(coeffs)})
+        self._p = LaurentPoly({k: _rational(v) for k, v in enumerate(coeffs)})
 
     @property
     def coeffs(self):

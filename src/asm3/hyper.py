@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import List, Union
 
 from .errors import DegenerateParameters
-from .qfield import QsElem
+from .qfield import QsElem, _rational
 
 Rational = Union[int, Fraction]
 Argument = Union[int, Fraction, QsElem]
@@ -32,7 +32,7 @@ def gen_binomial(r: Rational, k: int) -> Fraction:
     """
     if k < 0:
         return Fraction(0)
-    r = Fraction(r)
+    r = Fraction(_rational(r))
     num = Fraction(1)
     for i in range(k):
         num *= r - i
@@ -44,7 +44,7 @@ def pochhammer(a: Rational, j: int) -> Fraction:
     """Rising factorial (a)_j = a (a+1) ... (a+j-1); empty product is 1."""
     if j < 0:
         raise ValueError("length of a rising factorial must be >= 0")
-    a = Fraction(a)
+    a = Fraction(_rational(a))
     out = Fraction(1)
     for i in range(j):
         out *= a + i

@@ -16,6 +16,14 @@ step down weights x to the power of the entries that disappear.  The
 refined index r is the single entry of the top row in this picture,
 and of the bottom row in the sweep, which is the same count by the
 upside-down flip.
+
+Every coefficient of A_n(r; x) is a nonnegative count, and together
+they sum to A_n(r; 1) <= A_n <= A_n(2) = 2^(n(n-1)/2), so each one is
+below 2^B with B = packing_bits(n).  One run at the integer weight
+x = 2^B therefore returns the whole polynomial packed into one integer,
+whose base-2^B digits are its coefficients (`unpack`).  `verify` reads
+the weights 1, 2 and 3 from this one sweep per size, and compares the
+two oracles' packed integers: equal integers are equal polynomials.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from typing import Tuple, Union
 
 from .counts import EnumTable
 from .errors import OutOfRange
+from .qfield import _rational
 
 DP_LIMIT = 16
 MT_LIMIT = 8
@@ -33,7 +42,7 @@ Weight = Union[int, Fraction]
 
 
 def _normalize_weight(x) -> Weight:
-    x = Fraction(x)
+    x = Fraction(_rational(x))
     if x.denominator == 1:
         return x.numerator
     return x
@@ -88,6 +97,25 @@ def dp_refined_enum(n: int, x) -> EnumTable:
         scale = q ** ((n - 1) * (n - 2) // 2)
         counts = tuple(Fraction(v, scale) for v in empty)
     return EnumTable(n, counts)
+
+
+def packing_bits(n: int) -> int:
+    """Slot width B: each coefficient of A_n(r; x) is at most 2^(B-1)."""
+    return n * (n - 1) // 2 + 1
+
+
+def unpack(v: int, bits: int) -> Tuple[int, ...]:
+    """Base-2^bits digits of v >= 0, lowest first and none past the top.
+
+    For v = P(2^bits) with P's coefficients in [0, 2^bits) these are
+    P's coefficients, constant term first.
+    """
+    mask = (1 << bits) - 1
+    digits = []
+    while v:
+        digits.append(v & mask)
+        v >>= bits
+    return tuple(digits)
 
 
 def _interlacing_extensions(row: Tuple[int, ...], n: int):

@@ -22,6 +22,14 @@ Rational = Union[int, Fraction]
 _RATIONAL_TYPES = (int, Fraction)
 
 
+def _rational(v) -> Rational:
+    # v itself when it is an int or a Fraction; anything else raises, a
+    # float included, which Fraction(v) would read as its exact binary value
+    if not isinstance(v, _RATIONAL_TYPES):
+        raise TypeError(f"expected an int or a Fraction, got {type(v).__name__}")
+    return v
+
+
 def _reduced(a: int, b: int, d: int) -> "QsElem":
     # internal fast path for (a + b*s)/d with integer a, b and d > 0
     g = gcd(a, b, d)

@@ -242,12 +242,45 @@ def test_table_and_scan_output_is_pinned(capsys, argv, n_lines, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_wide_oracle_output_is_pinned(capsys):
+    # n = 12..14 read their counts from slots 67 to 92 bits wide
+    argv = ["verify", "--suite", "oracle", "--max-m", "0", "--max-n", "14"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 67
+    digest = "e1ce1f5201cf2c649487786d07cf724a8f962a8b68e66ab93345a394b324bd84"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_output_is_deterministic(capsys):
     cli.main(["verify", "--suite", "tq-identities", "--max-m", "2"])
     first = capsys.readouterr().out
     cli.main(["verify", "--suite", "tq-identities", "--max-m", "2"])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_cross_failure_names_its_weight(monkeypatch):
+    # an MT oracle that is off by one at every weight but 1 spoils the
+    # packed comparison; each weight is then judged on its own sweep
+    real = oracle.mt_refined_enum
+
+    def off_by_one(n, x):
+        t = real(n, x)
+        if x == 1:
+            return t
+        return t._replace(counts=tuple(v + 1 for v in t.counts))
+
+    monkeypatch.setattr(oracle, "mt_refined_enum", off_by_one)
+    results = list(checks.cross(0, oracle.MT_LIMIT))
+    sizes = range(1, oracle.MT_LIMIT + 1)
+    assert [r.name for r in results] == ["oracles_agree"] * 3 * len(sizes)
+    assert [r.params for r in results if r.passed] == [
+        f"n={n} x=1" for n in sizes
+    ]
+    assert [r.params for r in results if not r.passed] == [
+        f"n={n} x={x}" for n in sizes for x in (2, 3)
+    ]
 
 
 @pytest.mark.parametrize(

@@ -233,6 +233,16 @@ def test_concentration_scan_sorts_and_dedupes():
     assert [n for n, _ in out] == [4, 6]
 
 
+def test_concentration_scan_refuses_floats():
+    for bad in (0.1, 0.25, "1/10"):
+        with pytest.raises(TypeError):
+            concentration_scan([4], bad)
+    # an order is an int too, never truncated from 4.7 to 4
+    for bad in (4.7, 4.0, "4"):
+        with pytest.raises(TypeError):
+            concentration_scan([bad], F(1, 4))
+
+
 def test_concentration_scan_guards():
     with pytest.raises(OutOfRange):
         concentration_scan([4], F(3, 5))

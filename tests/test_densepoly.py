@@ -90,3 +90,10 @@ def test_quadratic_field_coefficients_are_refused():
             op(p, Q)
         with pytest.raises(TypeError):
             op(Q, p)
+
+
+def test_float_coefficients_are_refused():
+    # Fraction(0.1) would read the float's exact binary value
+    for bad in (0.1, 1.0, "1/3"):
+        with pytest.raises(TypeError):
+            DensePoly((1, bad))

@@ -34,6 +34,18 @@ def test_pochhammer_values():
         pochhammer(1, -1)
 
 
+def test_gen_binomial_refuses_a_float_top():
+    for bad in (0.1, 2.0, "1/2"):
+        with pytest.raises(TypeError):
+            gen_binomial(bad, 1)
+
+
+def test_pochhammer_refuses_a_float_base():
+    for bad in (0.5, 3.0, "1/3"):
+        with pytest.raises(TypeError):
+            pochhammer(bad, 2)
+
+
 def test_termination_order_uses_most_negative_upper():
     # the order is 3, from -3, so the sum reaches j = 2, where the lower
     # (-1)_j vanishes with the upper (-1)_j; an order of 1, from -1, would

@@ -9,6 +9,7 @@ machinery, so it anchors both production oracles for tiny sizes.
 
 import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 
 import pytest
@@ -21,6 +22,8 @@ from asm3.oracle import (
     MT_LIMIT,
     dp_refined_enum,
     mt_refined_enum,
+    packing_bits,
+    unpack,
 )
 
 F = Fraction
@@ -44,14 +47,22 @@ def _is_alternating(seq):
     return all(a == -b for a, b in zip(nz, nz[1:]))
 
 
-def literal_refined_enum(n, x):
-    """Definition-level enumeration; exponential, n <= 4 in practice."""
-    weights = [x ** 0 - x ** 0] * n  # list of zeros of the right type
+@lru_cache(maxsize=None)
+def _literal_asms(n):
+    """(r - 1, number of -1 entries) of every n x n ASM, by definition."""
+    # the column test, tabulated once over all 3^n sign vectors
+    columns = {v for v in product((-1, 0, 1), repeat=n) if _is_alternating(v)}
+    found = []
     for mat in product(_alternating_rows(n), repeat=n):
-        if not all(_is_alternating(col) for col in zip(*mat)):
-            continue
-        r = mat[0].index(1)
-        minus = sum(row.count(-1) for row in mat)
+        if all(col in columns for col in zip(*mat)):
+            found.append((mat[0].index(1), sum(row.count(-1) for row in mat)))
+    return tuple(found)
+
+
+def literal_refined_enum(n, x):
+    """Definition-level enumeration; exponential, n <= 5 in practice."""
+    weights = [x ** 0 - x ** 0] * n  # list of zeros of the right type
+    for r, minus in _literal_asms(n):
         weights[r] = weights[r] + x ** minus
     return tuple(weights)
 
@@ -146,6 +157,46 @@ def test_weight_zero_counts_permutation_like_matrices():
     t = dp_refined_enum(4, 0)
     assert t.total == 24
     assert t.counts == (6, 6, 6, 6)
+
+
+def _packed_polys(n, bits):
+    return [unpack(v, bits) for v in dp_refined_enum(n, 1 << bits).counts]
+
+
+def test_packed_sweep_carries_every_weight():
+    # one sweep at x = 2^B: its base-2^B digits are the coefficients of
+    # A_n(r; x), so evaluating them anywhere gives the definition's counts
+    for n in range(1, 6):
+        polys = _packed_polys(n, packing_bits(n))
+        for x in (1, 2, 3, F(5, 7)):
+            got = tuple(sum(c * x ** k for k, c in enumerate(p)) for p in polys)
+            assert got == literal_refined_enum(n, x)
+
+
+def test_packed_slots_are_wide_enough():
+    # the top degree is the most -1 entries an n x n ASM holds; every
+    # coefficient is at most 2^(B-1), and slots twice as wide read the
+    # same digits, so no coefficient spilled into the next slot
+    for n in range(1, 13):
+        bits = packing_bits(n)
+        polys = _packed_polys(n, bits)
+        assert max(len(p) for p in polys) - 1 == (n - 1) ** 2 // 4
+        assert all(c <= 1 << (bits - 1) for p in polys for c in p)
+        assert polys == _packed_polys(n, 2 * bits)
+
+
+def test_unpack_digits():
+    assert unpack(0, 3) == ()
+    assert unpack(5 + 7 * 8 + 1 * 64, 3) == (5, 7, 1)
+    assert unpack(1 << 6, 3) == (0, 0, 1)
+
+
+def test_float_weights_are_refused():
+    for bad in (0.5, 1.0, "1/2"):
+        with pytest.raises(TypeError):
+            dp_refined_enum(3, bad)
+        with pytest.raises(TypeError):
+            mt_refined_enum(3, bad)
 
 
 def test_size_limits():
