@@ -43,8 +43,9 @@ MAX_N_VALUES = 1000
 
 # wall-time caps on `verify --suite all`, measured on a 2-CPU VM (Python
 # 3.11.7) with the other limit at its default: max-m 48 took 47 s (50 took
-# 49-62 s); max-n 170 took 52, 54, 55.9 and 62.4 s, so it does not stay
-# under a minute on every run (180 took 64 s); both caps at once took
+# 49-62 s), and 30.9 s in a later run with the transform checks running
+# through max-m; max-n 170 took 52, 54, 55.9 and 62.4 s, so it does not
+# stay under a minute on every run (180 took 64 s); both caps at once took
 # 105.1 s at 43 MB peak RSS.  The VM's speed swings from run to run
 MAX_VERIFY_M = 48
 MAX_VERIFY_N = 170

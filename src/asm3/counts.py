@@ -54,7 +54,7 @@ class BCoeffs(NamedTuple):
 
 def _int_exact(fr: Fraction) -> int:
     if fr.denominator != 1:
-        raise ArithmeticError(f"expected an integer, got {fr}")
+        raise NonExactDivision(f"expected an integer, got {fr}")
     return fr.numerator
 
 
@@ -121,10 +121,8 @@ def b_coeff(m: int, alpha: int) -> Fraction:
             * comb(m + ell + 1, m + 1)
             * 2 ** (alpha - 2 * ell)
         )
-    return Fraction(
-        total * factorial(2 * m + 1) * factorial(m),
-        3 ** m * factorial(3 * m + 2),
-    )
+    num, den = _b_scale(m)
+    return Fraction(total * num, den)
 
 
 def b_coeff_4f3(m: int, alpha: int) -> Fraction:

@@ -1,8 +1,8 @@
 """Sparse Laurent polynomials in one variable x over Q(s).
 
-Coefficients live in Q(s) and are given as int, Fraction or QsElem;
-anything else raises TypeError, and rationals embed with a zero s-part.
-The representation is a dict from integer exponents to nonzero
+Exponents are ints and coefficients live in Q(s), given as int, Fraction
+or QsElem; anything else raises TypeError, and rationals embed with a
+zero s-part.  The representation is a dict from integer exponents to nonzero
 coefficients, which suits the thin supports that show up here
 (arithmetic progressions of step 6 between -3m-2 and 3m+2).  Instances
 are immutable: every operation returns a fresh polynomial.
@@ -16,6 +16,7 @@ True
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Mapping, Tuple, Union
 
@@ -41,11 +42,12 @@ class LaurentPoly:
         c = {}
         if coeffs:
             for k, v in coeffs.items():
+                k = operator.index(k)  # a float or str exponent raises
                 q = _lift(v)
                 if q is None:
                     raise TypeError(f"coefficient of type {type(v).__name__}")
                 if q:
-                    c[int(k)] = q
+                    c[k] = q
         self._c = c
 
     @classmethod

@@ -108,8 +108,11 @@ def unpack(v: int, bits: int) -> Tuple[int, ...]:
     """Base-2^bits digits of v >= 0, lowest first and none past the top.
 
     For v = P(2^bits) with P's coefficients in [0, 2^bits) these are
-    P's coefficients, constant term first.
+    P's coefficients, constant term first.  A negative v or a width
+    below 1 raises OutOfRange, since the digit loop would never end.
     """
+    if v < 0 or bits < 1:
+        raise OutOfRange("unpack needs v >= 0 and bits >= 1")
     mask = (1 << bits) - 1
     digits = []
     while v:

@@ -27,10 +27,10 @@ from math import factorial
 from typing import NamedTuple
 
 from .densepoly import DensePoly
-from .errors import PoleAtSample
+from .errors import OutOfRange, PoleAtSample
 from .hyper import gen_binomial, pochhammer, series_coeffs
 from .laurent import LaurentPoly
-from .qfield import OMEGA, OMEGA_BAR, Q, QBAR, S, QsElem
+from .qfield import OMEGA, OMEGA_BAR, Q, QBAR, S, QsElem, _rational
 from .report import CheckResult
 
 THIRD = Fraction(1, 3)
@@ -39,6 +39,12 @@ THIRD = Fraction(1, 3)
 # sum below is written in
 _SMALL = LaurentPoly({-1: Q, 1: -QBAR})
 _BIG = LaurentPoly({1: Q, -1: -QBAR})
+
+# x^3 - x^-3, x^3 + x^-3 and x^3 + 2 + x^-3: the cleared trigonometric
+# factors of the differential equations and the contiguous relations
+_ODD3 = LaurentPoly({3: 1, -3: -1})
+_EVEN3 = LaurentPoly({3: 1, -3: 1})
+_EVEN3_SHIFT = LaurentPoly({3: 1, 0: 2, -3: 1})
 
 
 @lru_cache(maxsize=None)
@@ -70,7 +76,7 @@ def c_norm(m: int) -> Fraction:
 def f_poly(m: int) -> LaurentPoly:
     """Odd solution with support in +-(3m+1-6k), k = 0..m."""
     if m < 0:
-        raise ValueError("family index must be >= 0")
+        raise OutOfRange("family index must be >= 0")
     coeffs: dict = {}
     for k in range(m + 1):
         c = gen_binomial(m + THIRD, k) * gen_binomial(m - THIRD, m - k)
@@ -84,7 +90,7 @@ def f_poly(m: int) -> LaurentPoly:
 def g_poly(m: int) -> LaurentPoly:
     """Adjacent odd solution with support in +-(3m+2-6k), k = 0..m."""
     if m < 0:
-        raise ValueError("family index must be >= 0")
+        raise OutOfRange("family index must be >= 0")
     two_thirds = Fraction(2, 3)
     coeffs: dict = {}
     for k in range(m + 1):
@@ -123,7 +129,7 @@ def phi(m: int, k: int) -> LaurentPoly:
     phi(1, -1).
     """
     if m < 0:
-        raise ValueError("order must be >= 0")
+        raise OutOfRange("order must be >= 0")
     total = LaurentPoly()
     for j, c in enumerate(series_coeffs((-m, k + 1), (-m - k,), m)):
         total = total + _kernel_pows(m - j)[0] * _kernel_pows(j)[1] * c
@@ -219,7 +225,7 @@ def e_poly(m: int) -> DensePoly:
     rather than evaluated.
     """
     if m < 0:
-        raise ValueError("index must be >= 0")
+        raise OutOfRange("index must be >= 0")
     quad = DensePoly((0, 2, 1))  # t(t+2), the denominator of the argument
     lin = DensePoly((1, 2))
     quad_pow = [DensePoly((1,))]
@@ -248,6 +254,12 @@ def e_poly(m: int) -> DensePoly:
 # -- checks -------------------------------------------------------------
 
 
+def _euler_residue_vanishes(p: LaurentPoly, mid: LaurentPoly, const) -> bool:
+    """True when (x^3 - x^-3)(D^2 p + const p) - mid D p = 0, D = x d/dx."""
+    d1 = p.euler_d()
+    return (_ODD3 * (d1.euler_d() + p * const) - mid * d1).is_zero
+
+
 def ode_check_f(m: int) -> bool:
     """Second-order differential equation for f_m, in Euler-operator form.
 
@@ -257,13 +269,9 @@ def ode_check_f(m: int) -> bool:
         (x^3 - x^-3) D^2 f - 6m (x^3 + x^-3) D f
             + (3m+1)(3m-1)(x^3 - x^-3) f = 0.
     """
-    f = f_poly(m)
-    d1 = f.euler_d()
-    d2 = d1.euler_d()
-    odd3 = LaurentPoly({3: 1, -3: -1})
-    even3 = LaurentPoly({3: 1, -3: 1})
-    lhs = odd3 * d2 - even3 * d1 * (6 * m) + odd3 * f * ((3 * m + 1) * (3 * m - 1))
-    return lhs.is_zero
+    return _euler_residue_vanishes(
+        f_poly(m), _EVEN3 * (6 * m), (3 * m + 1) * (3 * m - 1)
+    )
 
 
 def ode_check_h(m: int) -> bool:
@@ -272,46 +280,36 @@ def ode_check_h(m: int) -> bool:
         (x^3 - x^-3) D^2 h - 3 [(2m+1)(x^3 + x^-3) - 2] D h
             + (3m+1)(3m+2)(x^3 - x^-3) h = 0.
     """
-    h = h_poly(m)
-    d1 = h.euler_d()
-    d2 = d1.euler_d()
-    odd3 = LaurentPoly({3: 1, -3: -1})
-    mid = LaurentPoly({3: 2 * m + 1, 0: -2, -3: 2 * m + 1})
-    lhs = odd3 * d2 - mid * d1 * 3 + odd3 * h * ((3 * m + 1) * (3 * m + 2))
-    return lhs.is_zero
+    mid = (_EVEN3 * (2 * m + 1) - 2) * 3
+    return _euler_residue_vanishes(h_poly(m), mid, (3 * m + 1) * (3 * m + 2))
 
 
-def _one_sided_series(upper, lower, base_exp: int, step: int, n_terms: int):
-    """sum_j r_j x^(base_exp + step*j) with r_j the series coefficients."""
-    coeffs = series_coeffs(upper, lower, n_terms)
-    return LaurentPoly({base_exp + step * j: c for j, c in enumerate(coeffs)})
+def _odd_series(upper, lower, top: int, m: int) -> LaurentPoly:
+    """s(x) - s(1/x) for s = sum_j r_j x^(top - 6j), r_j the series coefficients."""
+    coeffs = series_coeffs(upper, lower, m)
+    s = LaurentPoly({top - 6 * j: c for j, c in enumerate(coeffs)})
+    return s - s.invert_x()
 
 
 def fg_2f1_check(m: int) -> bool:
     """Compare f_poly and g_poly with their one-sided series forms.
 
-    Each family equals a prefactor times the difference of two series in
-    x^6 and x^-6 hung on boundary exponents; the prefactors reduce to
-    Pochhammer ratios (1/3)_m / m! and (4/3)_m / m!.
+    Each family equals a prefactor times s(x) - s(1/x), for a series s
+    in x^-6 hung on the top exponent (with the sign flipped for f); the
+    prefactors reduce to Pochhammer ratios (1/3)_m / m! and (4/3)_m / m!.
     """
     four_thirds = Fraction(4, 3)
     pf = pochhammer(four_thirds, m) / factorial(m)
-    up_f = (Fraction(-m), -m + THIRD)
-    low_f = (four_thirds,)
-    f_ref = (
-        _one_sided_series(up_f, low_f, -3 * m + 1, 6, m)
-        - _one_sided_series(up_f, low_f, 3 * m - 1, -6, m)
-    ) * pf
-
+    f_ref = _odd_series((Fraction(-m), -m + THIRD), (four_thirds,), 3 * m - 1, m)
     pg = pochhammer(THIRD, m) / factorial(m)
-    up_g = (Fraction(-m), -m - 2 * THIRD)
-    low_g = (THIRD,)
-    g_ref = (
-        _one_sided_series(up_g, low_g, 3 * m + 2, -6, m)
-        - _one_sided_series(up_g, low_g, -3 * m - 2, 6, m)
-    ) * pg
+    g_ref = _odd_series((Fraction(-m), -m - 2 * THIRD), (THIRD,), 3 * m + 2, m)
+    return f_ref * -pf == f_poly(m) and g_ref * pg == g_poly(m)
 
-    return f_ref == f_poly(m) and g_ref == g_poly(m)
+
+def _pair(m: int, a, x_m: LaurentPoly, b, x_next: LaurentPoly) -> LaurentPoly:
+    """a X_m (3m+2)/(2(3m+1)) - b X_{m+1} (3m+3)/(2(3m+1)), the contiguous pair."""
+    half = Fraction(1, 2 * (3 * m + 1))
+    return a * x_m * ((3 * m + 2) * half) - b * x_next * ((3 * m + 3) * half)
 
 
 def gauss_relation_checks(m: int) -> list:
@@ -323,28 +321,14 @@ def gauss_relation_checks(m: int) -> list:
     would consume a negative index are skipped at m = 0.
     """
     if m < 0:
-        raise ValueError("index must be >= 0")
+        raise OutOfRange("index must be >= 0")
     out = []
     tag = f"m={m}"
-    even3 = LaurentPoly({3: 1, -3: 1})
-    even3_shift = LaurentPoly({3: 1, 0: 2, -3: 1})
-    half = Fraction(1, 2 * (3 * m + 1))
-
-    rhs = even3 * f_poly(m) * ((3 * m + 2) * half) - f_poly(m + 1) * (
-        3 * (m + 1) * half
-    )
+    rhs = _pair(m, _EVEN3, f_poly(m), 1, f_poly(m + 1))
     out.append(CheckResult("g_from_f_pair", tag, g_poly(m) == rhs))
-
-    rhs = (
-        even3_shift * f_poly(m) * ((3 * m + 2) * half)
-        - f_poly(m + 1) * ((3 * m + 3) * half)
-    ) * c_norm(m)
+    rhs = _pair(m, _EVEN3_SHIFT, f_poly(m), 1, f_poly(m + 1)) * c_norm(m)
     out.append(CheckResult("h_from_f_pair", tag, h_poly(m) == rhs))
-
-    ker2 = _odd_kernel_pow(2)
-    rhs = even3 * q_poly(m) * ((3 * m + 2) * half) - ker2 * q_poly(m + 1) * (
-        3 * (m + 1) * half
-    )
+    rhs = _pair(m, _EVEN3, q_poly(m), _odd_kernel_pow(2), q_poly(m + 1))
     out.append(CheckResult("p_from_q_pair", tag, p_poly(m) == rhs))
 
     out.append(CheckResult("v_from_q_pair", tag, v_poly(m) == v_poly_q(m)))
@@ -376,15 +360,15 @@ def transform_checks(m: int, sample_xs) -> list:
     (b) With t = (q/x - x/q)/(q x - 1/(q x)), the refined-count
         generating polynomial of order n = m + 1 is proportional to
         q_poly(m)/(q x - 1/(q x))^(n-1); the constant is fixed at the
-        first sample and must persist at the rest.
+        first sample and must hold at every sample.
     """
     from .counts import h1_poly  # deferred: counts builds on e_poly
 
+    xs = [_rational(x0) for x0 in sample_xs]
     out = []
     e = e_poly(m)
     v = v_poly(m)
-    for x0 in sample_xs:
-        x0 = Fraction(x0)
+    for x0 in xs:
         if not x0:
             raise PoleAtSample("sample x = 0")
         xq = QsElem(x0)
@@ -404,8 +388,7 @@ def transform_checks(m: int, sample_xs) -> list:
     hp = h1_poly(n)
     qp = q_poly(m)
     const = None
-    for x0 in sample_xs:
-        x0 = Fraction(x0)
+    for x0 in xs:
         xq = QsElem(x0)
         big = Q * xq - QBAR * xq.inverse()
         if not big:
@@ -417,20 +400,9 @@ def transform_checks(m: int, sample_xs) -> list:
             if not rhs:
                 raise PoleAtSample(f"first solution vanishes at x = {x0}")
             const = lhs / rhs
-            out.append(
-                CheckResult(
-                    "gen_fn_vs_first_solution",
-                    f"n={n} x={x0}",
-                    True,
-                    "sets the constant",
-                )
+        out.append(
+            CheckResult(
+                "gen_fn_vs_first_solution", f"n={n} x={x0}", lhs == rhs * const
             )
-        else:
-            out.append(
-                CheckResult(
-                    "gen_fn_vs_first_solution",
-                    f"n={n} x={x0}",
-                    lhs == rhs * const,
-                )
-            )
+        )
     return out

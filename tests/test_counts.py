@@ -77,6 +77,12 @@ def test_refined3_values_are_integers_by_construction():
             assert isinstance(refined_asm3(n, r), int)
 
 
+def test_int_exact_remainder_is_a_non_exact_division():
+    with pytest.raises(NonExactDivision):
+        counts._int_exact(F(1, 2))
+    assert counts._int_exact(F(6, 3)) == 2
+
+
 def test_b_coeff_small_tables():
     assert b_table(0).values == (F(1),)
     assert b_table(1).values == (F(1, 5), F(3, 5), F(1, 5))

@@ -27,6 +27,15 @@ def test_constructor_drops_zero_coefficients():
     assert p.coeff(1) == 1
 
 
+def test_constructor_refuses_non_integer_exponents():
+    # int(k) used to read 1.5 as 1 and "2" as 2
+    for bad in (1.5, "2", Fraction(2)):
+        with pytest.raises(TypeError):
+            LaurentPoly({bad: 1})
+        with pytest.raises(TypeError):
+            LaurentPoly({bad: 0})
+
+
 def test_zero_polynomial_has_no_support():
     z = LaurentPoly()
     assert z.is_zero

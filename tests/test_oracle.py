@@ -185,10 +185,20 @@ def test_packed_slots_are_wide_enough():
         assert polys == _packed_polys(n, 2 * bits)
 
 
+class _NoDigits(int):
+    # a packed value whose digit loop fails at once instead of never ending
+    def __and__(self, other):
+        raise AssertionError("unpack entered its digit loop")
+
+
 def test_unpack_digits():
     assert unpack(0, 3) == ()
     assert unpack(5 + 7 * 8 + 1 * 64, 3) == (5, 7, 1)
     assert unpack(1 << 6, 3) == (0, 0, 1)
+    # v < 0 never shrinks under >>, and bits < 1 leaves v as it is
+    for v, bits in ((-1, 3), (-(1 << 70), 3), (5, 0), (5, -1)):
+        with pytest.raises(OutOfRange):
+            unpack(_NoDigits(v), bits)
 
 
 def test_float_weights_are_refused():

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from asm3 import tq
-from asm3.errors import DegenerateParameters, PoleAtSample
+from asm3 import counts, tq
+from asm3.errors import DegenerateParameters, OutOfRange, PoleAtSample
 from asm3.laurent import LaurentPoly
 from asm3.report import all_passed, failures
 from asm3.tq import (
@@ -210,12 +210,49 @@ def test_transform_rejects_zero_sample():
         transform_checks(1, (F(0),))
 
 
+def test_transform_refuses_float_and_str_samples():
+    # Fraction(0.1) would run the check at the float's binary value
+    for bad in (0.1, "5/7"):
+        with pytest.raises(TypeError):
+            transform_checks(1, (bad, 3))
+
+
+@pytest.mark.parametrize(
+    "family, checks",
+    [
+        ("f_poly", (ode_check_f, fg_2f1_check)),
+        ("g_poly", (fg_2f1_check,)),
+        ("h_poly", (ode_check_h,)),
+    ],
+)
+def test_identity_checks_fail_on_one_extra_term(monkeypatch, family, checks):
+    # a constant term solves none of the differential equations and is
+    # absent from both series forms
+    built = getattr(tq, family)
+    monkeypatch.setattr(tq, family, lambda m: built(m) + 1)
+    for m in range(4):
+        assert not any(check(m) for check in checks)
+
+
+def test_first_transform_sample_is_checked_like_the_rest(monkeypatch):
+    # the first sample fixes the constant, so a perturbed generating
+    # polynomial passes there and fails at every later sample
+    exact = counts.h1_poly
+    monkeypatch.setattr(counts, "h1_poly", lambda n: exact(n) + 1)
+    for m in (1, 2, 3):
+        res = transform_checks(m, SAMPLES)[len(SAMPLES) :]
+        assert {r.name for r in res} == {"gen_fn_vs_first_solution"}
+        assert [r.passed for r in res] == [True, False, False]
+
+
 def test_negative_index_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfRange):
         f_poly(-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfRange):
+        g_poly(-1)
+    with pytest.raises(OutOfRange):
         e_poly(-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfRange):
         phi(-1, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfRange):
         gauss_relation_checks(-1)
