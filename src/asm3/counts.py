@@ -20,7 +20,7 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Iterable, List, NamedTuple, Sequence, Tuple, Union
+from typing import Iterable, List, NamedTuple, Tuple, Union
 
 from .densepoly import DensePoly
 from .errors import NonExactDivision, OutOfRange
@@ -43,13 +43,6 @@ class EnumTable(NamedTuple):
 
     def is_symmetric(self) -> bool:
         return self.counts == self.counts[::-1]
-
-
-class BCoeffs(NamedTuple):
-    """Normalized refined-3-enumeration coefficients b(m, 0..2m)."""
-
-    m: int
-    values: Tuple[Fraction, ...]
 
 
 def _int_exact(fr: Fraction) -> int:
@@ -101,7 +94,9 @@ def total_asm3(n: int) -> int:
     return _int_exact(val * total_asm3(n - 1))
 
 
-@lru_cache(maxsize=None)
+# a table reuses b(m, .) only within the rows n = 2m + 2 and 2m + 3, at most
+# 2m + 5 alphas: 256 entries keep every hit of the largest x = 3 table (m <= 77)
+@lru_cache(maxsize=256)
 def b_coeff(m: int, alpha: int) -> Fraction:
     """Single-sum form of the refined-3-enumeration coefficient.
 
@@ -209,14 +204,14 @@ def _t_row(m: int) -> List[int]:
 
 
 @lru_cache(maxsize=None)
-def b_table(m: int) -> BCoeffs:
-    """b(m, 0..2m) from the recurrence row T(m, .) times the m-only factor.
+def b_table(m: int) -> Tuple[Fraction, ...]:
+    """b(m, 0..2m) as a tuple: the recurrence row T(m, .) times an m-only factor.
 
     b_coeff stays the independent direct-sum route; the verify suite
     compares this table with the 4F3 and polynomial routes.
     """
     scale = Fraction(*_b_scale(m))
-    return BCoeffs(m, tuple(scale * t for t in _t_row(m)))
+    return tuple(scale * t for t in _t_row(m))
 
 
 def refined_asm3(n: int, r: int) -> int:

@@ -1,8 +1,9 @@
 """Dense polynomials in one variable t with exact rational coefficients.
 
 A DensePoly is a dense, rational view of one LaurentPoly with exponents
-0..degree.  Its ring operations are LaurentPoly's; reading a coefficient
-builds a Fraction, and evaluation is its own Horner rule.
+0..degree.  Its ring operations, +, - and *, are LaurentPoly's; reading
+a coefficient builds a Fraction, evaluation is its own Horner rule, and
+like a LaurentPoly it is unhashable.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Union
 
+from .errors import OutOfRange
 from .laurent import LaurentPoly
 from .qfield import _RATIONAL_TYPES, _rational
 
@@ -48,10 +50,6 @@ class DensePoly:
     def degree(self) -> int:
         return -1 if self._p.is_zero else self._p.max_exp
 
-    @property
-    def is_zero(self) -> bool:
-        return self._p.is_zero
-
     def coeff(self, k: int) -> Fraction:
         return self._p.coeff(k).ra
 
@@ -65,12 +63,6 @@ class DensePoly:
         other = _operand(other)
         return NotImplemented if other is None else _wrap(self._p - other)
 
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __neg__(self):
-        return _wrap(-self._p)
-
     def __mul__(self, other):
         other = _operand(other)
         return NotImplemented if other is None else _wrap(self._p * other)
@@ -80,8 +72,6 @@ class DensePoly:
     def __eq__(self, other):
         other = _operand(other)
         return NotImplemented if other is None else self._p == other
-
-    __hash__ = None
 
     def eval_at(self, v):
         """Horner evaluation; v may be a Fraction or live in Q(s)."""
@@ -97,12 +87,8 @@ class DensePoly:
         if deg is None:
             deg = self.degree
         if deg < self.degree:
-            raise ValueError("reversal degree below actual degree")
+            raise OutOfRange("reversal degree below actual degree")
         return DensePoly(self.coeff(deg - i) for i in range(deg + 1))
-
-    def is_palindromic(self) -> bool:
-        c = self.coeffs
-        return c == c[::-1]
 
     def __repr__(self):
         return f"DensePoly({list(self.coeffs)!r})"

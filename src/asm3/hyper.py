@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Union
 
-from .errors import DegenerateParameters
+from .errors import DegenerateParameters, OutOfRange
 from .qfield import QsElem, _rational
 
 Rational = Union[int, Fraction]
@@ -43,7 +43,7 @@ def gen_binomial(r: Rational, k: int) -> Fraction:
 def pochhammer(a: Rational, j: int) -> Fraction:
     """Rising factorial (a)_j = a (a+1) ... (a+j-1); empty product is 1."""
     if j < 0:
-        raise ValueError("length of a rising factorial must be >= 0")
+        raise OutOfRange("length of a rising factorial must be >= 0")
     a = Fraction(_rational(a))
     out = Fraction(1)
     for i in range(j):

@@ -5,7 +5,8 @@ or QsElem; anything else raises TypeError, and rationals embed with a
 zero s-part.  The representation is a dict from integer exponents to nonzero
 coefficients, which suits the thin supports that show up here
 (arithmetic progressions of step 6 between -3m-2 and 3m+2).  Instances
-are immutable: every operation returns a fresh polynomial.
+are immutable, every operation returns a fresh polynomial, and they are
+unhashable, like the QsElem coefficients they hold.
 
 >>> p = LaurentPoly({1: 1, -1: -1})
 >>> p * p == LaurentPoly({2: 1, 0: -2, -2: 1})
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from typing import Mapping, Tuple, Union
+from typing import Mapping, Union
 
 from .errors import NonExactDivision, PoleAtSample
 from .qfield import ZERO, QsElem, _lift
@@ -68,15 +69,6 @@ class LaurentPoly:
         return not self._c
 
     @property
-    def is_rational(self) -> bool:
-        """True when every coefficient has zero s-part."""
-        return all(v.is_rational for v in self._c.values())
-
-    @property
-    def support(self) -> Tuple[int, ...]:
-        return tuple(sorted(self._c))
-
-    @property
     def min_exp(self) -> int:
         if not self._c:
             raise ValueError("zero polynomial has no support")
@@ -108,9 +100,6 @@ class LaurentPoly:
         other = _operand(other)
         return NotImplemented if other is None else self + -other
 
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
     def __neg__(self):
         return LaurentPoly._clean({k: -v for k, v in self._c.items()})
 
@@ -136,8 +125,6 @@ class LaurentPoly:
     def __eq__(self, other):
         other = _operand(other)
         return NotImplemented if other is None else self._c == other._c
-
-    __hash__ = None  # mutable-looking container; not meant for dict keys
 
     # -- the operations the identity checks are built from --------------
 

@@ -7,7 +7,8 @@ needs.  An element is stored as one reduced integer triple (a, b, d)
 meaning (a + b*s)/d, with d > 0 and gcd(a, b, d) = 1, so equal values
 have equal triples.  Every ring operation is integer arithmetic plus one
 three-way gcd; a Fraction is built only when a caller reads a rational
-part.  There is no floating point anywhere.
+part.  There is no floating point anywhere.  Elements compare equal to
+ints and Fractions of the same value, and are unhashable.
 """
 
 from __future__ import annotations
@@ -84,10 +85,6 @@ class QsElem:
     def sb(self) -> Fraction:
         return Fraction(self.b, self.d)
 
-    @property
-    def is_rational(self) -> bool:
-        return not self.b
-
     def conjugate(self) -> "QsElem":
         return _reduced(self.a, -self.b, self.d)
 
@@ -121,10 +118,6 @@ class QsElem:
             return _reduced(self.a - other.a, self.b - other.b, d)
         return _reduced(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
 
-    def __rsub__(self, other):
-        other = _lift(other)
-        return NotImplemented if other is None else other - self
-
     def __neg__(self):
         return _reduced(-self.a, -self.b, self.d)
 
@@ -141,10 +134,6 @@ class QsElem:
         other = _lift(other)
         return NotImplemented if other is None else self * other.inverse()
 
-    def __rtruediv__(self, other):
-        other = _lift(other)
-        return NotImplemented if other is None else other / self
-
     def __pow__(self, n: int) -> "QsElem":
         if not isinstance(n, int):
             return NotImplemented
@@ -160,7 +149,7 @@ class QsElem:
             n >>= 1
         return result
 
-    # -- comparison and hashing ----------------------------------------
+    # -- comparison -----------------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, QsElem):
@@ -172,12 +161,6 @@ class QsElem:
                 and self.d == other.denominator
             )
         return NotImplemented
-
-    def __hash__(self):
-        # rational elements hash like their Fraction so mixed-key dicts work
-        if not self.b:
-            return hash(self.a) if self.d == 1 else hash(Fraction(self.a, self.d))
-        return hash((self.a, self.b, self.d))
 
     def __bool__(self):
         return bool(self.a or self.b)

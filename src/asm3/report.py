@@ -1,8 +1,8 @@
-"""Small result records returned by the bulk check operations."""
+"""The record every identity check returns."""
 
 from __future__ import annotations
 
-from typing import Iterable, List, NamedTuple
+from typing import NamedTuple
 
 
 class CheckResult(NamedTuple):
@@ -10,11 +10,3 @@ class CheckResult(NamedTuple):
     params: str
     passed: bool
     detail: str = ""
-
-
-def all_passed(results: Iterable[CheckResult]) -> bool:
-    return all(r.passed for r in results)
-
-
-def failures(results: Iterable[CheckResult]) -> List[CheckResult]:
-    return [r for r in results if not r.passed]

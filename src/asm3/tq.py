@@ -24,7 +24,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import NamedTuple
 
 from .densepoly import DensePoly
 from .errors import OutOfRange, PoleAtSample
@@ -134,20 +133,6 @@ def phi(m: int, k: int) -> LaurentPoly:
     for j, c in enumerate(series_coeffs((-m, k + 1), (-m - k,), m)):
         total = total + _kernel_pows(m - j)[0] * _kernel_pows(j)[1] * c
     return total * S ** (-m)
-
-
-class TqFamily(NamedTuple):
-    """The three solution families of one index, with the normalization."""
-
-    m: int
-    f: LaurentPoly
-    g: LaurentPoly
-    h: LaurentPoly
-    c: Fraction
-
-
-def tq_family(m: int) -> TqFamily:
-    return TqFamily(m, f_poly(m), g_poly(m), h_poly(m), c_norm(m))
 
 
 # -- symmetric quotients, each with its independent routes --------------

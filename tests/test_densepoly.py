@@ -5,6 +5,7 @@ import pytest
 
 from asm3 import densepoly, qfield
 from asm3.densepoly import DensePoly
+from asm3.errors import OutOfRange
 from asm3.qfield import Q, QsElem
 
 
@@ -14,7 +15,7 @@ def test_trailing_zeros_are_trimmed():
     assert p.degree == 1
     assert p == DensePoly((1, 2))
     z = DensePoly((0, 0))
-    assert z.is_zero and z.coeffs == () and z == DensePoly()
+    assert z.degree == -1 and z.coeffs == () and z == DensePoly()
 
 
 def test_coeff_outside_the_range_is_zero():
@@ -29,7 +30,7 @@ def test_reversed_poly():
     p = DensePoly((1, 2))
     assert p.reversed_poly() == DensePoly((2, 1))
     assert p.reversed_poly(3) == DensePoly((0, 0, 2, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfRange):
         DensePoly((1, 2, 3)).reversed_poly(1)
 
 
@@ -44,16 +45,9 @@ def test_eval_at_a_point_of_the_quadratic_field():
 
 def test_product_with_zero_polynomial():
     p = DensePoly((1, 2, 3))
-    assert (p * DensePoly()).is_zero
-    assert (DensePoly() * p).is_zero
-    assert (p * 0).is_zero
-
-
-def test_is_palindromic():
-    assert DensePoly((1, 3, 1)).is_palindromic()
-    assert DensePoly((2,)).is_palindromic()
-    assert DensePoly().is_palindromic()
-    assert not DensePoly((1, 2)).is_palindromic()
+    assert p * DensePoly() == DensePoly()
+    assert DensePoly() * p == DensePoly()
+    assert p * 0 == DensePoly()
 
 
 def test_ring_operations_build_no_fraction(monkeypatch):
@@ -61,14 +55,14 @@ def test_ring_operations_build_no_fraction(monkeypatch):
     # LaurentPoly; only reading a coefficient builds a Fraction
     p = DensePoly((Fraction(1, 2), -3, Fraction(2, 7)))
     r = DensePoly((5, Fraction(-1, 3)))
-    expected = [p + r, p - r, p * r, p * Fraction(3, 4) + 1, 2 - p, -p]
+    expected = [p + r, p - r, p * r, p * Fraction(3, 4) + 1]
 
     def no_fraction(*args, **kwargs):
         raise AssertionError("a Fraction was built in DensePoly arithmetic")
 
     monkeypatch.setattr(qfield, "Fraction", no_fraction)
     monkeypatch.setattr(densepoly, "Fraction", no_fraction)
-    got = [p + r, p - r, p * r, p * Fraction(3, 4) + 1, 2 - p, -p]
+    got = [p + r, p - r, p * r, p * Fraction(3, 4) + 1]
     assert all(a == b for a, b in zip(got, expected))
 
 

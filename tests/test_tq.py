@@ -5,7 +5,6 @@ import pytest
 from asm3 import counts, tq
 from asm3.errors import DegenerateParameters, OutOfRange, PoleAtSample
 from asm3.laurent import LaurentPoly
-from asm3.report import all_passed, failures
 from asm3.tq import (
     c_norm,
     e_poly,
@@ -22,7 +21,6 @@ from asm3.tq import (
     q_poly,
     q_poly_phi,
     tq_check,
-    tq_family,
     transform_checks,
     v_poly,
     v_poly_phi,
@@ -31,6 +29,17 @@ from asm3.tq import (
 
 F = Fraction
 SAMPLES = (F(2), F(3), F(5, 7))
+
+
+def _support(p):
+    # the exponents of the nonzero terms, ascending
+    if p.is_zero:
+        return ()
+    return tuple(k for k in range(p.min_exp, p.max_exp + 1) if p.coeff(k))
+
+
+def _is_rational(p):
+    return all(not p.coeff(k).sb for k in _support(p))
 
 
 def test_first_families_literal():
@@ -53,9 +62,9 @@ def test_normalization_constants():
 def test_family_supports_are_arithmetic():
     for m in range(6):
         f_exps = {3 * m + 1 - 6 * k for k in range(m + 1)}
-        assert f_poly(m).support == tuple(sorted(f_exps | {-e for e in f_exps}))
+        assert _support(f_poly(m)) == tuple(sorted(f_exps | {-e for e in f_exps}))
         g_exps = {3 * m + 2 - 6 * k for k in range(m + 1)}
-        assert g_poly(m).support == tuple(sorted(g_exps | {-e for e in g_exps}))
+        assert _support(g_poly(m)) == tuple(sorted(g_exps | {-e for e in g_exps}))
 
 
 def test_families_are_odd():
@@ -72,10 +81,9 @@ def test_shift_equation_on_monomials():
 
 def test_families_solve_shift_equation():
     for m in range(8):
-        fam = tq_family(m)
-        assert tq_check(fam.f)
-        assert tq_check(fam.g)
-        assert tq_check(fam.h)
+        assert tq_check(f_poly(m))
+        assert tq_check(g_poly(m))
+        assert tq_check(h_poly(m))
 
 
 def test_h_vanishes_at_one_and_f_does_not():
@@ -100,7 +108,7 @@ def test_quotients_are_symmetric_and_rational():
     for m in range(6):
         for p in (q_poly(m), p_poly(m), v_poly(m)):
             assert p.invert_x() == p
-            assert p.is_rational
+            assert _is_rational(p)
 
 
 def test_v_is_one_at_one():
@@ -119,10 +127,10 @@ def test_phi_structural_invariants():
         for k in range(4):
             val = phi(m, k)
             assert val.invert_x() == val
-            assert val.is_rational
+            assert _is_rational(val)
             if not val.is_zero:
                 assert val.max_exp <= m
-                assert all(e % 2 == m % 2 for e in val.support)
+                assert all(e % 2 == m % 2 for e in _support(val))
 
 
 def test_phi_degenerate_case_raises():
@@ -161,7 +169,7 @@ def test_e_poly_shape():
     for m in range(8):
         e = e_poly(m)
         assert e.degree == 2 * m
-        assert e.is_palindromic()
+        assert e.coeffs == e.coeffs[::-1]
         assert e.eval_at(F(1)) == 1
 
 
@@ -180,7 +188,7 @@ def test_relation_suite_passes():
     res = []
     for m in range(5):
         res.extend(gauss_relation_checks(m))
-    assert all_passed(res), failures(res)
+    assert not [r for r in res if not r.passed]
 
 
 def test_relation_suite_names_are_stable():
@@ -201,7 +209,7 @@ def test_relation_suite_names_are_stable():
 def test_transform_checks_pass_at_rational_samples():
     for m in range(5):
         res = transform_checks(m, SAMPLES)
-        assert all_passed(res), failures(res)
+        assert not [r for r in res if not r.passed]
         assert len(res) == 2 * len(SAMPLES)
 
 
