@@ -95,10 +95,10 @@ def b_family(max_m: int, max_n: int) -> Iterator[CheckResult]:
 
 
 def generating_polys(max_m: int, max_n: int) -> Iterator[CheckResult]:
-    # built per call, so a monkeypatched counts function is the one called
+    # built per call, so a monkeypatched tq or counts function is the one called
     families = (
-        ("h1", 1, counts.h1_poly, counts.total_asm, counts.refined_asm),
-        ("h3", 2, counts.h3_poly, counts.total_asm3, counts.refined_asm3),
+        ("h1", 1, tq.h1_poly, counts.total_asm, counts.refined_asm),
+        ("h3", 2, tq.h3_poly, counts.total_asm3, counts.refined_asm3),
     )
     for name, n_min, poly, total, refined in families:
         for n in range(n_min, max_n + 1):

@@ -3,10 +3,11 @@
 Implements the product formula for the total count, the binomial
 refinement by the position of the first row's 1, the closed forms for
 the 3-enumeration (each -1 weighted by 3), the normalized coefficient
-family b(m, .) behind the refined 3-enumeration, the generating
-polynomials of both refinements, the recursion checks that reproduce
-the closed forms, and an exact scan of the central mass of the refined
-distribution.  Everything is integer or Fraction arithmetic.
+family b(m, .) behind the refined 3-enumeration, the recursion checks
+that reproduce the closed forms, and an exact scan of the central mass
+of the refined distribution.  Everything is integer or Fraction
+arithmetic.  This route module imports only the shared modules, never
+oracle or tq, which verify compares it with.
 
 b(m, .) has two routes here.  b_coeff evaluates the paper's single sum
 at one alpha, O(m) big binomials per value.  b_table and the scan build
@@ -20,29 +21,12 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Iterable, List, NamedTuple, Tuple, Union
+from typing import Iterable, List, Tuple, Union
 
-from .densepoly import DensePoly
 from .errors import NonExactDivision, OutOfRange
-from .hyper import hyp, series_coeffs
+from .hyper import hyp
 from .qfield import _rational
-from .report import CheckResult
-
-Count = Union[int, Fraction]
-
-
-class EnumTable(NamedTuple):
-    """One refined enumeration: counts indexed by r = 1..n."""
-
-    n: int
-    counts: Tuple[Count, ...]
-
-    @property
-    def total(self) -> Count:
-        return sum(self.counts)
-
-    def is_symmetric(self) -> bool:
-        return self.counts == self.counts[::-1]
+from .report import CheckResult, EnumTable
 
 
 def _int_exact(fr: Fraction) -> int:
@@ -255,45 +239,6 @@ def asm3_table(n: int) -> EnumTable:
         return EnumTable(1, (total_asm3(1),))
     counts = tuple(refined_asm3(n, r) for r in range(1, n + 1))
     return EnumTable(n, counts)
-
-
-@lru_cache(maxsize=None)
-def h1_poly(n: int) -> DensePoly:
-    """Generating polynomial of the unweighted refinement.
-
-    Degree n-1 in t, coefficient r-1 equals refined_asm(n, r)/total_asm(n);
-    reciprocal and equal to 1 at t = 1.
-    """
-    if n < 1:
-        raise OutOfRange("n must be >= 1")
-    pref = Fraction(
-        factorial(2 * n - 1) * factorial(2 * n - 2),
-        factorial(3 * n - 2) * factorial(n - 1),
-    )
-    return DensePoly(
-        [pref * c for c in series_coeffs((1 - n, n), (2 - 2 * n,), n - 1)]
-    )
-
-
-def h3_poly(n: int) -> DensePoly:
-    """Generating polynomial of the 3-enumeration refinement.
-
-    Built by gluing a degree-2 prefactor onto the palindromic companion
-    polynomial of half order; reciprocal and equal to 1 at t = 1.
-    """
-    from .tq import e_poly  # the companion family lives with the solutions
-
-    if n < 2:
-        raise OutOfRange("n must be >= 2")
-    if n % 2 == 0:
-        m = (n - 2) // 2
-        glue = DensePoly((Fraction(1, 2), Fraction(1, 2)))
-    else:
-        m = (n - 3) // 2
-        glue = DensePoly(
-            (Fraction(2, 9), Fraction(5, 9), Fraction(2, 9))
-        )
-    return glue * e_poly(m)
 
 
 def recurrence_check(max_m: int) -> List[CheckResult]:

@@ -57,8 +57,6 @@ class DensePoly:
         other = _operand(other)
         return NotImplemented if other is None else _wrap(self._p + other)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         other = _operand(other)
         return NotImplemented if other is None else _wrap(self._p - other)
@@ -66,8 +64,6 @@ class DensePoly:
     def __mul__(self, other):
         other = _operand(other)
         return NotImplemented if other is None else _wrap(self._p * other)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         other = _operand(other)

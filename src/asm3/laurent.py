@@ -94,8 +94,6 @@ class LaurentPoly:
             c[k] = c.get(k, ZERO) + v
         return LaurentPoly._clean(c)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         other = _operand(other)
         return NotImplemented if other is None else self + -other

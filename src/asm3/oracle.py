@@ -24,6 +24,8 @@ x = 2^B therefore returns the whole polynomial packed into one integer,
 whose base-2^B digits are its coefficients (`unpack`).  `verify` reads
 the weights 1, 2 and 3 from this one sweep per size, and compares the
 two oracles' packed integers: equal integers are equal polynomials.
+Neither oracle imports counts or tq, the routes that verify checks
+them against.
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Tuple, Union
 
-from .counts import EnumTable
 from .errors import OutOfRange
 from .qfield import _rational
+from .report import EnumTable
 
 DP_LIMIT = 16
 MT_LIMIT = 8

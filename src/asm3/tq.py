@@ -8,15 +8,18 @@ whose odd Laurent solutions come in two adjacent families f_poly and
 g_poly with explicit generalized-binomial coefficients.  Dividing out
 forced root factors produces symmetric quotients q_poly, p_poly and
 v_poly; v_poly carries a palindromic even companion e_poly in the count
-variable t.  Each quotient has at least two independent construction
-routes (polynomial division versus a finite Gauss-type sum over the
-symmetric kernels q/x - x/q and q*x - 1/(q*x)), and the route
-comparisons plus the contiguous three-term relations are the artifact's
-working correctness argument, so none of them may be collapsed into a
-single code path.
+variable t, from which h3_poly, the generating polynomial of the refined
+3-enumeration, is glued; h1_poly is that of the unweighted refinement.
+Each quotient has at least two independent construction routes
+(polynomial division versus a finite Gauss-type sum over the symmetric
+kernels q/x - x/q and q*x - 1/(q*x)), and the route comparisons plus the
+contiguous three-term relations are the artifact's working correctness
+argument, so none of them may be collapsed into a single code path.
 
 All arithmetic is exact over Q or Q(s).  The family builders are
 memoized; polynomials are immutable so sharing cached instances is safe.
+This route module imports only the shared modules, never counts or
+oracle, which verify compares it with.
 """
 
 from __future__ import annotations
@@ -236,6 +239,41 @@ def e_poly(m: int) -> DensePoly:
     return (first * (2 * m + 1) - second * (3 * m)) * pref
 
 
+@lru_cache(maxsize=None)
+def h1_poly(n: int) -> DensePoly:
+    """Generating polynomial of the unweighted refinement.
+
+    Degree n-1 in t, coefficient r-1 equals refined_asm(n, r)/total_asm(n);
+    reciprocal and equal to 1 at t = 1.
+    """
+    if n < 1:
+        raise OutOfRange("n must be >= 1")
+    pref = Fraction(
+        factorial(2 * n - 1) * factorial(2 * n - 2),
+        factorial(3 * n - 2) * factorial(n - 1),
+    )
+    return DensePoly(
+        [pref * c for c in series_coeffs((1 - n, n), (2 - 2 * n,), n - 1)]
+    )
+
+
+def h3_poly(n: int) -> DensePoly:
+    """Generating polynomial of the 3-enumeration refinement.
+
+    Built by gluing a degree-2 prefactor onto the palindromic companion
+    polynomial of half order; reciprocal and equal to 1 at t = 1.
+    """
+    if n < 2:
+        raise OutOfRange("n must be >= 2")
+    if n % 2 == 0:
+        m = (n - 2) // 2
+        glue = DensePoly((Fraction(1, 2), Fraction(1, 2)))
+    else:
+        m = (n - 3) // 2
+        glue = DensePoly((Fraction(2, 9), Fraction(5, 9), Fraction(2, 9)))
+    return glue * e_poly(m)
+
+
 # -- checks -------------------------------------------------------------
 
 
@@ -347,22 +385,17 @@ def transform_checks(m: int, sample_xs) -> list:
         q_poly(m)/(q x - 1/(q x))^(n-1); the constant is fixed at the
         first sample and must hold at every sample.
     """
-    from .counts import h1_poly  # deferred: counts builds on e_poly
-
     xs = [_rational(x0) for x0 in sample_xs]
     out = []
     e = e_poly(m)
     v = v_poly(m)
+    # q is not real, so at a rational x != 0 none of q*x - 1, x - q and
+    # q*x - qbar/x vanishes: only x = 0 is a pole of the maps below
     for x0 in xs:
         if not x0:
             raise PoleAtSample("sample x = 0")
         xq = QsElem(x0)
-        den = Q * xq - 1
-        if not den:
-            raise PoleAtSample(f"q*x - 1 vanishes at x = {x0}")
-        t = -(xq - Q) / den
-        if not t:
-            raise PoleAtSample(f"count variable vanishes at x = {x0}")
+        t = -(xq - Q) / (Q * xq - 1)
         lhs = e.eval_at(t) * t ** (-m) * (xq - 1 + xq.inverse()) ** m
         rhs = v.eval_at(x0)
         out.append(
@@ -376,8 +409,6 @@ def transform_checks(m: int, sample_xs) -> list:
     for x0 in xs:
         xq = QsElem(x0)
         big = Q * xq - QBAR * xq.inverse()
-        if not big:
-            raise PoleAtSample(f"symmetric kernel vanishes at x = {x0}")
         t = (Q * xq.inverse() - QBAR * xq) / big
         lhs = hp.eval_at(t) * big ** (n - 1)
         rhs = qp.eval_at(x0)

@@ -10,8 +10,6 @@ from asm3.counts import (
     b_coeff_4f3,
     b_table,
     concentration_scan,
-    h1_poly,
-    h3_poly,
     recurrence_check,
     refined_asm,
     refined_asm2_ratio,
@@ -20,7 +18,7 @@ from asm3.counts import (
     total_asm3,
 )
 from asm3.errors import NonExactDivision, OutOfRange
-from asm3.tq import e_poly
+from asm3.tq import e_poly, h1_poly, h3_poly
 
 F = Fraction
 

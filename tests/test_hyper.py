@@ -169,7 +169,7 @@ def test_independent_routes_never_call_the_series_helper(monkeypatch):
         (hyper.hyp, ((-2, 1), (3,), 1)),
         (tq.phi, (2, 2)),
         (tq.e_poly, (2,)),
-        (counts.h1_poly, (3,)),
+        (tq.h1_poly, (3,)),
     ]:
         with pytest.raises(_HelperCalled):
             f(*args)

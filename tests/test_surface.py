@@ -1,8 +1,10 @@
-"""The package holds no code that its commands do not run.
+"""The package holds no code that its commands do not run, in layers.
 
 Every function and method under src/asm3 must be entered by one of a
 few small CLI runs, and every top-level import must be used.  A name that
-only a test calls belongs in that test.
+only a test calls belongs in that test.  Package imports sit at the top
+of each module, the route modules counts, oracle and tq import none of
+each other, and the import graph has no cycle.
 """
 
 import ast
@@ -127,3 +129,66 @@ def _unused_imports(path: Path):
 def test_no_unused_top_level_imports():
     unused = [u for path in sorted(SRC.glob("*.py")) for u in _unused_imports(path)]
     assert not unused
+
+
+# the three routes that verify compares; none may import another
+ROUTES = {"counts", "oracle", "tq"}
+
+
+def _package_imports(node):
+    # names of the asm3 modules imported anywhere under node
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Import):
+            for alias in sub.names:
+                parts = alias.name.split(".")
+                if parts[0] == "asm3" and len(parts) > 1:
+                    out.add(parts[1])
+        elif isinstance(sub, ast.ImportFrom):
+            if sub.level:
+                base = sub.module
+            elif sub.module and sub.module.split(".")[0] == "asm3":
+                base = sub.module.partition(".")[2]
+            else:
+                continue
+            if base:
+                out.add(base.split(".")[0])
+            else:  # from . import name: each name is a module
+                out.update(alias.name for alias in sub.names)
+    return out
+
+
+def _import_graph():
+    return {
+        path.stem: _package_imports(ast.parse(path.read_text())) - {path.stem}
+        for path in sorted(SRC.glob("*.py"))
+    }
+
+
+def test_no_package_import_inside_a_function():
+    # a deferred import of a sibling module hides a dependency from the
+    # module header; deferred stdlib imports (json, traceback) are fine
+    deferred = [
+        (path.name, node.name, sorted(_package_imports(node)))
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and _package_imports(node)
+    ]
+    assert not deferred
+
+
+def test_routes_import_no_route_and_the_graph_is_acyclic():
+    graph = _import_graph()
+    crossed = sorted((name, dep) for name in ROUTES for dep in graph[name] & ROUTES)
+    assert not crossed
+    # repeatedly drop the modules that import nothing left in the graph;
+    # whatever remains lies on or above a cycle
+    left = dict(graph)
+    while True:
+        leaves = {name for name, deps in left.items() if not deps & left.keys()}
+        if not leaves:
+            break
+        for name in leaves:
+            del left[name]
+    assert not left

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from asm3 import counts, tq
+from asm3 import tq
 from asm3.errors import DegenerateParameters, OutOfRange, PoleAtSample
 from asm3.laurent import LaurentPoly
 from asm3.tq import (
@@ -245,8 +245,8 @@ def test_identity_checks_fail_on_one_extra_term(monkeypatch, family, checks):
 def test_first_transform_sample_is_checked_like_the_rest(monkeypatch):
     # the first sample fixes the constant, so a perturbed generating
     # polynomial passes there and fails at every later sample
-    exact = counts.h1_poly
-    monkeypatch.setattr(counts, "h1_poly", lambda n: exact(n) + 1)
+    exact = tq.h1_poly
+    monkeypatch.setattr(tq, "h1_poly", lambda n: exact(n) + 1)
     for m in (1, 2, 3):
         res = transform_checks(m, SAMPLES)[len(SAMPLES) :]
         assert {r.name for r in res} == {"gen_fn_vs_first_solution"}
