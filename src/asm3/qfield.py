@@ -8,7 +8,9 @@ meaning (a + b*s)/d, with d > 0 and gcd(a, b, d) = 1, so equal values
 have equal triples.  Every ring operation is integer arithmetic plus one
 three-way gcd; a Fraction is built only when a caller reads a rational
 part.  There is no floating point anywhere.  Elements compare equal to
-ints and Fractions of the same value, and are unhashable.
+ints and Fractions of the same value, and are unhashable.  A LaurentPoly
+does not hold QsElem coefficients: it keeps integer pairs over one
+denominator and builds a QsElem only when a coefficient is read.
 """
 
 from __future__ import annotations

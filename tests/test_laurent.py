@@ -1,5 +1,6 @@
 import doctest
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,12 +8,23 @@ from hypothesis import given, strategies as st
 import asm3.laurent
 from asm3.errors import NonExactDivision, PoleAtSample
 from asm3.laurent import LaurentPoly
-from asm3.qfield import OMEGA, OMEGA_BAR, Q, QsElem, S
+from asm3.qfield import OMEGA, OMEGA_BAR, Q, QsElem, S, ZERO
 
 coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=6)
-polys = st.dictionaries(
-    st.integers(min_value=-5, max_value=5), coeffs, max_size=5
-).map(LaurentPoly)
+exps = st.integers(min_value=-5, max_value=5)
+polys = st.dictionaries(exps, coeffs, max_size=5).map(LaurentPoly)
+
+# coefficients with an s-part, kept as {k: QsElem} so that the reference
+# below can work on them without LaurentPoly arithmetic
+qs_coeffs = st.builds(QsElem, coeffs, coeffs)
+qs_dicts = st.dictionaries(exps, qs_coeffs, max_size=5)
+qs_points = st.builds(
+    QsElem,
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+).filter(bool)
+# divisor leads whose norm is not 1: 2, s, q = (1 + s)/2 and 3 + s
+leads = st.sampled_from([QsElem(2), S, Q, QsElem(3, 1)])
 
 
 def test_module_doctests():
@@ -153,3 +165,189 @@ def test_equality_against_scalars():
     assert LaurentPoly({0: 5}) == 5
     assert LaurentPoly() == 0
     assert LaurentPoly({1: 1}) != 1
+
+
+# -- a per-coefficient QsElem reference for the Q(s) kernel ------------------
+
+
+def _ref_clean(c):
+    return {k: v for k, v in c.items() if v}
+
+
+def _ref_add(x, y):
+    out = dict(x)
+    for k, v in y.items():
+        out[k] = out.get(k, ZERO) + v
+    return _ref_clean(out)
+
+
+def _ref_neg(x):
+    return {k: -v for k, v in x.items()}
+
+
+def _ref_mul(x, y):
+    out = {}
+    for k1, v1 in x.items():
+        for k2, v2 in y.items():
+            out[k1 + k2] = out.get(k1 + k2, ZERO) + v1 * v2
+    return _ref_clean(out)
+
+
+def _ref_divide(x, y):
+    # long division by the inverse of the divisor's lead; None for a
+    # remainder
+    if not x:
+        return {}
+    nlo, dlo, dhi = min(x), min(y), max(y)
+    num = [x.get(k, ZERO) for k in range(nlo, max(x) + 1)]
+    div = [y.get(k, ZERO) for k in range(dlo, dhi + 1)]
+    if len(num) < len(div):
+        return None
+    inv = div[-1].inverse()
+    quot = {}
+    for i in range(len(num) - len(div), -1, -1):
+        c = num[i + len(div) - 1] * inv
+        quot[nlo - dlo + i] = c
+        for j, d in enumerate(div):
+            num[i + j] = num[i + j] - c * d
+    return None if any(num) else _ref_clean(quot)
+
+
+def _same(p, ref):
+    # the kernel's polynomial p against a reference dict, read through coeff
+    keys = set(ref)
+    if not p.is_zero:
+        keys |= set(range(p.min_exp, p.max_exp + 1))
+    return all(p.coeff(k) == ref.get(k, ZERO) for k in keys)
+
+
+def _canonical(p):
+    d, pairs = p._d, list(p._c.values())
+    return (
+        type(d) is int
+        and d > 0
+        and all(type(a) is int and type(b) is int for a, b in pairs)
+        and (0, 0) not in pairs
+        and gcd(d, *(v for ab in pairs for v in ab)) == 1
+        and (bool(pairs) or d == 1)
+    )
+
+
+@given(qs_dicts, qs_dicts)
+def test_ring_operations_match_reference(x, y):
+    p, q = LaurentPoly(x), LaurentPoly(y)
+    cases = [
+        (p + q, _ref_add(x, y)),
+        (p - q, _ref_add(x, _ref_neg(y))),
+        (-p, _ref_neg(x)),
+        (p * q, _ref_mul(x, y)),
+        (p.euler_d(), _ref_clean({k: v * k for k, v in x.items()})),
+    ]
+    for got, want in cases:
+        assert _canonical(got)
+        assert _same(got, want)
+
+
+@given(qs_dicts, qs_coeffs)
+def test_scalar_operations_match_reference(x, c):
+    p = LaurentPoly(x)
+    for got, want in [
+        (p * c, _ref_clean({k: v * c for k, v in x.items()})),
+        (c * p, _ref_clean({k: v * c for k, v in x.items()})),
+        (p + c, _ref_add(x, {0: c})),
+        (p - c, _ref_add(x, {0: -c})),
+    ]:
+        assert _canonical(got)
+        assert _same(got, want)
+
+
+def _check_extra_term(prod, y):
+    # the dividend plus one extra term divides exactly or not as the
+    # reference says
+    extra = _ref_add(prod, {9: QsElem(1, 1)})
+    want = _ref_divide(extra, y)
+    if want is None:
+        with pytest.raises(NonExactDivision):
+            LaurentPoly(extra).divide_exact(LaurentPoly(y))
+    else:
+        assert _same(LaurentPoly(extra).divide_exact(LaurentPoly(y)), want)
+
+
+@given(qs_dicts, qs_dicts)
+def test_division_matches_reference(x, y):
+    y = _ref_clean(y)
+    if not y:
+        return
+    p, q = LaurentPoly(x), LaurentPoly(y)
+    prod = _ref_mul(x, y)
+    got = LaurentPoly(prod).divide_exact(q)
+    assert _canonical(got)
+    assert _same(got, _ref_divide(prod, y)) and got == p
+    _check_extra_term(prod, y)
+
+
+@given(qs_dicts, qs_dicts, leads)
+def test_division_by_a_lead_of_norm_not_one(x, y, lead):
+    # the lead L of the divisor (after the conjugate, when it has an
+    # s-part) is 2, 3, 4 or 12, so the dividend is prescaled by |L|^steps
+    y = _ref_clean(y)
+    y[6] = lead
+    p, q = LaurentPoly(x), LaurentPoly(y)
+    prod = _ref_mul(x, y)
+    got = LaurentPoly(prod).divide_exact(q)
+    assert _canonical(got)
+    assert _same(got, _ref_divide(prod, y)) and got == p
+    _check_extra_term(prod, y)
+
+
+def test_division_prescale_by_hand():
+    # divisors lead*x + low whose lead is 2, s, q and 3 + s
+    for lead, low in [(2, S), (S, 1), (Q, 3), (QsElem(3, 1), S)]:
+        den = LaurentPoly({1: lead, 0: low})
+        p = LaurentPoly({1: 1, 0: -S, -2: Fraction(1, 3)})
+        assert (p * den).divide_exact(den) == p
+        with pytest.raises(NonExactDivision):
+            (p * den + 1).divide_exact(den)
+
+
+@given(qs_dicts, qs_points)
+def test_substitute_and_eval_match_reference(x, w):
+    p = LaurentPoly(x)
+    scaled = p.substitute_scale(w)
+    assert _canonical(scaled)
+    assert _same(scaled, _ref_clean({k: v * w ** k for k, v in x.items()}))
+    value = sum((v * w ** k for k, v in x.items()), ZERO)
+    assert p.eval_at(w) == value
+
+
+@given(qs_dicts)
+def test_invert_x_and_constructor_are_canonical(x):
+    p = LaurentPoly(x)
+    assert _canonical(p) and _canonical(p.invert_x())
+    assert _same(p.invert_x(), {-k: v for k, v in x.items()})
+
+
+def test_canonical_form_cancels_common_content():
+    assert LaurentPoly({1: Fraction(2, 4)}) == LaurentPoly({1: Fraction(1, 2)})
+    half = LaurentPoly({1: QsElem(Fraction(1, 2), Fraction(1, 2))})
+    total = half + LaurentPoly({1: QsElem(Fraction(1, 2), Fraction(-1, 2))})
+    assert total == LaurentPoly({1: 1}) and total._d == 1
+    zero = half - half
+    assert zero.is_zero and zero._d == 1 and zero == LaurentPoly()
+    assert (LaurentPoly({2: Fraction(1, 4)}).euler_d())._d == 2
+    assert (LaurentPoly({3: 6}) * Fraction(1, 4)) == LaurentPoly({3: Fraction(3, 2)})
+
+
+def test_kernel_runs_without_qselem_arithmetic(monkeypatch):
+    p = LaurentPoly({2: QsElem(Fraction(1, 2), 3), 0: Q, -1: Fraction(-2, 3)})
+    q = LaurentPoly({1: QsElem(3, 1), -2: S})
+    expected = [p * q, p + q, p, p.euler_d()]
+
+    def boom(*args):
+        raise AssertionError("QsElem arithmetic inside the Laurent kernel")
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__"):
+        monkeypatch.setattr(QsElem, name, boom)
+    got = [p * q, p + q, (p * q).divide_exact(q), p.euler_d()]
+    monkeypatch.undo()
+    assert got == expected
