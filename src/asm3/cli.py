@@ -43,12 +43,13 @@ MAX_N_VALUES = 1000
 
 # wall-time caps on `verify --suite all`, measured on a 2-CPU VM (Python
 # 3.11.7) with the other limit at its default.  max-m is the largest
-# measured value under 45 s on every run: 56 took 37.2, 40.0 and 35.8 s,
-# against 21.0, 18.5 and 16.9 s for 48 and 55.0, 65.5 and 54.7 s for 64.
-# max-n 170 took 52, 54, 55.9 and 62.4 s, so it does not stay under a
-# minute on every run (180 took 64 s); both caps at once took 105.1 s at
-# 43 MB peak RSS, with max-m at 48.  The VM's speed swings from run to run
-MAX_VERIFY_M = 56
+# measured value under 45 s on every run: 64 took 32.8, 27.7 and 32.1 s at
+# 54 MB peak RSS, against 20.6, 20.2 and 17.5 s for 56 and 57.2, 39.1 and
+# 45.2 s for 72 (68 MB).  max-n 170 took 52, 54, 55.9 and 62.4 s, so it
+# does not stay under a minute on every run (180 took 64 s); both caps at
+# once took 50.6 s at 96 MB peak RSS in one run.  The VM's speed swings
+# from run to run
+MAX_VERIFY_M = 64
 MAX_VERIFY_N = 170
 
 # the largest table size at each closed-form weight: one size more holds a

@@ -198,6 +198,13 @@ def b_table(m: int) -> Tuple[Fraction, ...]:
     return tuple(scale * t for t in _t_row(m))
 
 
+def _mix(n: int) -> Tuple[int, Tuple[int, ...], int]:
+    """(m, weights, den): order n mixes b(m, r-1-i) with weights[i] / den."""
+    if n % 2 == 0:
+        return (n - 2) // 2, (1, 1), 2
+    return (n - 3) // 2, (2, 5, 2), 9
+
+
 def refined_asm3(n: int, r: int) -> int:
     """Refined 3-enumeration through the b-coefficient combination.
 
@@ -209,15 +216,9 @@ def refined_asm3(n: int, r: int) -> int:
         raise OutOfRange("n must be >= 2")
     if not 1 <= r <= n:
         raise OutOfRange(f"r must lie in 1..{n}")
-    if n % 2 == 0:
-        m = (n - 2) // 2
-        ratio = (b_coeff(m, r - 1) + b_coeff(m, r - 2)) / 2
-    else:
-        m = (n - 3) // 2
-        ratio = (
-            2 * b_coeff(m, r - 1) + 5 * b_coeff(m, r - 2) + 2 * b_coeff(m, r - 3)
-        ) / 9
-    return _int_exact(ratio * total_asm3(n))
+    m, weights, den = _mix(n)
+    mixed = sum(w * b_coeff(m, r - 1 - off) for off, w in enumerate(weights))
+    return _int_exact(mixed / den * total_asm3(n))
 
 
 def refined_asm2_ratio(n: int, r: int) -> Fraction:
@@ -293,12 +294,7 @@ def concentration_scan(
     for n in sorted(set(operator.index(v) for v in n_values)):
         if n < 2:
             raise OutOfRange("scan needs n >= 2")
-        if n % 2 == 0:
-            m = (n - 2) // 2
-            weights, weight_den = (1, 1), 2
-        else:
-            m = (n - 3) // 2
-            weights, weight_den = (2, 5, 2), 9
+        m, weights, weight_den = _mix(n)
         row = _t_row(m)
         total = 0
         for r in range(1, n + 1):

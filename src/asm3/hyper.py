@@ -5,12 +5,12 @@ hyp(upper, lower, z) evaluates sum_{j>=0} [prod_i (a_i)_j / prod_i
 integer, so the sum is finite.  The truncation order is taken from the
 most negative such parameter; this makes a clash between a vanishing
 upper and a vanishing lower Pochhammer visible instead of silently
-resolving the 0/0, and DegenerateParameters is raised for it.  Arguments
-may be rational or live in Q(s); results follow the argument.  Rational
-function arguments are never pushed through hyp: callers clear
-denominators into polynomial arithmetic first, multiplying the
-coefficients from series_coeffs, the one term-ratio loop, into their own
-polynomial powers.
+resolving the 0/0, and DegenerateParameters is raised for it.  The
+argument of hyp is an int or a Fraction, and anything else raises
+TypeError.  Arguments in Q(s) or rational functions are never pushed
+through hyp: callers clear denominators into polynomial arithmetic
+first, multiplying the coefficients from series_coeffs, the one
+term-ratio loop, into their own polynomial powers.
 """
 
 from __future__ import annotations
@@ -19,10 +19,9 @@ from fractions import Fraction
 from typing import List, Union
 
 from .errors import DegenerateParameters, OutOfRange
-from .qfield import QsElem, _rational
+from .qfield import _rational
 
 Rational = Union[int, Fraction]
-Argument = Union[int, Fraction, QsElem]
 
 
 def gen_binomial(r: Rational, k: int) -> Fraction:
@@ -79,21 +78,22 @@ def series_coeffs(upper, lower, n: int) -> List[Fraction]:
     return out
 
 
-def hyp(upper, lower, argument):
+def hyp(upper, lower, argument: Rational) -> Fraction:
     """Exact value of the terminating series with these parameters.
 
-    Parameters are ints or Fractions.  The sum runs through the order N
-    of the most negative nonpositive integer upper parameter -N, and
-    ValueError is raised when no upper parameter is one; degenerate
-    parameters raise as described in series_coeffs.  The result is a
-    Fraction for a rational argument and a QsElem for one in Q(s).
+    Parameters and the argument are ints or Fractions; an argument of
+    any other type, a QsElem included, raises TypeError.  The sum runs
+    through the order N of the most negative nonpositive integer upper
+    parameter -N, and ValueError is raised when no upper parameter is
+    one; degenerate parameters raise as described in series_coeffs.
     """
+    argument = _rational(argument)
     orders = [-a for a in upper if a.denominator == 1 and a <= 0]
     if not orders:
         raise ValueError("no nonpositive integer upper parameter")
     coeffs = series_coeffs(upper, lower, int(max(orders)))
-    total: Argument = coeffs[0]
-    power: Argument = Fraction(1)
+    total = coeffs[0]
+    power = Fraction(1)
     for c in coeffs[1:]:
         power = power * argument
         total = total + c * power

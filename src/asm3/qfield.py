@@ -109,8 +109,6 @@ class QsElem:
             return _reduced(self.a + other.a, self.b + other.b, d)
         return _reduced(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         other = other if isinstance(other, QsElem) else _lift(other)
         if other is None:

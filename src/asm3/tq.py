@@ -43,10 +43,17 @@ _SMALL = LaurentPoly({-1: Q, 1: -QBAR})
 _BIG = LaurentPoly({1: Q, -1: -QBAR})
 
 # x^3 - x^-3, x^3 + x^-3 and x^3 + 2 + x^-3: the cleared trigonometric
-# factors of the differential equations and the contiguous relations
+# factors of the differential equations and the contiguous relations; then
+# the root factors of the quotients and the coefficients of their routes
 _ODD3 = LaurentPoly({3: 1, -3: -1})
 _EVEN3 = LaurentPoly({3: 1, -3: 1})
 _EVEN3_SHIFT = LaurentPoly({3: 1, 0: 2, -3: 1})
+_ODD1 = LaurentPoly({1: 1, -1: -1})
+_EVEN1_SHIFT = LaurentPoly({1: 1, 0: 2, -1: 1})
+_EVEN1_MINUS1 = LaurentPoly({1: 1, 0: -1, -1: 1})
+_EVEN1_MINUS2 = LaurentPoly({1: 1, 0: -2, -1: 1})
+_EVEN1 = LaurentPoly({1: 1, -1: 1})
+_EVEN2_PLUS1 = LaurentPoly({2: 1, 0: 1, -2: 1})
 
 
 @lru_cache(maxsize=None)
@@ -54,16 +61,16 @@ def _odd_kernel_pow(n: int) -> LaurentPoly:
     """(x - 1/x) ** n."""
     if n == 0:
         return LaurentPoly.one()
-    return _odd_kernel_pow(n - 1) * LaurentPoly({1: 1, -1: -1})
+    return _odd_kernel_pow(n - 1) * _ODD1
 
 
 @lru_cache(maxsize=None)
-def _kernel_pows(n: int) -> tuple:
-    """(small ** n, big ** n) for the two symmetric kernels."""
-    if n == 0:
-        return LaurentPoly.one(), LaurentPoly.one()
-    small, big = _kernel_pows(n - 1)
-    return small * _SMALL, big * _BIG
+def _kernel_terms(m: int) -> tuple:
+    """small^(m-j) * big^j for j = 0..m, in m + 1 products from order m - 1."""
+    if m == 0:
+        return (LaurentPoly.one(),)
+    prev = _kernel_terms(m - 1)
+    return tuple(t * _SMALL for t in prev) + (prev[-1] * _BIG,)
 
 
 def c_norm(m: int) -> Fraction:
@@ -74,33 +81,33 @@ def c_norm(m: int) -> Fraction:
     )
 
 
+def _odd_family(m: int, r: int) -> LaurentPoly:
+    """Odd solution with support in +-(3m+r-6k), k = 0..m, for r = 1 or 2.
+
+    No two of the exponents +-e coincide, since each e is r mod 3.
+    """
+    if m < 0:
+        raise OutOfRange("family index must be >= 0")
+    third = Fraction(r, 3)
+    coeffs: dict = {}
+    for k in range(m + 1):
+        c = gen_binomial(m + third, k) * gen_binomial(m - third, m - k)
+        e = 3 * m + r - 6 * k
+        coeffs[e] = c
+        coeffs[-e] = -c
+    return LaurentPoly(coeffs)
+
+
 @lru_cache(maxsize=None)
 def f_poly(m: int) -> LaurentPoly:
     """Odd solution with support in +-(3m+1-6k), k = 0..m."""
-    if m < 0:
-        raise OutOfRange("family index must be >= 0")
-    coeffs: dict = {}
-    for k in range(m + 1):
-        c = gen_binomial(m + THIRD, k) * gen_binomial(m - THIRD, m - k)
-        e = 3 * m + 1 - 6 * k
-        coeffs[e] = coeffs.get(e, 0) + c
-        coeffs[-e] = coeffs.get(-e, 0) - c
-    return LaurentPoly(coeffs)
+    return _odd_family(m, 1)
 
 
 @lru_cache(maxsize=None)
 def g_poly(m: int) -> LaurentPoly:
     """Adjacent odd solution with support in +-(3m+2-6k), k = 0..m."""
-    if m < 0:
-        raise OutOfRange("family index must be >= 0")
-    two_thirds = Fraction(2, 3)
-    coeffs: dict = {}
-    for k in range(m + 1):
-        c = gen_binomial(m + two_thirds, k) * gen_binomial(m - two_thirds, m - k)
-        e = 3 * m + 2 - 6 * k
-        coeffs[e] = coeffs.get(e, 0) + c
-        coeffs[-e] = coeffs.get(-e, 0) - c
-    return LaurentPoly(coeffs)
+    return _odd_family(m, 2)
 
 
 @lru_cache(maxsize=None)
@@ -133,8 +140,9 @@ def phi(m: int, k: int) -> LaurentPoly:
     if m < 0:
         raise OutOfRange("order must be >= 0")
     total = LaurentPoly()
-    for j, c in enumerate(series_coeffs((-m, k + 1), (-m - k,), m)):
-        total = total + _kernel_pows(m - j)[0] * _kernel_pows(j)[1] * c
+    coeffs = series_coeffs((-m, k + 1), (-m - k,), m)
+    for term, c in zip(_kernel_terms(m), coeffs):
+        total = total + term * c
     return total * S ** (-m)
 
 
@@ -175,18 +183,15 @@ def v_poly(m: int) -> LaurentPoly:
 
     Normalized so that the value at x = 1 is 1.
     """
-    ker = _odd_kernel_pow(2 * m + 1) * LaurentPoly({1: 1, 0: 2, -1: 1})
+    ker = _odd_kernel_pow(2 * m + 1) * _EVEN1_SHIFT
     return h_poly(m).divide_exact(ker)
 
 
 def v_poly_q(m: int) -> LaurentPoly:
     """Route through the adjacent pair q_poly(m), q_poly(m+1)."""
-    w = LaurentPoly({1: 1, 0: -1, -1: 1})
-    neg = LaurentPoly({1: 1, 0: -2, -1: 1})
     lead = c_norm(m) * Fraction(3 * m + 2, 2 * (3 * m + 1))
-    inner = w * w * q_poly(m) - neg * q_poly(m + 1) * Fraction(
-        3 * m + 3, 3 * m + 2
-    )
+    inner = _EVEN1_MINUS1 * _EVEN1_MINUS1 * q_poly(m)
+    inner = inner - _EVEN1_MINUS2 * q_poly(m + 1) * Fraction(3 * m + 3, 3 * m + 2)
     return inner * lead
 
 
@@ -198,8 +203,7 @@ def v_poly_phi(m: int) -> LaurentPoly:
     )
     acc = phi(m, m + 1) * (2 * m + 1)
     if m >= 1:
-        w = LaurentPoly({1: 1, 0: -1, -1: 1})
-        acc = acc - w * phi(m - 1, m + 1) * m
+        acc = acc - _EVEN1_MINUS1 * phi(m - 1, m + 1) * m
     return acc * pref
 
 
@@ -360,17 +364,15 @@ def gauss_relation_checks(m: int) -> list:
         out.append(CheckResult("p_routes_agree", tag, p_poly(m) == p_poly_phi(m)))
     out.append(CheckResult("v_routes_agree", tag, v_poly(m) == v_poly_phi(m)))
 
-    u = LaurentPoly({1: 1, -1: 1})
-    sq = LaurentPoly({2: 1, 0: 1, -2: 1})
     for k in range(m + 1):
         ktag = f"m={m} k={k}"
         if m >= 1:
             coeff = Fraction(m * (m + 2 * k + 1), 3 * (m + k + 1) * (m + k))
-            rhs = u * phi(m, k) - sq * phi(m - 1, k) * coeff
+            rhs = _EVEN1 * phi(m, k) - _EVEN2_PLUS1 * phi(m - 1, k) * coeff
             out.append(CheckResult("phi_step_order", ktag, phi(m + 1, k) == rhs))
         rhs = phi(m, k) * Fraction(m + 2 * k + 2, 2 * (m + k + 1))
         if m >= 1:
-            rhs = rhs + u * phi(m - 1, k + 1) * Fraction(m, 2 * (m + k + 1))
+            rhs = rhs + _EVEN1 * phi(m - 1, k + 1) * Fraction(m, 2 * (m + k + 1))
         out.append(CheckResult("phi_step_shift", ktag, phi(m, k + 1) == rhs))
     return out
 

