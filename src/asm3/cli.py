@@ -42,13 +42,11 @@ MAX_DIGITS = MAX_HEIGHT.bit_length() - 1
 MAX_N_VALUES = 1000
 
 # wall-time caps on `verify --suite all`, measured on a 2-CPU VM (Python
-# 3.11.7) with the other limit at its default.  max-m is the largest
-# measured value under 45 s on every run: 64 took 32.8, 27.7 and 32.1 s at
-# 54 MB peak RSS, against 20.6, 20.2 and 17.5 s for 56 and 57.2, 39.1 and
-# 45.2 s for 72 (68 MB).  max-n 170 took 52, 54, 55.9 and 62.4 s, so it
-# does not stay under a minute on every run (180 took 64 s); both caps at
-# once took 50.6 s at 96 MB peak RSS in one run.  The VM's speed swings
-# from run to run
+# 3.11.7) with the other limit at its default.  max-m 64 took 9.1, 10.0
+# and 9.6 s at 41 MB peak RSS, and max-n 170 took 14.9, 15.2 and 16.6 s
+# at 60 MB; both caps at once took 25.8 s at 85 MB in one run.  The VM's
+# speed swings up to fourfold from day to day: on a slow day max-n 170
+# took 52 to 65 s against a one-minute aim, so neither cap was raised
 MAX_VERIFY_M = 64
 MAX_VERIFY_N = 170
 

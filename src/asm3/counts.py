@@ -20,7 +20,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Iterable, List, Tuple, Union
 
 from .errors import NonExactDivision, OutOfRange
@@ -29,10 +29,12 @@ from .qfield import _rational
 from .report import CheckResult, EnumTable
 
 
-def _int_exact(fr: Fraction) -> int:
-    if fr.denominator != 1:
-        raise NonExactDivision(f"expected an integer, got {fr}")
-    return fr.numerator
+def _int_exact(num, den: int = 1) -> int:
+    # num / den as an int, for an int or Fraction num; a remainder raises
+    q, rem = divmod(num, den)
+    if rem:
+        raise NonExactDivision(f"expected an integer, got {Fraction(num, den)}")
+    return q
 
 
 @lru_cache(maxsize=None)
@@ -40,6 +42,8 @@ def total_asm(n: int) -> int:
     """Product formula prod_k (3k-2)!/(2n-k)! for the unweighted count."""
     if n < 1:
         raise OutOfRange("n must be >= 1")
+    # reduced step by step: one exact division of the two full products
+    # took three times as long over n = 1..170
     val = Fraction(1)
     for k in range(1, n + 1):
         val *= Fraction(factorial(3 * k - 2), factorial(2 * n - k))
@@ -52,11 +56,10 @@ def refined_asm(n: int, r: int) -> int:
         raise OutOfRange("n must be >= 1")
     if not 1 <= r <= n:
         raise OutOfRange(f"r must lie in 1..{n}")
-    ratio = Fraction(
-        comb(n + r - 2, n - 1) * comb(2 * n - 1 - r, n - 1),
+    return _int_exact(
+        comb(n + r - 2, n - 1) * comb(2 * n - 1 - r, n - 1) * total_asm(n),
         comb(3 * n - 2, n - 1),
     )
-    return _int_exact(ratio * total_asm(n))
 
 
 @lru_cache(maxsize=None)
@@ -71,11 +74,10 @@ def total_asm3(n: int) -> int:
             val *= Fraction(factorial(3 * k - 1), factorial(m + k)) ** 2
         return _int_exact(val)
     m = (n - 2) // 2
-    val = Fraction(
-        3 ** m * factorial(3 * m + 2) * factorial(m),
+    return _int_exact(
+        3 ** m * factorial(3 * m + 2) * factorial(m) * total_asm3(n - 1),
         factorial(2 * m + 1) ** 2,
     )
-    return _int_exact(val * total_asm3(n - 1))
 
 
 # a table reuses b(m, .) only within the rows n = 2m + 2 and 2m + 3, at most
@@ -116,10 +118,8 @@ def b_coeff_4f3(m: int, alpha: int) -> Fraction:
         raise OutOfRange(f"alpha must lie in 0..{2 * m}")
     if alpha > m:
         alpha = 2 * m - alpha
-    pref = Fraction(
-        2 ** alpha * comb(3 * m + 3, alpha) * comb(2 * m + 1 - alpha, m + 1),
-        3 ** m * comb(3 * m + 2, m + 1),
-    )
+    pref_num = 2 ** alpha * comb(3 * m + 3, alpha) * comb(2 * m + 1 - alpha, m + 1)
+    pref_den = 3 ** m * comb(3 * m + 2, m + 1)
     # the two sums differ only in the second upper parameter, -alpha/2 and
     # -alpha/2 + 1
     upper = [
@@ -138,7 +138,7 @@ def b_coeff_4f3(m: int, alpha: int) -> Fraction:
     if alpha:
         upper[1] += 1
         bracket -= Fraction(alpha, m + 1) * hyp(upper, lower, z)
-    return pref * bracket
+    return Fraction(pref_num * bracket.numerator, pref_den * bracket.denominator)
 
 
 def _b_scale(m: int) -> Tuple[int, int]:
@@ -168,10 +168,8 @@ def _t_row(m: int) -> List[int]:
     remainder in any step raises NonExactDivision.
     """
     num, den = _b_scale(m)
-    row = [
-        _int_exact(b_coeff(m, a) * den / num)
-        for a in range(min(4, 2 * m + 1))
-    ]
+    seeds = (b_coeff(m, a) for a in range(min(4, 2 * m + 1)))
+    row = [_int_exact(b.numerator * den, b.denominator * num) for b in seeds]
     for a in range(2 * m - 3):
         t0, t1, t2, t3 = row[a:]
         rest = (
@@ -217,8 +215,12 @@ def refined_asm3(n: int, r: int) -> int:
     if not 1 <= r <= n:
         raise OutOfRange(f"r must lie in 1..{n}")
     m, weights, den = _mix(n)
-    mixed = sum(w * b_coeff(m, r - 1 - off) for off, w in enumerate(weights))
-    return _int_exact(mixed / den * total_asm3(n))
+    bs = [b_coeff(m, r - 1 - off) for off in range(len(weights))]
+    common = lcm(*(b.denominator for b in bs))
+    mixed = sum(
+        w * b.numerator * (common // b.denominator) for w, b in zip(weights, bs)
+    )
+    return _int_exact(mixed * total_asm3(n), common * den)
 
 
 def refined_asm2_ratio(n: int, r: int) -> Fraction:

@@ -5,23 +5,36 @@ hyp(upper, lower, z) evaluates sum_{j>=0} [prod_i (a_i)_j / prod_i
 integer, so the sum is finite.  The truncation order is taken from the
 most negative such parameter; this makes a clash between a vanishing
 upper and a vanishing lower Pochhammer visible instead of silently
-resolving the 0/0, and DegenerateParameters is raised for it.  The
-argument of hyp is an int or a Fraction, and anything else raises
-TypeError.  Arguments in Q(s) or rational functions are never pushed
-through hyp: callers clear denominators into polynomial arithmetic
-first, multiplying the coefficients from series_coeffs, the one
-term-ratio loop, into their own polynomial powers.
+resolving the 0/0, and DegenerateParameters is raised for it.  Every
+parameter and the argument is an int or a Fraction, and anything else,
+a float included, raises TypeError.  Arguments in Q(s) or rational
+functions are never pushed through hyp: callers clear denominators into
+polynomial arithmetic first, multiplying the coefficients from
+series_coeffs, the one term-ratio loop, into their own polynomial powers.
+
+The term loops run on integers: each parameter p/q is read once as its
+integer pair, the running term of series_coeffs is an integer numerator
+and denominator reduced once per coefficient, gen_binomial and
+pochhammer are integer products with one Fraction at the end, and hyp
+sums its terms over one common denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial, lcm, prod
 from typing import List, Union
 
 from .errors import DegenerateParameters, OutOfRange
 from .qfield import _rational
 
 Rational = Union[int, Fraction]
+
+
+def _ratio(v) -> tuple:
+    # (p, q) with v = p/q, q > 0, for an int or a Fraction; anything else
+    # raises TypeError, since a float's as_integer_ratio is its binary value
+    return _rational(v).as_integer_ratio()
 
 
 def gen_binomial(r: Rational, k: int) -> Fraction:
@@ -31,23 +44,22 @@ def gen_binomial(r: Rational, k: int) -> Fraction:
     """
     if k < 0:
         return Fraction(0)
-    r = Fraction(_rational(r))
-    num = Fraction(1)
+    p, q = _ratio(r)
+    num = 1
     for i in range(k):
-        num *= r - i
-        num /= i + 1
-    return num
+        num *= p - i * q
+    return Fraction(num, q ** k * factorial(k))
 
 
 def pochhammer(a: Rational, j: int) -> Fraction:
     """Rising factorial (a)_j = a (a+1) ... (a+j-1); empty product is 1."""
     if j < 0:
         raise OutOfRange("length of a rising factorial must be >= 0")
-    a = Fraction(_rational(a))
-    out = Fraction(1)
+    p, q = _ratio(a)
+    num = 1
     for i in range(j):
-        out *= a + i
-    return out
+        num *= p + i * q
+    return Fraction(num, q ** j)
 
 
 def series_coeffs(upper, lower, n: int) -> List[Fraction]:
@@ -60,41 +72,52 @@ def series_coeffs(upper, lower, n: int) -> List[Fraction]:
     strictly earlier step raises DegenerateParameters; a simultaneous
     first vanishing of numerator and denominator is treated the same way.
     """
+    # with a = p/q, the factor a+j-1 is (p + (j-1)q)/q: the integer
+    # factors go into the step and the q's into one constant per side
+    ups = [_ratio(a) for a in upper]
+    lows = [_ratio(c) for c in lower]
+    up_q = prod(q for _, q in ups)
+    low_q = prod(q for _, q in lows)
     out = [Fraction(1)] if n >= 0 else []
-    for j in range(1, n + 1):
-        den = j
-        for c in lower:
-            den *= c + j - 1
-        if not den:
+    num = den = 1
+    for i in range(n):  # i = j - 1
+        step_den = i + 1
+        for p, q in lows:
+            step_den *= p + i * q
+        if not step_den:
             raise DegenerateParameters(
-                f"lower Pochhammer factor vanishes at term {j}"
+                f"lower Pochhammer factor vanishes at term {i + 1}"
             )
-        num = 1
-        for a in upper:
-            num *= a + j - 1
-        if not num:
+        step_num = 1
+        for p, q in ups:
+            step_num *= p + i * q
+        if not step_num:
             break
-        out.append(out[-1] * num / den)
+        c = Fraction(num * step_num * low_q, den * step_den * up_q)
+        out.append(c)
+        num, den = c.numerator, c.denominator
     return out
 
 
 def hyp(upper, lower, argument: Rational) -> Fraction:
     """Exact value of the terminating series with these parameters.
 
-    Parameters and the argument are ints or Fractions; an argument of
-    any other type, a QsElem included, raises TypeError.  The sum runs
+    Parameters and the argument are ints or Fractions; one of any other
+    type, a float or a QsElem included, raises TypeError.  The sum runs
     through the order N of the most negative nonpositive integer upper
     parameter -N, and ValueError is raised when no upper parameter is
     one; degenerate parameters raise as described in series_coeffs.
     """
-    argument = _rational(argument)
-    orders = [-a for a in upper if a.denominator == 1 and a <= 0]
+    u, v = _ratio(argument)
+    orders = [-a for a in map(_rational, upper) if a.denominator == 1 and a <= 0]
     if not orders:
         raise ValueError("no nonpositive integer upper parameter")
     coeffs = series_coeffs(upper, lower, int(max(orders)))
-    total = coeffs[0]
-    power = Fraction(1)
-    for c in coeffs[1:]:
-        power = power * argument
-        total = total + c * power
-    return total
+    # sum_j c_j (u/v)^j = sum_j c_j den u^j v^(n-j) / (den v^n), by Horner in u
+    den = lcm(*(c.denominator for c in coeffs))
+    total = 0
+    v_pow = 1
+    for c in reversed(coeffs):
+        total = total * u + c.numerator * (den // c.denominator) * v_pow
+        v_pow *= v
+    return Fraction(total, den * v ** (len(coeffs) - 1))

@@ -12,6 +12,8 @@ supports that show up here (arithmetic progressions of step 6 between
 content gcd per result; a QsElem is built only where a coefficient or a
 value is read (`coeff`, `eval_at`, `repr`).  Instances are immutable,
 every operation returns a fresh polynomial, and they are unhashable.
+`lincomb` folds a whole sum of rational multiples of polynomials in one
+integer pass, over one denominator and with one content gcd.
 
 >>> p = LaurentPoly({1: 1, -1: -1})
 >>> p * p == LaurentPoly({2: 1, 0: -2, -2: 1})
@@ -29,7 +31,7 @@ from math import gcd, lcm
 from typing import Mapping, Union
 
 from .errors import NonExactDivision, PoleAtSample
-from .qfield import ZERO, QsElem, _lift, _reduced
+from .qfield import ZERO, QsElem, _lift, _rational, _reduced
 
 Scalar = Union[int, Fraction, QsElem]
 
@@ -64,6 +66,33 @@ def _pair_pow(a: int, b: int, n: int) -> tuple:
         a, b = a * a - 3 * b * b, 2 * a * b
         n >>= 1
     return ra, rb
+
+
+def lincomb(polys, coeffs) -> "LaurentPoly":
+    """Sum of c * p over zip(polys, coeffs), for rational coefficients c.
+
+    Every term c * p is put over the lcm of the terms' denominators and
+    their integer pairs are added up, so the sum takes one content gcd
+    instead of one per term.  A coefficient that is not an int or a
+    Fraction raises TypeError.
+    """
+    terms = []
+    for p, c in zip(polys, coeffs):
+        n, e = _rational(c).as_integer_ratio()
+        if n and p._c:
+            terms.append((p._c, n, e * p._d))
+    d = lcm(*(e for _, _, e in terms))
+    acc: dict = {}
+    for c, n, e in terms:
+        f = n * (d // e)
+        for k, (a, b) in c.items():
+            pair = acc.get(k)
+            if pair is None:
+                acc[k] = [a * f, b * f]
+            else:
+                pair[0] += a * f
+                pair[1] += b * f
+    return _poly({k: (a, b) for k, (a, b) in acc.items() if a or b}, d)
 
 
 def _operand(v) -> "LaurentPoly | None":

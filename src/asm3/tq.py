@@ -31,7 +31,7 @@ from math import factorial
 from .densepoly import DensePoly
 from .errors import OutOfRange, PoleAtSample
 from .hyper import gen_binomial, pochhammer, series_coeffs
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, lincomb
 from .qfield import OMEGA, OMEGA_BAR, Q, QBAR, S, QsElem, _rational
 from .report import CheckResult
 
@@ -64,7 +64,10 @@ def _odd_kernel_pow(n: int) -> LaurentPoly:
     return _odd_kernel_pow(n - 1) * _ODD1
 
 
-@lru_cache(maxsize=None)
+# gauss_relation_checks(m) reads the orders m - 1, m and m + 1 and builds
+# m + 1 from m; four slots keep each of them while the next is built, so
+# an ascending run never rebuilds an order from 0
+@lru_cache(maxsize=4)
 def _kernel_terms(m: int) -> tuple:
     """small^(m-j) * big^j for j = 0..m, in m + 1 products from order m - 1."""
     if m == 0:
@@ -139,11 +142,8 @@ def phi(m: int, k: int) -> LaurentPoly:
     """
     if m < 0:
         raise OutOfRange("order must be >= 0")
-    total = LaurentPoly()
     coeffs = series_coeffs((-m, k + 1), (-m - k,), m)
-    for term, c in zip(_kernel_terms(m), coeffs):
-        total = total + term * c
-    return total * S ** (-m)
+    return lincomb(_kernel_terms(m), coeffs) * S ** (-m)
 
 
 # -- symmetric quotients, each with its independent routes --------------

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from asm3 import counts, hyper, tq
 from asm3.errors import DegenerateParameters, OutOfRange
@@ -102,6 +102,122 @@ def test_argument_must_be_rational():
     for z in (Q, 0.5, "1/2"):
         with pytest.raises(TypeError):
             hyp((-2, 1), (1,), z)
+
+
+def test_series_and_hyp_refuse_float_parameters():
+    # a float's as_integer_ratio is its binary value, so a float parameter
+    # raises instead of being read as one
+    for bad in (0.5, 2.0, "1/2"):
+        with pytest.raises(TypeError):
+            series_coeffs((-2, bad), (3,), 2)
+        with pytest.raises(TypeError):
+            series_coeffs((-2, 1), (bad,), 2)
+        with pytest.raises(TypeError):
+            hyp((-2, bad), (3,), 1)
+        with pytest.raises(TypeError):
+            hyp((-2, 1), (bad,), 1)
+    with pytest.raises(TypeError):
+        hyp((-2.0, 1), (3,), 1)
+
+
+# -- plain Fraction reference loops for the integer term loops -----------
+
+
+def _ref_gen_binomial(r, k):
+    out = Fraction(1) if k >= 0 else Fraction(0)
+    for i in range(k):
+        out = out * (Fraction(r) - i) / (i + 1)
+    return out
+
+
+def _ref_pochhammer(a, j):
+    out = Fraction(1)
+    for i in range(j):
+        out *= Fraction(a) + i
+    return out
+
+
+def _ref_series(upper, lower, n):
+    out = [Fraction(1)] if n >= 0 else []
+    for j in range(1, n + 1):
+        den = Fraction(j)
+        for c in lower:
+            den *= Fraction(c) + j - 1
+        if not den:
+            raise DegenerateParameters("reference")
+        num = Fraction(1)
+        for a in upper:
+            num *= Fraction(a) + j - 1
+        if not num:
+            break
+        out.append(out[-1] * num / den)
+    return out
+
+
+def _ref_hyp(upper, lower, z):
+    order = max(-a for a in upper if Fraction(a).denominator == 1 and a <= 0)
+    return sum(
+        c * Fraction(z) ** j
+        for j, c in enumerate(_ref_series(upper, lower, int(order)))
+    )
+
+
+def _outcome(f, *args):
+    # the value, or DegenerateParameters when f raises it
+    try:
+        return f(*args)
+    except DegenerateParameters:
+        return DegenerateParameters
+
+
+rationals = st.one_of(
+    st.integers(min_value=-6, max_value=6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=6),
+)
+params = st.lists(rationals, max_size=3)
+
+
+@given(rationals, st.integers(min_value=-2, max_value=9))
+def test_gen_binomial_matches_fraction_reference(r, k):
+    got = gen_binomial(r, k)
+    assert type(got) is Fraction and got == _ref_gen_binomial(r, k)
+
+
+@given(rationals, st.integers(min_value=0, max_value=9))
+def test_pochhammer_matches_fraction_reference(a, j):
+    got = pochhammer(a, j)
+    assert type(got) is Fraction and got == _ref_pochhammer(a, j)
+
+
+# early stop, a lower zero after the stop, a lower zero before it, and a
+# simultaneous first vanishing
+@example([-2, 1], [3], 6)
+@example([-1, 5], [-2], 5)
+@example([-3, 2], [-1], 3)
+@example([-1], [-1], 2)
+@given(params, params, st.integers(min_value=-1, max_value=8))
+def test_series_coeffs_match_fraction_reference(upper, lower, n):
+    got = _outcome(series_coeffs, upper, lower, n)
+    assert got == _outcome(_ref_series, upper, lower, n)
+    if got is not DegenerateParameters:
+        assert all(type(c) is Fraction for c in got)
+
+
+@example(2, [1], [3], Fraction(1))
+@example(3, [-1], [-1], Fraction(1))
+@example(1, [0], [0], Fraction(1, 2))
+@given(
+    st.integers(min_value=0, max_value=6),
+    params,
+    params,
+    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+)
+def test_hyp_matches_fraction_reference(order, rest, lower, z):
+    upper = [-order, *rest]
+    got = _outcome(hyp, upper, lower, z)
+    assert got == _outcome(_ref_hyp, upper, lower, z)
+    if got is not DegenerateParameters:
+        assert type(got) is Fraction
 
 
 @given(

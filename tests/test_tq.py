@@ -1,4 +1,6 @@
+import sys
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -133,9 +135,8 @@ def test_phi_structural_invariants():
                 assert all(e % 2 == m % 2 for e in _support(val))
 
 
-def test_phi_builds_each_kernel_term_once(monkeypatch):
-    # small^(m-j) * big^j for every j, built order by order, costs
-    # (m+1)(m+2)/2 - 1 polynomial products for all k at one order m
+def _count_products(monkeypatch, build):
+    # clear tq's caches, then count LaurentPoly x LaurentPoly products in build()
     for obj in vars(tq).values():
         if hasattr(obj, "cache_clear"):
             obj.cache_clear()
@@ -148,10 +149,81 @@ def test_phi_builds_each_kernel_term_once(monkeypatch):
         return mul(self, other)
 
     monkeypatch.setattr(LaurentPoly, "__mul__", counting)
+    build()
+    monkeypatch.setattr(LaurentPoly, "__mul__", mul)
+    return len(products)
+
+
+def test_phi_builds_each_kernel_term_once(monkeypatch):
+    # small^(m-j) * big^j for every j, built order by order, costs
+    # (m+1)(m+2)/2 - 1 polynomial products for all k at one order m
     m = 6
-    for k in range(m + 1):
-        phi(m, k)
-    assert len(products) <= (m + 1) * (m + 2) // 2
+    count = _count_products(monkeypatch, lambda: [phi(m, k) for k in range(m + 1)])
+    assert count <= (m + 1) * (m + 2) // 2
+
+
+def _phi_ascending():
+    for m in range(13):
+        for k in range(m + 1):
+            phi(m, k)
+        info = tq._kernel_terms.cache_info()
+        assert info.maxsize is None or info.currsize <= info.maxsize
+
+
+def _relations_ascending():
+    for m in range(13):
+        assert all(r.passed for r in gauss_relation_checks(m))
+
+
+@pytest.mark.parametrize("build", [_phi_ascending, _relations_ascending])
+def test_kernel_term_cache_is_bounded_and_rebuilds_nothing(monkeypatch, build):
+    # the bounded cache keeps a few orders, yet an ascending run makes as
+    # many products as with every order kept: no order is built twice
+    bound = tq._kernel_terms.cache_info().maxsize
+    assert bound is not None and bound <= 4
+    bounded = _count_products(monkeypatch, build)
+    unbounded = lru_cache(maxsize=None)(tq._kernel_terms.__wrapped__)
+    monkeypatch.setattr(tq, "_kernel_terms", unbounded)
+    assert _count_products(monkeypatch, build) == bounded
+    assert unbounded.cache_info().currsize > bound
+    if build is _phi_ascending:
+        # order m costs m + 1 products from order m - 1
+        assert bounded == sum(m + 1 for m in range(1, 13))
+
+
+class _FoldCalled(Exception):
+    pass
+
+
+def test_division_routes_never_call_the_fold_primitive(monkeypatch):
+    # lincomb serves the Gauss-sum side only: with it disabled in every
+    # module that binds it, the division routes and the contiguous pairs
+    # still compute, and phi does not
+    f3, f4 = f_poly(3), f_poly(4)
+    routes = [
+        (q_poly, (3,)),
+        (p_poly, (3,)),
+        (v_poly, (3,)),
+        (f_poly, (3,)),
+        (g_poly, (3,)),
+        (tq._pair, (3, tq._EVEN3, f3, 1, f4)),
+    ]
+    expected = [f(*args) for f, args in routes]
+
+    def disabled(*args):
+        raise _FoldCalled
+
+    for name, mod in list(sys.modules.items()):
+        if name == "asm3" or name.startswith("asm3."):
+            if hasattr(mod, "lincomb"):
+                monkeypatch.setattr(mod, "lincomb", disabled)
+            for obj in vars(mod).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+
+    assert [f(*args) for f, args in routes] == expected
+    with pytest.raises(_FoldCalled):
+        phi(2, 2)
 
 
 def test_phi_degenerate_case_raises():
