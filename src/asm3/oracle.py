@@ -2,12 +2,14 @@
 
 The first oracle is a transfer-matrix sweep over column-sum bitmasks.
 It fills the matrix one entry at a time, row by row, carrying the mask
-of columns whose partial sum is 1 and the running prefix sum of the
-current row, which must stay in {0, 1} and close at 1.  Every entry has
-a local integer weight, so for x = p/q the sweep runs in integers and
-one power of q is divided out at the end.  Only the states of the
-current column are kept, and the n refined counts are read from the
-states after n-1 rows.
+of columns whose partial sum is 1.  The running prefix sum of the
+current row must stay in {0, 1} and close at 1, and it picks which of
+two dicts holds a state.  A 0 entry keeps every state, so each column
+starts from a copy of the old states and adds only the +1 and -1
+moves.  Every entry has a local integer weight, so for x = p/q the
+sweep runs in integers and one power of q is divided out at the end.
+Only the states of the current column are kept, and the n refined
+counts are read from the states after n-1 rows.
 
 The second oracle enumerates the same objects as triangles of strictly
 increasing rows where consecutive rows interlace, written directly on
@@ -54,14 +56,18 @@ def dp_refined_enum(n: int, x) -> EnumTable:
     """Weighted refined counts by one forward sweep, column by column.
 
     A state is the column-sum mask, with the columns left of the cursor
-    already updated by the current row, plus the row's prefix bit at
-    position n.  Each step decides one entry: a 0 keeps the column, a -1
-    needs a column sum of 1 and prefix 1, a +1 needs sum 0 and prefix 0;
-    a row is admissible when it ends at prefix 1.  For x = p/q the local
-    weights are integers: q for a column whose sum stays 1, p for one
-    that drops to 0, and 1 otherwise.  Row k has k-1 columns at sum 1
-    before it, so it carries q^(k-1) x^(number of -1 entries), and rows
-    1..n-1 together carry q^((n-1)(n-2)/2), divided out at the end.
+    already updated by the current row; `closed` holds the states whose
+    row prefix is 0 and `opened` those whose prefix is 1.  Each step
+    decides one entry: a 0 keeps the state, a +1 moves a `closed` state
+    at column sum 0 to `opened`, and a -1 moves an `opened` state at sum
+    1 back to `closed`; a row is admissible when it ends in `opened`.
+    For x = p/q the local weights are integers: q for a column whose sum
+    stays 1, p for one that drops to 0, and 1 otherwise, so each column
+    starts from a copy of the old states (scaled by q where the sum
+    stays 1, unless q = 1) and loops only over the +1 and -1 moves.
+    Row k has k-1 columns at sum 1 before it, so it carries
+    q^(k-1) x^(number of -1 entries), and rows 1..n-1 together carry
+    q^((n-1)(n-2)/2), divided out at the end.
 
     The last row is forced: its single 1 sits in the one column still at
     sum 0.  Flipping the matrix upside down keeps the number of -1
@@ -72,27 +78,33 @@ def dp_refined_enum(n: int, x) -> EnumTable:
         raise OutOfRange(f"n must lie in 1..{DP_LIMIT}")
     x = _normalize_weight(x)
     p, q = x.as_integer_ratio()
-    prefix = 1 << n
-    states = {0: 1}
+    closed = {0: 1}
     for _ in range(n - 1):
+        opened: dict = {}
         for col in range(n):
             bit = 1 << col
-            nxt: dict = {}
-            get = nxt.get
-            for state, w in states.items():
-                if state & bit:
-                    nxt[state] = get(state, 0) + w * q
-                    if state & prefix:
-                        key = state ^ bit ^ prefix
-                        nxt[key] = get(key, 0) + w * p
-                else:
-                    nxt[state] = get(state, 0) + w
-                    if not state & prefix:
-                        key = state | bit | prefix
-                        nxt[key] = get(key, 0) + w
-            states = nxt
-        states = {s ^ prefix: w for s, w in states.items() if s & prefix}
-    empty = [states[(prefix - 1) ^ (1 << r)] for r in range(n)]
+            # a 0 entry keeps every state, at weight q where the sum stays 1
+            if q == 1:
+                nxt_closed, nxt_opened = dict(closed), dict(opened)
+            else:
+                nxt_closed, nxt_opened = (
+                    {s: w * q if s & bit else w for s, w in old.items()}
+                    for old in (closed, opened)
+                )
+            get = nxt_opened.get
+            for s, w in closed.items():
+                if not s & bit:
+                    key = s | bit
+                    nxt_opened[key] = get(key, 0) + w
+            get = nxt_closed.get
+            for s, w in opened.items():
+                if s & bit:
+                    key = s ^ bit
+                    nxt_closed[key] = get(key, 0) + w * p
+            closed, opened = nxt_closed, nxt_opened
+        closed = opened
+    full = (1 << n) - 1
+    empty = [closed[full ^ (1 << r)] for r in range(n)]
     if q == 1:
         counts = tuple(empty)
     else:
@@ -124,21 +136,21 @@ def unpack(v: int, bits: int) -> Tuple[int, ...]:
 
 
 def _interlacing_extensions(row: Tuple[int, ...], n: int):
-    """Strictly increasing rows of length len(row)+1 interlacing row."""
-    k = len(row)
+    """Strictly increasing rows of length len(row)+1 interlacing row.
 
-    def build(i: int, lo: int, acc: list):
-        hi = row[i] if i < k else n
-        for v in range(lo, hi + 1):
-            acc.append(v)
-            if i == k:
-                yield tuple(acc)
-            else:
-                nxt_lo = max(v + 1, row[i])
-                yield from build(i + 1, nxt_lo, acc)
-            acc.pop()
-
-    yield from build(0, 1, [])
+    Built slot by slot in lexicographic order: slot i takes v from the
+    least value still free up to row[i], and the next slot starts at
+    v + 1 if v reached row[i], at row[i] otherwise; the last slot runs
+    up to n.
+    """
+    level = [((), 1)]
+    for top in row:
+        level = [
+            (acc + (v,), v + 1 if v == top else top)
+            for acc, lo in level
+            for v in range(lo, top + 1)
+        ]
+    return [acc + (v,) for acc, lo in level for v in range(lo, n + 1)]
 
 
 def mt_refined_enum(n: int, x) -> EnumTable:

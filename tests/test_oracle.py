@@ -20,6 +20,7 @@ from asm3.errors import OutOfRange
 from asm3.oracle import (
     DP_LIMIT,
     MT_LIMIT,
+    _interlacing_extensions,
     dp_refined_enum,
     mt_refined_enum,
     packing_bits,
@@ -129,15 +130,17 @@ def test_oracles_agree_on_rational_weights(n, p, q):
 
 def test_dp_keeps_no_memory():
     # the sweep holds only the states of the current column and nothing
-    # once it returns; a transition cache would hold about 3**n entries
-    tracemalloc.start()
-    try:
-        dp_refined_enum(12, F(5, 7))
-        retained, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert retained < 2 ** 20
-    assert peak < 4 * 2 ** 20
+    # once it returns; a transition cache would hold about 3**n entries.
+    # The packed weight carries a whole polynomial in each state's value.
+    for x in (F(5, 7), 1 << packing_bits(12)):
+        tracemalloc.start()
+        try:
+            dp_refined_enum(12, x)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 2 ** 20
+        assert peak < 4 * 2 ** 20
 
 
 def test_oracles_agree_on_fractional_weight():
@@ -171,6 +174,27 @@ def test_packed_sweep_carries_every_weight():
         for x in (1, 2, 3, F(5, 7)):
             got = tuple(sum(c * x ** k for k, c in enumerate(p)) for p in polys)
             assert got == literal_refined_enum(n, x)
+    # past the literal enumeration, against the sweep at x = p/q itself:
+    # the packed run copies its 0 entries, the q != 1 run scales them
+    for n in range(6, 11):
+        polys = _packed_polys(n, packing_bits(n))
+        for x in (F(5, 7), F(-3, 4)):
+            got = tuple(sum(c * x ** k for k, c in enumerate(p)) for p in polys)
+            assert got == dp_refined_enum(n, x).counts
+
+
+def test_interlacing_extensions_match_definition():
+    # every (k+1)-subset of 1..n with ext[i] <= row[i] <= ext[i+1], in
+    # lexicographic order, for every strictly increasing row of length k
+    for n in range(1, 8):
+        for k in range(n + 1):
+            for row in combinations(range(1, n + 1), k):
+                want = [
+                    ext
+                    for ext in combinations(range(1, n + 1), k + 1)
+                    if all(ext[i] <= row[i] <= ext[i + 1] for i in range(k))
+                ]
+                assert _interlacing_extensions(row, n) == want
 
 
 def test_packed_slots_are_wide_enough():
