@@ -1,9 +1,9 @@
 """Dense polynomials in one variable t with exact rational coefficients.
 
-A DensePoly is a dense, rational view of one LaurentPoly with exponents
-0..degree.  Its ring operations, +, - and *, are LaurentPoly's; reading
-a coefficient builds a Fraction, evaluation is its own Horner rule, and
-like a LaurentPoly it is unhashable.
+A DensePoly is the tuple of its Fraction coefficients, constant term
+first, with trailing zeros trimmed.  It multiplies by another DensePoly
+and evaluates by its own Horner rule; like a LaurentPoly it is immutable
+by convention and unhashable.
 """
 
 from __future__ import annotations
@@ -12,62 +12,42 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 from .errors import OutOfRange
-from .laurent import LaurentPoly
-from .qfield import _RATIONAL_TYPES, _rational
+from .qfield import _rational
 
 Scalar = Union[int, Fraction]
-
-
-def _wrap(p: LaurentPoly) -> "DensePoly":
-    self = object.__new__(DensePoly)
-    self._p = p
-    return self
-
-
-def _operand(other):
-    # the LaurentPoly or rational scalar to combine with, or None when
-    # other is neither (a Q(s) element included)
-    if isinstance(other, DensePoly):
-        return other._p
-    if isinstance(other, _RATIONAL_TYPES):
-        return other
-    return None
 
 
 class DensePoly:
     """Coefficient vector (constant term first), trailing zeros trimmed."""
 
-    __slots__ = ("_p",)
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        self._p = LaurentPoly({k: _rational(v) for k, v in enumerate(coeffs)})
-
-    @property
-    def coeffs(self):
-        return tuple(self.coeff(k) for k in range(self.degree + 1))
+        c = [Fraction(_rational(v)) for v in coeffs]
+        while c and not c[-1]:
+            c.pop()
+        self.coeffs = tuple(c)
 
     @property
     def degree(self) -> int:
-        return -1 if self._p.is_zero else self._p.max_exp
+        return len(self.coeffs) - 1
 
     def coeff(self, k: int) -> Fraction:
-        return self._p.coeff(k).ra
-
-    def __add__(self, other):
-        other = _operand(other)
-        return NotImplemented if other is None else _wrap(self._p + other)
-
-    def __sub__(self, other):
-        other = _operand(other)
-        return NotImplemented if other is None else _wrap(self._p - other)
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
 
     def __mul__(self, other):
-        other = _operand(other)
-        return NotImplemented if other is None else _wrap(self._p * other)
+        if not isinstance(other, DensePoly):
+            return NotImplemented
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return DensePoly(out)
 
     def __eq__(self, other):
-        other = _operand(other)
-        return NotImplemented if other is None else self._p == other
+        if not isinstance(other, DensePoly):
+            return NotImplemented
+        return self.coeffs == other.coeffs
 
     def eval_at(self, v):
         """Horner evaluation; v may be a Fraction or live in Q(s)."""

@@ -9,9 +9,9 @@ gcd(d, every a, every b) = 1, and the zero polynomial has d = 1, so
 equal polynomials have equal `_d` and `_c`.  The dict suits the thin
 supports that show up here (arithmetic progressions of step 6 between
 -3m-2 and 3m+2).  Every ring operation is integer arithmetic plus one
-content gcd per result; a QsElem is built only where a coefficient or a
-value is read (`coeff`, `eval_at`, `repr`).  Instances are immutable,
-every operation returns a fresh polynomial, and they are unhashable.
+content gcd per result; a QsElem is built only where a value is read
+(`eval_at`, `repr`).  Instances are immutable, every operation returns
+a fresh polynomial, and they are unhashable.
 `lincomb` folds a whole sum of rational multiples of polynomials in one
 integer pass, over one denominator and with one content gcd.
 
@@ -31,7 +31,7 @@ from math import gcd, lcm
 from typing import Mapping, Union
 
 from .errors import NonExactDivision, PoleAtSample
-from .qfield import ZERO, QsElem, _lift, _rational, _reduced
+from .qfield import QsElem, _lift, _rational, _reduced
 
 Scalar = Union[int, Fraction, QsElem]
 
@@ -144,10 +144,6 @@ class LaurentPoly:
         if not self._c:
             raise ValueError("zero polynomial has no support")
         return max(self._c)
-
-    def coeff(self, k: int) -> QsElem:
-        v = self._c.get(k)
-        return ZERO if v is None else _reduced(v[0], v[1], self._d)
 
     # -- ring operations ------------------------------------------------
 
@@ -317,7 +313,7 @@ class LaurentPoly:
             return "LaurentPoly(0)"
         bits = []
         for k in sorted(self._c):
-            v = self.coeff(k)
+            v = _reduced(*self._c[k], self._d)
             if k == 0:
                 bits.append(f"({v})")
             elif k == 1:

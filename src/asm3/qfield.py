@@ -6,11 +6,11 @@ w = q**2.  That is all the irrationality the rest of the package ever
 needs.  An element is stored as one reduced integer triple (a, b, d)
 meaning (a + b*s)/d, with d > 0 and gcd(a, b, d) = 1, so equal values
 have equal triples.  Every ring operation is integer arithmetic plus one
-three-way gcd; a Fraction is built only when a caller reads a rational
-part.  There is no floating point anywhere.  Elements compare equal to
-ints and Fractions of the same value, and are unhashable.  A LaurentPoly
-does not hold QsElem coefficients: it keeps integer pairs over one
-denominator and builds a QsElem only when a coefficient is read.
+three-way gcd; a Fraction is built only to print an element.  There is
+no floating point anywhere.  Elements compare equal to ints and
+Fractions of the same value, and are unhashable.  A LaurentPoly does not
+hold QsElem coefficients: it keeps integer pairs over one denominator
+and builds a QsElem only when a value is read.
 """
 
 from __future__ import annotations
@@ -62,8 +62,7 @@ class QsElem:
     """Element (a + b*s)/d of Q(s), in lowest terms.  Immutable by convention.
 
     Both parts must be int or Fraction, anything else raises TypeError.
-    `ra` and `sb` read the rational part and the coefficient of s as
-    Fractions.
+    `sb` reads the coefficient of s as a Fraction.
     """
 
     __slots__ = ("a", "b", "d")
@@ -78,10 +77,6 @@ class QsElem:
         self.a = a // g
         self.b = b // g
         self.d = d // g
-
-    @property
-    def ra(self) -> Fraction:
-        return Fraction(self.a, self.d)
 
     @property
     def sb(self) -> Fraction:
@@ -166,14 +161,14 @@ class QsElem:
         return bool(self.a or self.b)
 
     def __repr__(self):
-        return f"QsElem({self.ra!r}, {self.sb!r})"
+        return f"QsElem({Fraction(self.a, self.d)!r}, {self.sb!r})"
 
     def __str__(self):
         if not self.b:
-            return str(self.ra)
+            return str(Fraction(self.a, self.d))
         if not self.a:
             return f"{self.sb}*s"
-        return f"{self.ra} + {self.sb}*s"
+        return f"{Fraction(self.a, self.d)} + {self.sb}*s"
 
 
 ZERO = QsElem(0, 0)

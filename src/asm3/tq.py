@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 from .densepoly import DensePoly
 from .errors import OutOfRange, PoleAtSample
@@ -212,35 +212,36 @@ def e_poly(m: int) -> DensePoly:
     """Palindromic companion of v_poly in the count variable t.
 
     Degree 2m, value 1 at t = 1.  Built from the cleared form of a pair
-    of terminating series in the combined argument (1+2t)/(t(t+2)): the
-    rational-function argument is expanded into polynomial arithmetic
-    rather than evaluated.
+    of terminating series in the combined argument L/Q, L = 1 + 2t and
+    Q = t(t+2): (2m+1) sum_j c_j L^j Q^(m-j) - 3m t sum_j d_j L^j Q^(m-1-j).
+    Both sums run through one integer Horner rule, S_k = Q S_(k-1) +
+    (2m+1) c_k L^k - 3m d_(k-1) t L^(k-1), with L^k built one factor at
+    a time and the coefficients over one denominator.
     """
     if m < 0:
         raise OutOfRange("index must be >= 0")
-    quad = DensePoly((0, 2, 1))  # t(t+2), the denominator of the argument
-    lin = DensePoly((1, 2))
-    quad_pow = [DensePoly((1,))]
-    lin_pow = [DensePoly((1,))]
-    for _ in range(m):
-        quad_pow.append(quad_pow[-1] * quad)
-        lin_pow.append(lin_pow[-1] * lin)
+    first = series_coeffs((-m, m + 2), (-2 * m - 1,), m)
+    second = series_coeffs((1 - m, m + 2), (-2 * m,), m - 1)
+    den = lcm(*(c.denominator for c in first + second))
+    a = [(2 * m + 1) * c.numerator * (den // c.denominator) for c in first]
+    b = [-3 * m * c.numerator * (den // c.denominator) for c in second]
 
-    first = DensePoly()
-    for j, c in enumerate(series_coeffs((-m, m + 2), (-2 * m - 1,), m)):
-        first = first + lin_pow[j] * quad_pow[m - j] * c
+    acc = [a[0]]  # S_0; integer coefficients, constant term first
+    lin_pow = [1]  # L^0
+    for k in range(1, m + 1):
+        # Q S_(k-1) + t L^(k-1) b_(k-1), then L^k = (1 + 2t) L^(k-1)
+        acc = [2 * x + y for x, y in zip([0, *acc, 0], [0, 0, *acc])]
+        for i, v in enumerate(lin_pow):
+            acc[i + 1] += b[k - 1] * v
+        lin_pow = [x + 2 * y for x, y in zip([*lin_pow, 0], [0, *lin_pow])]
+        for i, v in enumerate(lin_pow):
+            acc[i] += a[k] * v
 
-    # each term of the second sum has one factor t more than (t(t+2))^(m-1-j)
-    second = DensePoly()
-    for j, c in enumerate(series_coeffs((1 - m, m + 2), (-2 * m,), m - 1)):
-        second = second + lin_pow[j] * quad_pow[m - 1 - j] * c
-    second = second * DensePoly((0, 1))
-
-    pref = Fraction(
+    scale = Fraction(
         factorial(2 * m) * factorial(2 * m + 2),
-        3 ** m * factorial(m + 1) * factorial(3 * m + 2),
+        3 ** m * factorial(m + 1) * factorial(3 * m + 2) * den,
     )
-    return (first * (2 * m + 1) - second * (3 * m)) * pref
+    return DensePoly(c * scale for c in acc)
 
 
 @lru_cache(maxsize=None)

@@ -1,9 +1,7 @@
-import operator
 from fractions import Fraction
 
 import pytest
 
-from asm3 import densepoly, qfield
 from asm3.densepoly import DensePoly
 from asm3.errors import OutOfRange
 from asm3.qfield import Q, QsElem
@@ -47,23 +45,6 @@ def test_product_with_zero_polynomial():
     p = DensePoly((1, 2, 3))
     assert p * DensePoly() == DensePoly()
     assert DensePoly() * p == DensePoly()
-    assert p * 0 == DensePoly()
-
-
-def test_ring_operations_build_no_fraction(monkeypatch):
-    # +, - and * run on the integer Q(s) kernel of the underlying
-    # LaurentPoly; only reading a coefficient builds a Fraction
-    p = DensePoly((Fraction(1, 2), -3, Fraction(2, 7)))
-    r = DensePoly((5, Fraction(-1, 3)))
-    expected = [p + r, p - r, p * r, p * Fraction(3, 4) + 1]
-
-    def no_fraction(*args, **kwargs):
-        raise AssertionError("a Fraction was built in DensePoly arithmetic")
-
-    monkeypatch.setattr(qfield, "Fraction", no_fraction)
-    monkeypatch.setattr(densepoly, "Fraction", no_fraction)
-    got = [p + r, p - r, p * r, p * Fraction(3, 4) + 1]
-    assert all(a == b for a, b in zip(got, expected))
 
 
 def test_coefficients_read_as_fractions():
@@ -79,11 +60,10 @@ def test_quadratic_field_coefficients_are_refused():
         DensePoly((1, QsElem(0, 1)))
     with pytest.raises(TypeError):
         DensePoly((Q,))
-    for op in (operator.add, operator.sub, operator.mul):
-        with pytest.raises(TypeError):
-            op(p, Q)
-        with pytest.raises(TypeError):
-            op(Q, p)
+    with pytest.raises(TypeError):
+        p * Q
+    with pytest.raises(TypeError):
+        Q * p
 
 
 def test_float_coefficients_are_refused():

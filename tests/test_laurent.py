@@ -27,6 +27,12 @@ qs_points = st.builds(
 leads = st.sampled_from([QsElem(2), S, Q, QsElem(3, 1)])
 
 
+def _coeff(p, k):
+    # the coefficient of x^k as a QsElem, read from the integer pairs
+    a, b = p._c.get(k, (0, 0))
+    return QsElem(Fraction(a, p._d), Fraction(b, p._d))
+
+
 def test_module_doctests():
     failures, _ = doctest.testmod(asm3.laurent)
     assert failures == 0
@@ -35,8 +41,8 @@ def test_module_doctests():
 def test_constructor_drops_zero_coefficients():
     p = LaurentPoly({3: 0, 1: 1, -2: Fraction(0)})
     assert (p.min_exp, p.max_exp) == (1, 1)
-    assert p.coeff(3) == 0
-    assert p.coeff(1) == 1
+    assert _coeff(p, 3) == 0
+    assert _coeff(p, 1) == 1
 
 
 def test_constructor_refuses_non_integer_exponents():
@@ -103,9 +109,9 @@ def test_substitute_scale_by_cube_root():
     p = LaurentPoly({3: 5, 1: 2, -6: 1})
     q = p.substitute_scale(OMEGA)
     # exponents divisible by 3 are fixed by a cube root of unity
-    assert q.coeff(3) == 5
-    assert q.coeff(-6) == 1
-    assert q.coeff(1) == 2 * OMEGA
+    assert _coeff(q, 3) == 5
+    assert _coeff(q, -6) == 1
+    assert _coeff(q, 1) == 2 * OMEGA
     with pytest.raises(ZeroDivisionError):
         p.substitute_scale(0)
 
@@ -156,9 +162,9 @@ def test_euler_derivative_kills_constants():
 
 def test_is_rational_flag():
     # rational coefficients embed with a zero s-part
-    assert LaurentPoly({1: Fraction(2, 3)}).coeff(1).sb == 0
-    assert LaurentPoly({1: S}).coeff(1).sb != 0
-    assert LaurentPoly({0: QsElem(1, 0)}).coeff(0).sb == 0
+    assert _coeff(LaurentPoly({1: Fraction(2, 3)}), 1).sb == 0
+    assert _coeff(LaurentPoly({1: S}), 1).sb != 0
+    assert _coeff(LaurentPoly({0: QsElem(1, 0)}), 0).sb == 0
 
 
 def test_equality_against_scalars():
@@ -214,11 +220,11 @@ def _ref_divide(x, y):
 
 
 def _same(p, ref):
-    # the kernel's polynomial p against a reference dict, read through coeff
+    # the kernel's polynomial p against a reference dict, read through _coeff
     keys = set(ref)
     if not p.is_zero:
         keys |= set(range(p.min_exp, p.max_exp + 1))
-    return all(p.coeff(k) == ref.get(k, ZERO) for k in keys)
+    return all(_coeff(p, k) == ref.get(k, ZERO) for k in keys)
 
 
 def _canonical(p):

@@ -4,7 +4,8 @@ from functools import lru_cache
 
 import pytest
 
-from asm3 import tq
+from asm3 import counts, tq
+from asm3.densepoly import DensePoly
 from asm3.errors import DegenerateParameters, OutOfRange, PoleAtSample
 from asm3.laurent import LaurentPoly
 from asm3.tq import (
@@ -34,14 +35,14 @@ SAMPLES = (F(2), F(3), F(5, 7))
 
 
 def _support(p):
-    # the exponents of the nonzero terms, ascending
-    if p.is_zero:
-        return ()
-    return tuple(k for k in range(p.min_exp, p.max_exp + 1) if p.coeff(k))
+    # the exponents of the nonzero terms, ascending; the canonical form
+    # keeps no zero pair
+    return tuple(sorted(p._c))
 
 
 def _is_rational(p):
-    return all(not p.coeff(k).sb for k in _support(p))
+    # no coefficient has an s-part
+    return not any(b for _, b in p._c.values())
 
 
 def test_first_families_literal():
@@ -266,6 +267,25 @@ def test_e_poly_shape():
         assert e.eval_at(F(1)) == 1
 
 
+def test_e_poly_matches_the_b_coefficients():
+    # m = 0..84 is the range that verify --max-n 170 reaches through h3_poly
+    for m in range(85):
+        assert e_poly(m).coeffs == counts.b_table(m)
+
+
+def test_e_poly_makes_no_polynomial_products(monkeypatch):
+    # the Horner rule runs on integer lists: neither polynomial class
+    # multiplies while e_poly is built
+    def refused(*args):
+        raise AssertionError("polynomial product in e_poly")
+
+    expected = e_poly(6).coeffs
+    e_poly.cache_clear()
+    monkeypatch.setattr(LaurentPoly, "__mul__", refused)
+    monkeypatch.setattr(DensePoly, "__mul__", refused)
+    assert e_poly(6).coeffs == expected
+
+
 def test_differential_equations():
     for m in range(8):
         assert ode_check_f(m)
@@ -339,7 +359,12 @@ def test_first_transform_sample_is_checked_like_the_rest(monkeypatch):
     # the first sample fixes the constant, so a perturbed generating
     # polynomial passes there and fails at every later sample
     exact = tq.h1_poly
-    monkeypatch.setattr(tq, "h1_poly", lambda n: exact(n) + 1)
+
+    def perturbed(n):
+        c = exact(n).coeffs
+        return DensePoly((c[0] + 1, *c[1:]))
+
+    monkeypatch.setattr(tq, "h1_poly", perturbed)
     for m in (1, 2, 3):
         res = transform_checks(m, SAMPLES)[len(SAMPLES) :]
         assert {r.name for r in res} == {"gen_fn_vs_first_solution"}
