@@ -10,12 +10,12 @@ precision.
 
 from __future__ import annotations
 
-import argparse
 import re
 import sys
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, List, Optional, Sequence
+from types import SimpleNamespace
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from . import checks, counts, oracle
 
@@ -71,14 +71,6 @@ def _quote(text: str) -> str:
     # an error quotes a bounded prefix of the rejected text, so its length
     # does not grow with the input
     return repr(text) if len(text) <= 40 else repr(text[:40]) + "..."
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse echoes a rejected value whole; a message longer than any it
-    # writes from this parser's own text keeps only a quoted prefix, and the
-    # usage line above it still lists every choice.  Subparsers inherit this
-    def error(self, message):
-        super().error(message if len(message) <= 120 else _quote(message))
 
 
 def parse_rational(text: str) -> Fraction:
@@ -163,7 +155,7 @@ def decimal_string(fr: Fraction) -> str:
 
 
 def _emit(
-    args: argparse.Namespace,
+    args: SimpleNamespace,
     params: dict,
     results: Iterable[dict],
     lines: Iterable[str],
@@ -188,7 +180,7 @@ def _emit(
 # -- table --------------------------------------------------------------
 
 
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(args: SimpleNamespace) -> int:
     n_values = parse_n_values(args.n)
     x = parse_rational(args.x)
     if any(n < 1 for n in n_values):
@@ -222,7 +214,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 # -- verify -------------------------------------------------------------
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     max_m, max_n = _parse_size(args.max_m), _parse_size(args.max_n)
     if max_m < 0 or max_n < 1:
         raise ValueError("limits must be sensible: max-m >= 0, max-n >= 1")
@@ -254,7 +246,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # -- scan ---------------------------------------------------------------
 
 
-def cmd_scan(args: argparse.Namespace) -> int:
+def cmd_scan(args: SimpleNamespace) -> int:
     n_values = parse_n_values(args.n)
     epsilon = parse_rational(args.epsilon)
     if not 0 < epsilon < Fraction(1, 2):
@@ -285,59 +277,145 @@ def cmd_scan(args: argparse.Namespace) -> int:
 # -- wiring -------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="asm3",
-        description=(
-            "Exact refined enumeration of alternating sign matrices with "
-            "weighted -1 entries, plus identity verification suites."
+_DESCRIPTION = (
+    "Exact refined enumeration of alternating sign matrices with weighted -1\n"
+    "entries, plus identity verification suites."
+)
+
+# the help of the flags whose grammar their name does not tell
+_FLAG_HELP = {
+    "--n": "sizes: an integer, a..b, or a comma list",
+    "--x": "weight per -1 entry (p/q or decimal)",
+    "--epsilon": "half-width, in (0, 1/2)",
+}
+
+
+def build_parser() -> Dict[str, tuple]:
+    """The option table: each subcommand's handler, help line and flags.
+
+    A flag maps to (default, choices): a default of None marks a required
+    flag, and choices of None accept any value.
+    """
+    commands = {
+        "table": (
+            cmd_table,
+            "print a refined count table",
+            {"--n": (None, None), "--x": ("1", None)},
         ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_table = sub.add_parser("table", help="print a refined count table")
-    p_table.add_argument(
-        "--n", required=True, help="sizes: an integer, a..b, or a comma list"
-    )
-    p_table.add_argument(
-        "--x", default="1", help="weight per -1 entry (p/q or decimal)"
-    )
-    p_table.set_defaults(func=cmd_table)
-
-    p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("--suite", choices=checks.SUITES, default="all")
-    # read by _parse_size in cmd_verify, the integer grammar of --n
-    p_verify.add_argument("--max-m", default="8")
-    p_verify.add_argument("--max-n", default="6")
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_scan = sub.add_parser("scan", help="central mass of the 3-enumeration")
-    p_scan.add_argument(
-        "--n", required=True, help="sizes: an integer, a..b, or a comma list"
-    )
-    p_scan.add_argument("--epsilon", default="1/10", help="half-width, in (0, 1/2)")
-    p_scan.set_defaults(func=cmd_scan)
-
+        "verify": (
+            cmd_verify,
+            "run a verification suite",
+            # --max-m and --max-n are read by _parse_size, the grammar of --n
+            {
+                "--suite": ("all", checks.SUITES),
+                "--max-m": ("8", None),
+                "--max-n": ("6", None),
+            },
+        ),
+        "scan": (
+            cmd_scan,
+            "central mass of the 3-enumeration",
+            {"--n": (None, None), "--epsilon": ("1/10", None)},
+        ),
+    }
     # declared last so that each usage line lists it after the command's
-    # own options
-    for p in sub.choices.values():
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-    return parser
+    # own flags
+    for _, _, flags in commands.values():
+        flags["--format"] = ("csv", ("csv", "json"))
+    return commands
+
+
+def _arg(flag: str, choices: Optional[Sequence[str]]) -> str:
+    # a flag with its value's placeholder: the choices, else its name
+    if choices:
+        return f"{flag} {{{','.join(choices)}}}"
+    return f"{flag} {flag[2:].upper().replace('-', '_')}"
+
+
+def _usage(commands: dict, name: Optional[str]) -> str:
+    if name is None:
+        return "usage: asm3 [-h] {" + ",".join(commands) + "} ...\n"
+    words = (
+        _arg(flag, choices) if default is None else f"[{_arg(flag, choices)}]"
+        for flag, (default, choices) in commands[name][2].items()
+    )
+    return f"usage: asm3 {name} [-h] {' '.join(words)}\n"
+
+
+def _help(commands: dict, name: Optional[str]) -> str:
+    # the usage line, a description and one line per command or flag
+    if name is None:
+        head, title = _DESCRIPTION, "commands"
+        rows = [(cmd, spec[1]) for cmd, spec in commands.items()]
+    else:
+        head, title = commands[name][1], "options"
+        rows = [("-h, --help", "show this help message and exit")]
+        for flag, (default, choices) in commands[name][2].items():
+            note = "(required)" if default is None else f"(default: {default})"
+            text = f"{_FLAG_HELP[flag]} {note}" if flag in _FLAG_HELP else note
+            rows.append((_arg(flag, choices), text))
+    width = max(len(left) for left, _ in rows) + 2
+    body = "".join(f"  {left.ljust(width)}{right}\n" for left, right in rows)
+    return f"{_usage(commands, name)}\n{head}\n\n{title}:\n{body}"
+
+
+def _fail(commands: dict, name: Optional[str], message: str) -> int:
+    # a usage error: the usage line and one message on stderr, exit 2
+    prog = "asm3" if name is None else f"asm3 {name}"
+    sys.stderr.write(f"{_usage(commands, name)}{prog}: error: {message}\n")
+    return 2
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one subcommand; a usage error or an input past a limit exits 2.
 
-    Each subcommand checks its arguments and limits before it computes
+    Flags are matched by exact name and take their value as the next
+    argument or after `=`; a repeated flag keeps its last value.  Each
+    subcommand checks its arguments and limits before it computes
     anything, so a refused input costs no work.
     """
+    commands = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    name = argv[0] if argv else None
+    if name in ("-h", "--help"):
+        sys.stdout.write(_help(commands, None))
+        return 0
+    if name not in commands:
+        return _fail(
+            commands,
+            None,
+            "no command given" if name is None else f"unknown command {_quote(name)}",
+        )
+    func, _, flags = commands[name]
+    values = {}
+    rest = iter(argv[1:])
+    for token in rest:
+        if token in ("-h", "--help"):
+            sys.stdout.write(_help(commands, name))
+            return 0
+        flag, eq, value = token.partition("=")
+        if flag not in flags:
+            return _fail(commands, name, f"unrecognized argument {_quote(token)}")
+        if not eq:
+            value = next(rest, None)
+            if value is None or value.startswith("--"):
+                return _fail(commands, name, f"{flag} expects a value")
+        choices = flags[flag][1]
+        if choices is not None and value not in choices:
+            return _fail(commands, name, f"invalid choice for {flag}: {_quote(value)}")
+        values[flag] = value
+    for flag, (default, _) in flags.items():
+        if default is None and flag not in values:
+            return _fail(commands, name, f"{flag} is required")
+    args = SimpleNamespace(
+        command=name,
+        **{
+            flag[2:].replace("-", "_"): values.get(flag, default)
+            for flag, (default, _) in flags.items()
+        },
+    )
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors already; normalize other codes
-        return 0 if exc.code == 0 else 2
-    try:
-        return args.func(args)
+        return func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -465,16 +465,98 @@ def test_help_exits_zero(capsys):
     assert "table" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("table", ["--n", "--x"]),
+        ("verify", ["--suite", "--max-m", "--max-n"]),
+        ("scan", ["--n", "--epsilon"]),
+    ],
+)
+def test_command_help_names_every_flag(capsys, command, flags):
+    for help_flag in ("--help", "-h"):
+        assert cli.main([command, help_flag]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: asm3 {command} ")
+        for flag in flags + ["--format"]:
+            assert flag in out
+    # flags are read left to right: valid ones before --help do not stop
+    # it, and an error before it exits 2 first
+    assert cli.main([command, "--bogus", "1", "--help"]) == 2
+    assert cli.main([command, "--format", "json", "--help"]) == 0
+    capsys.readouterr()
+
+
+# -- option grammar -----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "spaced, joined",
+    [
+        (["table", "--n", "1..4", "--x", "5/7"], ["table", "--n=1..4", "--x=5/7"]),
+        (
+            ["verify", "--suite", "closed-forms", "--max-m", "2", "--format", "json"],
+            ["verify", "--suite=closed-forms", "--max-m=2", "--format=json"],
+        ),
+        (["scan", "--n", "3,4", "--epsilon", "2/5"], ["scan", "--epsilon=2/5", "--n=3,4"]),
+    ],
+)
+def test_flag_equals_value_is_flag_space_value(capsys, spaced, joined):
+    assert cli.main(spaced) == 0
+    expected = capsys.readouterr().out
+    assert cli.main(joined) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_repeated_flag_keeps_its_last_value(capsys):
+    assert cli.main(["table", "--n", "3", "--x", "3"]) == 0
+    expected = capsys.readouterr().out
+    argv = ["table", "--n", "5", "--x", "1", "--n=3", "--format", "json"]
+    assert cli.main(argv + ["--x", "3", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["table", "--n", "3", "--y", "2"],
+        ["table", "--n", "3", "--x"],
+        ["table", "--n", "--x", "3"],
+        ["table", "--x", "3"],
+        ["scan", "--n", "4", "--eps", "1/10"],
+        ["verify", "--max", "3"],
+        ["table", "--n", "3", "--format", "xml"],
+        ["table", "3"],
+        ["--n", "3"],
+        ["x" * 100_000],
+        ["table", "--n", "3", "--" + "y" * 100_000],
+    ],
+)
+def test_grammar_errors_exit_two(capsys, argv):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 2 and err[0].startswith("usage: asm3")
+    assert len(captured.err.encode()) < 300
+
+
 # -- start-up -----------------------------------------------------------
 
 
 def test_startup_loads_no_unused_stdlib():
-    # modules that only a rare path uses (json output, a raising block) or
-    # that the records no longer need must stay out of every run's start-up
+    # modules that only a rare path uses (json output, a raising block), that
+    # the records no longer need, or that only argparse loaded (gettext and
+    # locale) must stay out of a parsed command's start-up
+    unused = (
+        "argparse", "dataclasses", "gettext", "inspect", "json", "locale",
+        "traceback",
+    )
     code = (
         "import asm3.cli, sys; asm3.cli.build_parser(); "
-        "print(' '.join(m for m in ('dataclasses', 'inspect', 'json', "
-        "'traceback') if m in sys.modules))"
+        "asm3.cli.main(['table', '--n', '3', '--x', '5/7']); "
+        f"print([m for m in {unused!r} if m in sys.modules])"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
     proc = subprocess.run(
@@ -485,7 +567,7 @@ def test_startup_loads_no_unused_stdlib():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == ""
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_records_are_immutable_values():

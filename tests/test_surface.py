@@ -21,8 +21,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "asm3"
 UNREACHED_BY_DESIGN = {"__repr__", "__str__", "sb"}
 
 # small runs of every subcommand in both formats, `table` at x = 5/7, 1
-# and 3, plus three usage errors; the profile hook is set before asm3 is
-# imported, so calls made at import time count
+# and 3, three usage errors and one help page; the profile hook is set
+# before asm3 is imported, so calls made at import time count
 _TRACE = r"""
 import contextlib, io, json, os, sys
 
@@ -50,6 +50,7 @@ RUNS = (
     ["table", "--n", "1", "--x", "abc"],
     ["verify", "--suite", "nope"],
     ["scan", "--n", "x"],
+    ["table", "--help"],
 )
 sink = io.StringIO()
 with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
@@ -89,7 +90,7 @@ def test_every_def_is_entered_by_a_command():
     )
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
-    assert doc["codes"] == [0] * 8 + [2] * 3
+    assert doc["codes"] == [0] * 8 + [2] * 3 + [0]
     entered = {tuple(e) for e in doc["entered"]}
     missed = [
         d
