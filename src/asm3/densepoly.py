@@ -1,9 +1,10 @@
-"""Dense polynomials in one variable t with exact rational coefficients.
+"""Polynomials in one variable t as coefficient tuples, constant term first.
 
-A DensePoly is the tuple of its Fraction coefficients, constant term
-first, with trailing zeros trimmed.  It multiplies by another DensePoly
-and evaluates by its own Horner rule; like a LaurentPoly it is immutable
-by convention and unhashable.
+`horner` evaluates such a tuple at an int, a Fraction or a point of
+Q(s); it is the one evaluation rule the checks use on them.  A DensePoly
+is the tuple of its Fraction coefficients with trailing zeros trimmed,
+and its one operation is the product that glues h3_poly together; like a
+LaurentPoly it is immutable by convention and unhashable.
 """
 
 from __future__ import annotations
@@ -11,10 +12,17 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .errors import OutOfRange
 from .qfield import _rational
 
 Scalar = Union[int, Fraction]
+
+
+def horner(coeffs, v):
+    """Value at v of the polynomial with these coefficients."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * v + c
+    return acc
 
 
 class DensePoly:
@@ -28,13 +36,6 @@ class DensePoly:
             c.pop()
         self.coeffs = tuple(c)
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
-
     def __mul__(self, other):
         if not isinstance(other, DensePoly):
             return NotImplemented
@@ -43,28 +44,6 @@ class DensePoly:
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return DensePoly(out)
-
-    def __eq__(self, other):
-        if not isinstance(other, DensePoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def eval_at(self, v):
-        """Horner evaluation; v may be a Fraction or live in Q(s)."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * v + c
-        if isinstance(acc, int):
-            acc = Fraction(acc)
-        return acc
-
-    def reversed_poly(self, deg: int | None = None) -> "DensePoly":
-        """Coefficients reversed with respect to the given degree."""
-        if deg is None:
-            deg = self.degree
-        if deg < self.degree:
-            raise OutOfRange("reversal degree below actual degree")
-        return DensePoly(self.coeff(deg - i) for i in range(deg + 1))
 
     def __repr__(self):
         return f"DensePoly({list(self.coeffs)!r})"

@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 
-from .densepoly import DensePoly
+from .densepoly import DensePoly, horner
 from .errors import OutOfRange, PoleAtSample
 from .hyper import gen_binomial, pochhammer, series_coeffs
 from .laurent import LaurentPoly, lincomb
@@ -390,7 +390,7 @@ def transform_checks(m: int, sample_xs) -> list:
     """
     xs = [_rational(x0) for x0 in sample_xs]
     out = []
-    e = e_poly(m)
+    e = e_poly(m).coeffs
     v = v_poly(m)
     # q is not real, so at a rational x != 0 none of q*x - 1, x - q and
     # q*x - qbar/x vanishes: only x = 0 is a pole of the maps below
@@ -399,21 +399,21 @@ def transform_checks(m: int, sample_xs) -> list:
             raise PoleAtSample("sample x = 0")
         xq = QsElem(x0)
         t = -(xq - Q) / (Q * xq - 1)
-        lhs = e.eval_at(t) * t ** (-m) * (xq - 1 + xq.inverse()) ** m
+        lhs = horner(e, t) * t ** (-m) * (xq - 1 + xq.inverse()) ** m
         rhs = v.eval_at(x0)
         out.append(
             CheckResult("weight_map_even_family", f"m={m} x={x0}", lhs == rhs)
         )
 
     n = m + 1
-    hp = h1_poly(n)
+    hp = h1_poly(n).coeffs
     qp = q_poly(m)
     const = None
     for x0 in xs:
         xq = QsElem(x0)
         big = Q * xq - QBAR * xq.inverse()
         t = (Q * xq.inverse() - QBAR * xq) / big
-        lhs = hp.eval_at(t) * big ** (n - 1)
+        lhs = horner(hp, t) * big ** (n - 1)
         rhs = qp.eval_at(x0)
         if const is None:
             if not rhs:

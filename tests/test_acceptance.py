@@ -137,11 +137,11 @@ def test_c08_structural_invariants():
         ok = ok and all(
             isinstance(counts.refined_asm3(n, r), int) for r in range(1, n + 1)
         )
-        h3 = tq.h3_poly(n)
-        ok = ok and h3.reversed_poly(n - 1) == h3 and h3.eval_at(F(1)) == 1
+        h3 = tq.h3_poly(n).coeffs
+        ok = ok and len(h3) == n and h3 == h3[::-1] and sum(h3) == 1
     for n in range(1, 13):
-        h1 = tq.h1_poly(n)
-        ok = ok and h1.reversed_poly(n - 1) == h1 and h1.eval_at(F(1)) == 1
+        h1 = tq.h1_poly(n).coeffs
+        ok = ok and len(h1) == n and h1 == h1[::-1] and sum(h1) == 1
     _report(8, "palindromicity, reflection, unit sums, integrality", ok)
 
 

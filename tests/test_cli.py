@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from asm3 import checks, cli, counts, oracle
+from asm3 import checks, cli, counts, oracle, tq
+from asm3.densepoly import DensePoly
 from asm3.errors import DegenerateParameters, NonExactDivision
 from asm3.report import CheckResult
 
@@ -281,6 +282,29 @@ def test_cross_failure_names_its_weight(monkeypatch):
     assert [r.params for r in results if not r.passed] == [
         f"n={n} x={x}" for n in sizes for x in (2, 3)
     ]
+
+
+def test_generating_polynomial_of_the_wrong_length_fails_its_family(monkeypatch):
+    # a palindrome two coefficients too long is judged by its length: the
+    # h1 lines fail at every n, the block does not raise, and the h3 lines
+    # are still checked
+    real = tq.h1_poly
+
+    def too_long(n):
+        c = real(n).coeffs
+        return DensePoly(c[:1] + c + c[-1:])
+
+    monkeypatch.setattr(tq, "h1_poly", too_long)
+    results = checks.run_block(checks.generating_polys, 0, 6)
+    assert not [r for r in results if r.params.startswith("raised")]
+    h1 = [r for r in results if r.name.startswith("h1_")]
+    h3 = [r for r in results if r.name.startswith("h3_")]
+    for name in ("h1_matches_refinement", "h1_reciprocal"):
+        assert [r.params for r in h1 if r.name == name] == [
+            f"n={n}" for n in range(1, 7)
+        ]
+    assert not any(r.passed for r in h1)
+    assert len(h3) == 3 * 5 and all(r.passed for r in h3)
 
 
 @pytest.mark.parametrize(

@@ -261,10 +261,10 @@ def test_e_poly_literal():
 
 def test_e_poly_shape():
     for m in range(8):
-        e = e_poly(m)
-        assert e.degree == 2 * m
-        assert e.coeffs == e.coeffs[::-1]
-        assert e.eval_at(F(1)) == 1
+        e = e_poly(m).coeffs
+        assert len(e) == 2 * m + 1
+        assert e == e[::-1]
+        assert sum(e) == 1
 
 
 def test_e_poly_matches_the_b_coefficients():
@@ -284,6 +284,37 @@ def test_e_poly_makes_no_polynomial_products(monkeypatch):
     monkeypatch.setattr(LaurentPoly, "__mul__", refused)
     monkeypatch.setattr(DensePoly, "__mul__", refused)
     assert e_poly(6).coeffs == expected
+
+
+def test_independent_routes_never_call_horner(monkeypatch):
+    # transform_checks evaluates the coefficient tuples by horner and
+    # compares them with LaurentPoly.eval_at; that side, and the tables
+    # the checks compare with, must compute with horner disabled
+    x = Fraction(5, 7)
+    routes = [
+        lambda: tq.v_poly(3).eval_at(x),
+        lambda: tq.q_poly(3).eval_at(x),
+        lambda: counts.asm_table(6),
+        lambda: counts.asm3_table(6),
+    ]
+    expected = [f() for f in routes]
+
+    def disabled(*args):
+        raise AssertionError("horner called")
+
+    for name, mod in list(sys.modules.items()):
+        if name != "asm3" and not name.startswith("asm3."):
+            continue
+        if hasattr(mod, "horner"):
+            monkeypatch.setattr(mod, "horner", disabled)
+        for obj in vars(mod).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+    assert [f() for f in routes] == expected
+    # the coefficient side does go through it
+    with pytest.raises(AssertionError, match="horner called"):
+        transform_checks(3, SAMPLES)
 
 
 def test_differential_equations():
