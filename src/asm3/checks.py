@@ -16,10 +16,11 @@ reach library code through module attributes (`counts.b_table`,
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 from typing import Callable, Iterator, List, Tuple
 
 from . import counts, densepoly, oracle, tq
-from .errors import DegenerateParameters
+from .errors import DegenerateParameters, OutOfRange
 from .laurent import LaurentPoly
 from .report import CheckResult
 
@@ -120,7 +121,32 @@ def generating_polys(max_m: int, max_n: int) -> Iterator[CheckResult]:
 
 
 def recursions(max_m: int, max_n: int) -> Iterator[CheckResult]:
-    yield from counts.recurrence_check(max_m)
+    # both total closed forms rebuilt from their two-step recursions: the
+    # 3-enumeration advances through the constant coefficient b(m, 0) in
+    # closed form, the plain count through the elementary factorial
+    # ratio; the anchors are the orders 1 and 2
+    if max_m < 0:
+        raise OutOfRange("max_m must be >= 0")
+
+    def b0(m: int) -> Fraction:
+        return Fraction(
+            factorial(2 * m + 1) * factorial(2 * m + 2),
+            3 ** m * factorial(m + 1) * factorial(3 * m + 2),
+        )
+
+    total3 = counts.total_asm3
+    yield CheckResult("anchor_3enum", "n=1", total3(1) == 1)
+    yield CheckResult("anchor_3enum", "n=2", total3(2) == 2)
+    for m in range(max_m + 1):
+        ok = total3(2 * m + 3) * b0(m) ** 2 == 9 * total3(2 * m + 1)
+        yield CheckResult("odd_step_3enum", f"m={m}", ok)
+    for m in range(1, max_m + 1):
+        ok = total3(2 * m + 2) * b0(m) * b0(m - 1) == 9 * total3(2 * m)
+        yield CheckResult("even_step_3enum", f"m={m}", ok)
+    for n in range(2, 2 * max_m + 4):
+        lhs = counts.total_asm(n - 1) * factorial(3 * n - 2) * factorial(n - 1)
+        rhs = counts.total_asm(n) * factorial(2 * n - 1) * factorial(2 * n - 2)
+        yield CheckResult("elementary_step_total", f"n={n}", lhs == rhs)
 
 
 def scan_fixed(max_m: int, max_n: int) -> Iterator[CheckResult]:

@@ -3,11 +3,10 @@
 Implements the product formula for the total count, the binomial
 refinement by the position of the first row's 1, the closed forms for
 the 3-enumeration (each -1 weighted by 3), the normalized coefficient
-family b(m, .) behind the refined 3-enumeration, the recursion checks
-that reproduce the closed forms, and an exact scan of the central mass
-of the refined distribution.  Everything is integer or Fraction
-arithmetic.  This route module imports only the shared modules, never
-oracle or tq, which verify compares it with.
+family b(m, .) behind the refined 3-enumeration, and an exact scan of
+the central mass of the refined distribution.  Everything is integer or
+Fraction arithmetic.  This route module imports only the shared
+modules, never oracle or tq, which verify compares it with.
 
 b(m, .) has two routes here.  b_coeff evaluates the paper's single sum
 at one alpha, O(m) big binomials per value.  b_table and the scan build
@@ -26,7 +25,7 @@ from typing import Iterable, List, Tuple, Union
 from .errors import NonExactDivision, OutOfRange
 from .hyper import hyp
 from .qfield import _rational
-from .report import CheckResult, EnumTable
+from .report import EnumTable
 
 
 def _int_exact(num, den: int = 1) -> int:
@@ -242,39 +241,6 @@ def asm3_table(n: int) -> EnumTable:
         return EnumTable(1, (total_asm3(1),))
     counts = tuple(refined_asm3(n, r) for r in range(1, n + 1))
     return EnumTable(n, counts)
-
-
-def recurrence_check(max_m: int) -> List[CheckResult]:
-    """Rebuild both total closed forms from their two-step recursions.
-
-    The 3-enumeration total advances through the constant coefficient
-    b(m, 0) in closed form; the unweighted total advances through the
-    elementary factorial ratio.  Anchors are the orders 1 and 2.
-    """
-    if max_m < 0:
-        raise OutOfRange("max_m must be >= 0")
-
-    def b0(m: int) -> Fraction:
-        return Fraction(
-            factorial(2 * m + 1) * factorial(2 * m + 2),
-            3 ** m * factorial(m + 1) * factorial(3 * m + 2),
-        )
-
-    out = [
-        CheckResult("anchor_3enum", "n=1", total_asm3(1) == 1),
-        CheckResult("anchor_3enum", "n=2", total_asm3(2) == 2),
-    ]
-    for m in range(max_m + 1):
-        ok = total_asm3(2 * m + 3) * b0(m) ** 2 == 9 * total_asm3(2 * m + 1)
-        out.append(CheckResult("odd_step_3enum", f"m={m}", ok))
-    for m in range(1, max_m + 1):
-        ok = total_asm3(2 * m + 2) * b0(m) * b0(m - 1) == 9 * total_asm3(2 * m)
-        out.append(CheckResult("even_step_3enum", f"m={m}", ok))
-    for n in range(2, 2 * max_m + 4):
-        lhs = total_asm(n - 1) * factorial(3 * n - 2) * factorial(n - 1)
-        rhs = total_asm(n) * factorial(2 * n - 1) * factorial(2 * n - 2)
-        out.append(CheckResult("elementary_step_total", f"n={n}", lhs == rhs))
-    return out
 
 
 def concentration_scan(

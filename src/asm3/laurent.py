@@ -31,7 +31,7 @@ from math import gcd, lcm
 from typing import Mapping, Union
 
 from .errors import NonExactDivision, PoleAtSample
-from .qfield import QsElem, _lift, _rational, _reduced
+from .qfield import _RATIONAL_TYPES, QsElem, _lift, _rational, _reduced
 
 Scalar = Union[int, Fraction, QsElem]
 
@@ -192,6 +192,12 @@ class LaurentPoly:
                         rb[k] = a1 * b2 + b1 * a2
             c = {k: (a, rb[k]) for k, a in ra.items() if a or rb[k]}
             return _poly(c, self._d * other._d)
+        if isinstance(other, _RATIONAL_TYPES):
+            n, e = other.numerator, other.denominator
+            if not n:
+                return LaurentPoly()
+            c = {k: (a * n, b * n) for k, (a, b) in self._c.items()}
+            return _poly(c, self._d * e)
         w = _lift(other)
         if w is None:
             return NotImplemented

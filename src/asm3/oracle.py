@@ -8,13 +8,17 @@ two dicts holds a state.  A 0 entry keeps every state, so each column
 starts from a copy of the old states and adds only the +1 and -1
 moves.  Every entry has a local integer weight, so for x = p/q the
 sweep runs in integers and one power of q is divided out at the end.
-Only the states of the current column are kept, and the n refined
-counts are read from the states after n-1 rows.
+Only the states of the current column are kept while it runs, and the
+n refined counts are read from the states after n-1 rows.  Those n
+counts are all that outlives a sweep: the last DP_LIMIT are kept by
+size and weight, so `verify`, which asks for each packed sweep twice,
+runs it once.
 
 The second oracle enumerates the same objects as triangles of strictly
 increasing rows where consecutive rows interlace, written directly on
 sorted tuples with no bitmasks and no shared code with the DP.  Each
-step down weights x to the power of the entries that disappear.  The
+step down weights x to the power of the entries that disappear, counted
+while the lower row is built and read from one table of powers.  The
 refined index r is the single entry of the top row in this picture,
 and of the bottom row in the sweep, which is the same count by the
 upside-down flip.
@@ -33,6 +37,7 @@ them against.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Tuple, Union
 
 from .errors import OutOfRange
@@ -53,7 +58,22 @@ def _normalize_weight(x) -> Weight:
 
 
 def dp_refined_enum(n: int, x) -> EnumTable:
-    """Weighted refined counts by one forward sweep, column by column.
+    """Weighted refined counts A_n(r; x), r = 1..n, for a rational x.
+
+    The weight is checked and normalised first, so a float or a str
+    raises TypeError even when an equal rational was swept before; the
+    counts then come from `_sweep`, which keeps those of its last
+    DP_LIMIT sweeps.
+    """
+    if n < 1 or n > DP_LIMIT:
+        raise OutOfRange(f"n must lie in 1..{DP_LIMIT}")
+    p, q = _normalize_weight(x).as_integer_ratio()
+    return EnumTable(n, _sweep(n, p, q))
+
+
+@lru_cache(maxsize=DP_LIMIT)
+def _sweep(n: int, p: int, q: int) -> Tuple[Weight, ...]:
+    """The counts at x = p/q by one forward sweep, column by column.
 
     A state is the column-sum mask, with the columns left of the cursor
     already updated by the current row; `closed` holds the states whose
@@ -74,10 +94,6 @@ def dp_refined_enum(n: int, x) -> EnumTable:
     entries and swaps the first row with the last, so A_n(r; x) is the
     weight of the mask with only column r empty after n-1 rows.
     """
-    if n < 1 or n > DP_LIMIT:
-        raise OutOfRange(f"n must lie in 1..{DP_LIMIT}")
-    x = _normalize_weight(x)
-    p, q = x.as_integer_ratio()
     closed = {0: 1}
     for _ in range(n - 1):
         opened: dict = {}
@@ -106,11 +122,9 @@ def dp_refined_enum(n: int, x) -> EnumTable:
     full = (1 << n) - 1
     empty = [closed[full ^ (1 << r)] for r in range(n)]
     if q == 1:
-        counts = tuple(empty)
-    else:
-        scale = q ** ((n - 1) * (n - 2) // 2)
-        counts = tuple(Fraction(v, scale) for v in empty)
-    return EnumTable(n, counts)
+        return tuple(empty)
+    scale = q ** ((n - 1) * (n - 2) // 2)
+    return tuple(Fraction(v, scale) for v in empty)
 
 
 def packing_bits(n: int) -> int:
@@ -136,21 +150,31 @@ def unpack(v: int, bits: int) -> Tuple[int, ...]:
 
 
 def _interlacing_extensions(row: Tuple[int, ...], n: int):
-    """Strictly increasing rows of length len(row)+1 interlacing row.
+    """Strictly increasing rows of length len(row)+1 interlacing row,
+    each with the number of entries of row that it drops.
 
     Built slot by slot in lexicographic order: slot i takes v from the
     least value still free up to row[i], and the next slot starts at
     v + 1 if v reached row[i], at row[i] otherwise; the last slot runs
-    up to n.
+    up to n.  Slot i can only keep row[i] (v == row[i]) or row[i-1]
+    (v == row[i-1], the least value the slot may take), so the kept
+    entries are counted as the slots are filled.
     """
-    level = [((), 1)]
+    level = [((), 1, 0)]
+    prev = 0
     for top in row:
         level = [
-            (acc + (v,), v + 1 if v == top else top)
-            for acc, lo in level
+            (acc + (v,), v + 1 if v == top else top, kept + (v == top or v == prev))
+            for acc, lo, kept in level
             for v in range(lo, top + 1)
         ]
-    return [acc + (v,) for acc, lo in level for v in range(lo, n + 1)]
+        prev = top
+    k = len(row)
+    return [
+        (acc + (v,), k - kept - (v == prev))
+        for acc, lo, kept in level
+        for v in range(lo, n + 1)
+    ]
 
 
 def mt_refined_enum(n: int, x) -> EnumTable:
@@ -159,12 +183,14 @@ def mt_refined_enum(n: int, x) -> EnumTable:
     The recursion weighs a completion of a partial triangle from its
     current row down to the full bottom row 1..n; the drop count of a
     step is how many entries of the upper row are missing from the
-    lower one.  Completions are cached per row, which leaves the
+    lower one, at most n - 1, and its weight comes from one table of
+    the powers of x.  Completions are cached per row, which leaves the
     recursion structure untouched.
     """
     if n < 1 or n > MT_LIMIT:
         raise OutOfRange(f"n must lie in 1..{MT_LIMIT}")
     x = _normalize_weight(x)
+    powers = [x ** k for k in range(n)]
     cache: dict = {}
 
     def below(row: Tuple[int, ...]) -> Weight:
@@ -174,9 +200,8 @@ def mt_refined_enum(n: int, x) -> EnumTable:
         if got is not None:
             return got
         total = 0
-        for ext in _interlacing_extensions(row, n):
-            dropped = len(set(row) - set(ext))
-            total += x ** dropped * below(ext)
+        for ext, dropped in _interlacing_extensions(row, n):
+            total += powers[dropped] * below(ext)
         cache[row] = total
         return total
 

@@ -54,7 +54,13 @@ def _lift(v) -> "QsElem | None":
     if isinstance(v, QsElem):
         return v
     if isinstance(v, _RATIONAL_TYPES):
-        return QsElem(v)
+        # an int or a Fraction is in lowest terms already, so its triple
+        # needs no gcd
+        self = object.__new__(QsElem)
+        self.a = v.numerator
+        self.b = 0
+        self.d = v.denominator
+        return self
     return None
 
 

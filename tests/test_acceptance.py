@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from asm3 import counts, oracle, tq
+from asm3 import checks, counts, oracle, tq
 from asm3.errors import DegenerateParameters
 from asm3.laurent import LaurentPoly
 
@@ -120,7 +120,7 @@ def test_c06_transformation_spot_checks():
 
 
 def test_c07_recurrences():
-    res = counts.recurrence_check(30)
+    res = list(checks.recursions(30, 0))
     ok = all(r.passed for r in res)
     _report(7, "totals rebuilt from their recursions (m<=30)", ok, f"{len(res)} steps")
 

@@ -311,10 +311,11 @@ def test_generating_polynomial_of_the_wrong_length_fails_its_family(monkeypatch)
     "exc", [DegenerateParameters, NonExactDivision, ZeroDivisionError]
 )
 def test_raising_block_is_one_failed_check(capsys, monkeypatch, exc):
-    def recurrence_check(max_m):
+    def factorial(k):
         raise exc("broken on purpose")
 
-    monkeypatch.setattr(counts, "recurrence_check", recurrence_check)
+    # only the recursions block calls checks.factorial
+    monkeypatch.setattr(checks, "factorial", factorial)
     argv = ["verify", "--suite", "closed-forms", "--max-m", "1", "--max-n", "3"]
     assert cli.main(argv) == 1
     captured = capsys.readouterr()

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from asm3 import counts
+from asm3 import checks, counts
 from asm3.counts import (
     asm3_table,
     asm_table,
@@ -10,7 +10,6 @@ from asm3.counts import (
     b_coeff_4f3,
     b_table,
     concentration_scan,
-    recurrence_check,
     refined_asm,
     refined_asm2_ratio,
     refined_asm3,
@@ -205,13 +204,13 @@ def test_range_guards():
 
 
 def test_recurrence_check_passes():
-    res = recurrence_check(6)
+    res = list(checks.recursions(6, 0))
     assert not [r for r in res if not r.passed]
     assert any(r.name == "odd_step_3enum" for r in res)
     assert any(r.name == "even_step_3enum" for r in res)
     assert any(r.name == "elementary_step_total" for r in res)
     with pytest.raises(OutOfRange):
-        recurrence_check(-1)
+        list(checks.recursions(-1, 0))
 
 
 def test_concentration_scan_small_exact_values():

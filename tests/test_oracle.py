@@ -15,12 +15,13 @@ from itertools import combinations, product
 import pytest
 from hypothesis import example, given, strategies as st
 
-from asm3 import counts
+from asm3 import checks, counts
 from asm3.errors import OutOfRange
 from asm3.oracle import (
     DP_LIMIT,
     MT_LIMIT,
     _interlacing_extensions,
+    _sweep,
     dp_refined_enum,
     mt_refined_enum,
     packing_bits,
@@ -129,10 +130,13 @@ def test_oracles_agree_on_rational_weights(n, p, q):
 
 
 def test_dp_keeps_no_memory():
-    # the sweep holds only the states of the current column and nothing
-    # once it returns; a transition cache would hold about 3**n entries.
-    # The packed weight carries a whole polynomial in each state's value.
+    # the sweep holds only the states of the current column, and once it
+    # returns only its n counts, in _sweep's memo of DP_LIMIT entries; a
+    # transition cache would hold about 3**n entries.  The packed weight
+    # carries a whole polynomial in each state's value.  The memo is
+    # emptied first, so that the sweep runs while it is traced.
     for x in (F(5, 7), 1 << packing_bits(12)):
+        _sweep.cache_clear()
         tracemalloc.start()
         try:
             dp_refined_enum(12, x)
@@ -194,7 +198,12 @@ def test_interlacing_extensions_match_definition():
                     for ext in combinations(range(1, n + 1), k + 1)
                     if all(ext[i] <= row[i] <= ext[i + 1] for i in range(k))
                 ]
-                assert _interlacing_extensions(row, n) == want
+                got = _interlacing_extensions(row, n)
+                assert [ext for ext, _ in got] == want
+                # the drop count: entries of row missing from ext
+                assert [dropped for _, dropped in got] == [
+                    len(set(row) - set(ext)) for ext in want
+                ]
 
 
 def test_packed_slots_are_wide_enough():
@@ -226,11 +235,25 @@ def test_unpack_digits():
 
 
 def test_float_weights_are_refused():
+    # equal rationals swept first: the kept counts must not answer for them
+    dp_refined_enum(3, F(1, 2))
+    dp_refined_enum(3, 1)
     for bad in (0.5, 1.0, "1/2"):
         with pytest.raises(TypeError):
             dp_refined_enum(3, bad)
         with pytest.raises(TypeError):
             mt_refined_enum(3, bad)
+
+
+def test_verify_sweeps_each_packed_weight_once():
+    # against_closed_forms sweeps n = 1..10 and cross asks again for
+    # n = 1..8: 18 calls, 10 sweeps; at DP_LIMIT every size stays kept
+    for max_n, sweeps in ((10, 10), (DP_LIMIT, DP_LIMIT)):
+        _sweep.cache_clear()
+        results = checks.run("oracle", 0, max_n)
+        assert results and all(r.passed for r in results)
+        info = _sweep.cache_info()
+        assert (info.misses, info.hits) == (sweeps, min(max_n, MT_LIMIT))
 
 
 def test_size_limits():
