@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from itertools import chain
 from types import SimpleNamespace
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from . import checks, counts, oracle
 
@@ -43,8 +43,9 @@ MAX_N_VALUES = 1000
 
 # wall-time caps on `verify --suite all`, measured on a 2-CPU VM (Python
 # 3.11.7) with the other limit at its default.  max-m 64 took 9.1, 10.0
-# and 9.6 s at 41 MB peak RSS, and max-n 170 took 9.4, 9.0 and 8.6 s at
-# 56 MB since e_poly is an integer Horner rule (11.5 to 14.2 s before);
+# and 9.6 s at 41 MB peak RSS (28 MB since tq.phi keeps at most 256
+# entries), and max-n 170 took 9.4, 9.0 and 8.6 s at 56 MB since e_poly
+# is an integer Horner rule (11.5 to 14.2 s before);
 # both caps at once took 25.8 s at 85 MB in one run.  The VM's speed
 # swings up to fourfold from day to day: on a slow day max-n 170 took 52
 # to 65 s against a one-minute aim, so neither cap was raised
@@ -162,22 +163,53 @@ def _emit(
 ) -> None:
     """Write one command's stdout in the format that --format chose.
 
-    JSON is the document {"command", "params", "results"} with `results`
-    listed; CSV is `lines`, written as they come.  Only the iterable of
-    the chosen format is consumed, so both can be lazy generators and a
-    large table streams to stdout.
+    JSON is the document {"command", "params", "results"}, byte for byte
+    what json.dumps(doc, indent=2) gives, written as the envelope and then
+    one result at a time; CSV is `lines`, written as they come.  Only the
+    iterable of the chosen format is consumed, so both can be lazy
+    generators and neither format holds the whole output.
     """
     if args.format == "json":
         # imported here: only a --format json run pays for loading json
         import json
 
-        doc = {"command": args.command, "params": params, "results": list(results)}
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+        doc = {"command": args.command, "params": params, "results": [None]}
+        # the last null is the one result slot: the text around it is the
+        # envelope, and a result two levels deep indents each line by four
+        # more spaces (a JSON string holds no raw newline)
+        head, _, tail = json.dumps(doc, indent=2).rpartition("null")
+        encode = json.JSONEncoder(indent=2).encode
+        sep = head
+        for result in results:
+            sys.stdout.write(sep + encode(result).replace("\n", "\n    "))
+            sep = ",\n    "
+        if sep is head:
+            # no result: json.dumps writes an empty list as []
+            doc["results"] = []
+            tail = json.dumps(doc, indent=2)
+        sys.stdout.write(tail + "\n")
     else:
         sys.stdout.writelines(lines)
 
 
 # -- table --------------------------------------------------------------
+
+
+def _table_rows(n_values: List[int], route) -> Iterator[tuple]:
+    """(n, r, value) for each size in turn, computed as it is reached.
+
+    A repeated size is computed once: its values are kept until its last
+    repeat has printed, and no longer, so memory holds one size's rows
+    plus those of sizes still to repeat.
+    """
+    last = {n: i for i, n in enumerate(n_values)}
+    kept: Dict[int, List[str]] = {}
+    for i, n in enumerate(n_values):
+        values = kept.pop(n) if n in kept else [str(v) for v in route(n).counts]
+        if last[n] > i:
+            kept[n] = values
+        for r, v in enumerate(values, 1):
+            yield n, r, v
 
 
 def cmd_table(args: SimpleNamespace) -> int:
@@ -196,12 +228,7 @@ def cmd_table(args: SimpleNamespace) -> int:
             f"sizes above {MAX_TABLE_N[x]} at x = {x} have counts of "
             f"more than 4300 digits"
         )
-    # a repeated size is computed once; its rows still print at every repeat
-    values = {
-        n: [str(value) for value in route(n).counts]
-        for n in dict.fromkeys(n_values)
-    }
-    rows = ((n, r, v) for n in n_values for r, v in enumerate(values[n], 1))
+    rows = _table_rows(n_values, route)
     _emit(
         args,
         {"n": [str(n) for n in n_values], "x": str(x)},

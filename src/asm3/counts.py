@@ -9,9 +9,12 @@ Fraction arithmetic.  This route module imports only the shared
 modules, never oracle or tq, which verify compares it with.
 
 b(m, .) has two routes here.  b_coeff evaluates the paper's single sum
-at one alpha, O(m) big binomials per value.  b_table and the scan build
-the whole integer row T(m, 0..2m) from an exact order-4 recurrence in
-alpha, one integer step per value, seeded by b_coeff at alpha = 0..3.
+at one alpha, O(m) big binomials per value.  _t_row yields the integer
+row T(m, 0..2m) from an exact order-4 recurrence in alpha, one integer
+step per value, seeded by b_coeff at alpha = 0..3, and holds only the
+four values a step reads.  b_table keeps the whole row as a tuple; the
+scan adds each value into its window sum and keeps none, so its memory
+does not grow with the row.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
-from typing import Iterable, List, Tuple, Union
+from typing import Iterable, Iterator, List, Tuple, Union
 
 from .errors import NonExactDivision, OutOfRange
 from .hyper import hyp
@@ -149,8 +152,8 @@ def _b_scale(m: int) -> Tuple[int, int]:
     return factorial(2 * m + 1) * factorial(m), 3 ** m * factorial(3 * m + 2)
 
 
-def _t_row(m: int) -> List[int]:
-    """T(m, 0..2m) by an exact order-4 recurrence in alpha.
+def _t_row(m: int) -> Iterator[int]:
+    """Yield T(m, 0..2m) by an exact order-4 recurrence in alpha.
 
     The seeds T(m, 0..3) come from b_coeff.  Each later value solves
 
@@ -164,13 +167,16 @@ def _t_row(m: int) -> List[int]:
     past the last step a = 2m-4, so the recurrence runs over the whole
     range and the reflection symmetry stays a check, not an input.  The
     recurrence was guessed and is checked, not proved: a nonzero
-    remainder in any step raises NonExactDivision.
+    remainder in any step raises NonExactDivision when that value is
+    read.  Only the four values a step reads are held, so a reader that
+    keeps no values needs memory for a few of them, not the whole row.
     """
     num, den = _b_scale(m)
     seeds = (b_coeff(m, a) for a in range(min(4, 2 * m + 1)))
-    row = [_int_exact(b.numerator * den, b.denominator * num) for b in seeds]
+    last = [_int_exact(b.numerator * den, b.denominator * num) for b in seeds]
+    yield from last
     for a in range(2 * m - 3):
-        t0, t1, t2, t3 = row[a:]
+        t0, t1, t2, t3 = last
         rest = (
             (5 * a * a - 20 * a * m + 19 * a + 12 * m * m - 48 * m + 12) * t3
             - 2 * (8 * m + 1) * (a - m + 2) * t2
@@ -180,16 +186,18 @@ def _t_row(m: int) -> List[int]:
         nxt, rem = divmod(-rest, 2 * (a + 4) * (a - 2 * m + 1))
         if rem:
             raise NonExactDivision(f"recurrence step to T({m}, {a + 4})")
-        row.append(nxt)
-    return row
+        yield nxt
+        last = [t1, t2, t3, nxt]
 
 
 @lru_cache(maxsize=None)
 def b_table(m: int) -> Tuple[Fraction, ...]:
     """b(m, 0..2m) as a tuple: the recurrence row T(m, .) times an m-only factor.
 
-    b_coeff stays the independent direct-sum route; the verify suite
-    compares this table with the 4F3 and polynomial routes.
+    The tuple is built from _t_row's values as they come, so the whole
+    row is run and any inexact step raises here.  b_coeff stays the
+    independent direct-sum route; the verify suite compares this table
+    with the 4F3 and polynomial routes.
     """
     scale = Fraction(*_b_scale(m))
     return tuple(scale * t for t in _t_row(m))
@@ -250,8 +258,10 @@ def concentration_scan(
 
     For each order n, sums the shares of the columns whose normalized
     position (r-1)/(n-1) lies strictly within eps of 1/2.  The window is
-    summed over the integer recurrence row T(m, .), and the m-only factor
-    and the mixing weights enter once, in one Fraction per n, so the
+    summed over the integer recurrence row T(m, .) as its values arrive,
+    and the row stops at the window's right edge, so one n holds a few
+    row values and the sum, never the row.  The m-only factor and the
+    mixing weights enter once, in one Fraction per n, so the
     astronomically large totals never materialize.
     """
     eps = Fraction(_rational(eps))
@@ -263,14 +273,18 @@ def concentration_scan(
         if n < 2:
             raise OutOfRange("scan needs n >= 2")
         m, weights, weight_den = _mix(n)
-        row = _t_row(m)
         total = 0
-        for r in range(1, n + 1):
+        for alpha, t in enumerate(_t_row(m)):
+            # T(m, alpha) enters column r = alpha + 1 + off with weights[off];
+            # 2r - 1 - n is 2(alpha + off) + 1 - n, and the window is
             # |(r-1)/(n-1) - 1/2| < eps, cleared of denominators
-            if abs(2 * r - 1 - n) * q < 2 * p * (n - 1):
-                for off, w in enumerate(weights):
-                    if 0 <= r - 1 - off <= 2 * m:
-                        total += w * row[r - 1 - off]
+            if (2 * alpha + 1 - n) * q >= 2 * p * (n - 1):
+                break  # this column and every later one lie past the window
+            total += t * sum(
+                w
+                for off, w in enumerate(weights)
+                if abs(2 * (alpha + off) + 1 - n) * q < 2 * p * (n - 1)
+            )
         num, den = _b_scale(m)
         out.append((n, Fraction(total * num, weight_den * den)))
     return out

@@ -128,7 +128,10 @@ def tq_check(p: LaurentPoly) -> bool:
     return (p + p.substitute_scale(OMEGA) + p.substitute_scale(OMEGA_BAR)).is_zero
 
 
-@lru_cache(maxsize=None)
+# gauss_relation_checks(m) reads phi at orders m - 1, m and m + 1 with
+# shifts up to m + 1, about 3m + 6 entries: 256 hold those of every order
+# up to cli.MAX_VERIFY_M = 64, so an ascending run never rebuilds one
+@lru_cache(maxsize=256)
 def phi(m: int, k: int) -> LaurentPoly:
     """Finite Gauss-type sum over the two symmetric kernels.
 

@@ -3,8 +3,10 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -453,6 +455,52 @@ def test_table_computes_each_distinct_size_once(capsys, monkeypatch):
     assert rows == ["3,1,2", "3,2,5", "3,3,2", "2,1,1", "2,2,1"] + [
         "3,1,2", "3,2,5", "3,3,2"
     ] * 2
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_writes_each_size_before_computing_the_next(capsys, monkeypatch, fmt):
+    # when size n is computed, every row of the sizes before it is on stdout
+    closed_form = counts.asm3_table
+    out = []
+
+    def route(n):
+        out.append(capsys.readouterr().out)
+        text = "".join(out)
+        rows = text.count('"r": ') if fmt == "json" else text.count("\n") - 1
+        assert rows == sum(range(2, n)), (n, text)
+        return closed_form(n)
+
+    monkeypatch.setattr(counts, "asm3_table", route)
+    assert cli.main(["table", "--n", "2..6", "--x", "3", "--format", fmt]) == 0
+
+
+def test_table_json_keeps_a_small_peak(monkeypatch):
+    # the document is written one result at a time, never built whole
+    monkeypatch.setattr(cli.sys, "stdout", open(os.devnull, "w"))
+    tracemalloc.start()
+    try:
+        assert cli.main(["table", "--n", "1..100", "--x", "3", "--format", "json"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        cli.sys.stdout.close()
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize(
+    "results",
+    [
+        [],
+        [{"n": "1", "r": "1", "value": "1"}],
+        [{"name": "a\nb\"c", "params": "m=0 k=1", "passed": True}, {"x": []}] * 3,
+    ],
+)
+def test_streamed_json_equals_one_dumps(capsys, results):
+    args = SimpleNamespace(command="verify", format="json")
+    params = {"suite": "all", "n": ["1", "2"], "empty": {}}
+    cli._emit(args, params, iter(results), iter(()))
+    doc = {"command": "verify", "params": params, "results": results}
+    assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
 
 
 def test_table_picks_one_route_per_weight(capsys, monkeypatch):

@@ -1,8 +1,9 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from asm3 import checks, counts
+from asm3 import checks, cli, counts
 from asm3.counts import (
     asm3_table,
     asm_table,
@@ -136,7 +137,7 @@ def test_b_table_recurrence_corrupted_seed_fails_loudly(monkeypatch):
 
     monkeypatch.setattr(counts, "b_coeff", corrupted)
     with pytest.raises(NonExactDivision):
-        counts._t_row(10)
+        list(counts._t_row(10))
 
 
 def test_scan_takes_only_the_recurrence_seeds_from_b_coeff(monkeypatch):
@@ -151,6 +152,18 @@ def test_scan_takes_only_the_recurrence_seeds_from_b_coeff(monkeypatch):
     monkeypatch.setattr(counts, "b_coeff", counted)
     concentration_scan([1280], F(1, 10))
     assert 0 < len(calls) <= 4 and set(calls) == {639}
+
+
+def test_scan_holds_no_recurrence_row():
+    # the row T(m, 0..2m) at the largest size is about 18 MB of big ints;
+    # the scan sums its window as the values arrive and keeps none of them
+    tracemalloc.start()
+    try:
+        concentration_scan([cli.MAX_SCAN_N], F(1, 10))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_refined_asm2_ratio():

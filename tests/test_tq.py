@@ -4,7 +4,7 @@ from functools import lru_cache
 
 import pytest
 
-from asm3 import counts, tq
+from asm3 import checks, cli, counts, tq
 from asm3.densepoly import DensePoly
 from asm3.errors import DegenerateParameters, OutOfRange, PoleAtSample
 from asm3.laurent import LaurentPoly
@@ -190,6 +190,35 @@ def test_kernel_term_cache_is_bounded_and_rebuilds_nothing(monkeypatch, build):
     if build is _phi_ascending:
         # order m costs m + 1 products from order m - 1
         assert bounded == sum(m + 1 for m in range(1, 13))
+
+
+def test_phi_cache_is_bounded_and_rebuilds_nothing(monkeypatch):
+    # more (m, k) are asked for than the cache holds, yet each is built once
+    for obj in vars(tq).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+    cached = tq.phi
+    asked, raised = [], []
+
+    def recorded(m, k):
+        asked.append((m, k))
+        try:
+            return cached(m, k)
+        except DegenerateParameters:
+            raised.append((m, k))
+            raise
+
+    monkeypatch.setattr(tq, "phi", recorded)
+    assert all(r.passed for r in checks.run("tq-identities", 30, 6))
+    info = cached.cache_info()
+    assert len(set(asked)) > info.maxsize >= info.currsize
+    # a call that raises (phi(1, -1)) caches nothing, so each is a miss
+    assert info.misses == len(set(asked) - set(raised)) + len(raised)
+
+
+def test_phi_cache_holds_every_order_verify_reads():
+    # gauss_relation_checks(m) reads about 3m + 6 entries, orders m - 1..m + 1
+    assert 3 * (cli.MAX_VERIFY_M + 4) <= tq.phi.cache_info().maxsize
 
 
 class _FoldCalled(Exception):
