@@ -43,8 +43,9 @@ MAX_N_VALUES = 1000
 
 # wall-time caps on `verify --suite all`, measured on a 2-CPU VM (Python
 # 3.11.7) with the other limit at its default.  max-m 64 took 9.1, 10.0
-# and 9.6 s at 41 MB peak RSS (28 MB since tq.phi keeps at most 256
-# entries), and max-n 170 took 9.4, 9.0 and 8.6 s at 56 MB since e_poly
+# and 9.6 s at 41 MB peak RSS (25 MB since tq.phi keeps at most 256
+# entries and tq caches only the builders later blocks read again), and
+# max-n 170 took 9.4, 9.0 and 8.6 s at 56 MB since e_poly
 # is an integer Horner rule (11.5 to 14.2 s before);
 # both caps at once took 25.8 s at 85 MB in one run.  The VM's speed
 # swings up to fourfold from day to day: on a slow day max-n 170 took 52

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Tuple, Union
+from typing import Tuple
 
 from .errors import OutOfRange
 from .qfield import _rational
@@ -47,32 +47,22 @@ from .report import EnumTable
 DP_LIMIT = 16
 MT_LIMIT = 8
 
-Weight = Union[int, Fraction]
-
-
-def _normalize_weight(x) -> Weight:
-    x = Fraction(_rational(x))
-    if x.denominator == 1:
-        return x.numerator
-    return x
-
-
 def dp_refined_enum(n: int, x) -> EnumTable:
     """Weighted refined counts A_n(r; x), r = 1..n, for a rational x.
 
-    The weight is checked and normalised first, so a float or a str
-    raises TypeError even when an equal rational was swept before; the
-    counts then come from `_sweep`, which keeps those of its last
-    DP_LIMIT sweeps.
+    The weight is checked and split into lowest terms p/q first, so a
+    float or a str raises TypeError even when an equal rational was
+    swept before; the counts then come from `_sweep`, which keeps those
+    of its last DP_LIMIT sweeps.
     """
     if n < 1 or n > DP_LIMIT:
         raise OutOfRange(f"n must lie in 1..{DP_LIMIT}")
-    p, q = _normalize_weight(x).as_integer_ratio()
+    p, q = _rational(x).as_integer_ratio()
     return EnumTable(n, _sweep(n, p, q))
 
 
 @lru_cache(maxsize=DP_LIMIT)
-def _sweep(n: int, p: int, q: int) -> Tuple[Weight, ...]:
+def _sweep(n: int, p: int, q: int) -> tuple:
     """The counts at x = p/q by one forward sweep, column by column.
 
     A state is the column-sum mask, with the columns left of the cursor
@@ -189,11 +179,13 @@ def mt_refined_enum(n: int, x) -> EnumTable:
     """
     if n < 1 or n > MT_LIMIT:
         raise OutOfRange(f"n must lie in 1..{MT_LIMIT}")
-    x = _normalize_weight(x)
+    # an integral weight stays an int, so its counts are ints too
+    p, q = _rational(x).as_integer_ratio()
+    x = p if q == 1 else Fraction(p, q)
     powers = [x ** k for k in range(n)]
     cache: dict = {}
 
-    def below(row: Tuple[int, ...]) -> Weight:
+    def below(row: Tuple[int, ...]) -> int | Fraction:
         if len(row) == n:
             return 1
         got = cache.get(row)

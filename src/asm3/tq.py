@@ -16,8 +16,13 @@ kernels q/x - x/q and q*x - 1/(q*x)), and the route comparisons plus the
 contiguous three-term relations are the artifact's working correctness
 argument, so none of them may be collapsed into a single code path.
 
-All arithmetic is exact over Q or Q(s).  The family builders are
-memoized; polynomials are immutable so sharing cached instances is safe.
+All arithmetic is exact over Q or Q(s).  A builder keeps a cache only
+where a later verify block reads the same order again: f_poly, g_poly,
+q_poly, v_poly and e_poly (read 2 to 9 times per order), phi (bounded
+to the orders one relation block reads) and _kernel_terms (the orders
+one step builds from).  h_poly, p_poly, h1_poly and the kernel powers
+(x - 1/x)^n are cheap to rebuild or read once per call, so they are not
+cached.  Polynomials are immutable, so sharing cached instances is safe.
 This route module imports only the shared modules, never counts or
 oracle, which verify compares it with.
 """
@@ -26,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import comb, factorial, lcm
 
 from .densepoly import DensePoly, horner
 from .errors import OutOfRange, PoleAtSample
@@ -48,7 +53,6 @@ _BIG = LaurentPoly({1: Q, -1: -QBAR})
 _ODD3 = LaurentPoly({3: 1, -3: -1})
 _EVEN3 = LaurentPoly({3: 1, -3: 1})
 _EVEN3_SHIFT = LaurentPoly({3: 1, 0: 2, -3: 1})
-_ODD1 = LaurentPoly({1: 1, -1: -1})
 _EVEN1_SHIFT = LaurentPoly({1: 1, 0: 2, -1: 1})
 _EVEN1_MINUS1 = LaurentPoly({1: 1, 0: -1, -1: 1})
 _EVEN1_MINUS2 = LaurentPoly({1: 1, 0: -2, -1: 1})
@@ -56,12 +60,9 @@ _EVEN1 = LaurentPoly({1: 1, -1: 1})
 _EVEN2_PLUS1 = LaurentPoly({2: 1, 0: 1, -2: 1})
 
 
-@lru_cache(maxsize=None)
 def _odd_kernel_pow(n: int) -> LaurentPoly:
-    """(x - 1/x) ** n."""
-    if n == 0:
-        return LaurentPoly.one()
-    return _odd_kernel_pow(n - 1) * _ODD1
+    """(x - 1/x) ** n, by the binomial theorem."""
+    return LaurentPoly({n - 2 * k: (-1) ** k * comb(n, k) for k in range(n + 1)})
 
 
 # gauss_relation_checks(m) reads the orders m - 1, m and m + 1 and builds
@@ -113,7 +114,6 @@ def g_poly(m: int) -> LaurentPoly:
     return _odd_family(m, 2)
 
 
-@lru_cache(maxsize=None)
 def h_poly(m: int) -> LaurentPoly:
     """Combined solution c_norm(m) * (g_m + (3m+2)/(3m+1) * f_m).
 
@@ -164,7 +164,6 @@ def q_poly_phi(m: int) -> LaurentPoly:
     return phi(m, m) * pref
 
 
-@lru_cache(maxsize=None)
 def p_poly(m: int) -> LaurentPoly:
     """Symmetric quotient g_m / (x - 1/x)^(2m+1); division route.
 
@@ -247,7 +246,6 @@ def e_poly(m: int) -> DensePoly:
     return DensePoly(c * scale for c in acc)
 
 
-@lru_cache(maxsize=None)
 def h1_poly(n: int) -> DensePoly:
     """Generating polynomial of the unweighted refinement.
 
@@ -359,13 +357,14 @@ def gauss_relation_checks(m: int) -> list:
     out.append(CheckResult("g_from_f_pair", tag, g_poly(m) == rhs))
     rhs = _pair(m, _EVEN3_SHIFT, f_poly(m), 1, f_poly(m + 1)) * c_norm(m)
     out.append(CheckResult("h_from_f_pair", tag, h_poly(m) == rhs))
+    p = p_poly(m)
     rhs = _pair(m, _EVEN3, q_poly(m), _odd_kernel_pow(2), q_poly(m + 1))
-    out.append(CheckResult("p_from_q_pair", tag, p_poly(m) == rhs))
+    out.append(CheckResult("p_from_q_pair", tag, p == rhs))
 
     out.append(CheckResult("v_from_q_pair", tag, v_poly(m) == v_poly_q(m)))
     out.append(CheckResult("q_routes_agree", tag, q_poly(m) == q_poly_phi(m)))
     if m >= 1:
-        out.append(CheckResult("p_routes_agree", tag, p_poly(m) == p_poly_phi(m)))
+        out.append(CheckResult("p_routes_agree", tag, p == p_poly_phi(m)))
     out.append(CheckResult("v_routes_agree", tag, v_poly(m) == v_poly_phi(m)))
 
     for k in range(m + 1):

@@ -1,4 +1,6 @@
+import gc
 import sys
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -219,6 +221,33 @@ def test_phi_cache_is_bounded_and_rebuilds_nothing(monkeypatch):
 def test_phi_cache_holds_every_order_verify_reads():
     # gauss_relation_checks(m) reads about 3m + 6 entries, orders m - 1..m + 1
     assert 3 * (cli.MAX_VERIFY_M + 4) <= tq.phi.cache_info().maxsize
+
+
+def test_odd_kernel_power_equals_the_repeated_product():
+    # verify divides by (x - 1/x)^(2m + 1) up to m = MAX_VERIFY_M + 1,
+    # where v_poly_q reads q_poly(m + 1)
+    odd = LaurentPoly({1: 1, -1: -1})
+    power = LaurentPoly.one()
+    for n in range(2 * cli.MAX_VERIFY_M + 4):
+        assert tq._odd_kernel_pow(n) == power, n
+        power = power * odd
+
+
+def test_identity_suite_leaves_little_in_the_caches():
+    # only builders a later block reads again keep their results; caching
+    # h, p, h1 and the kernel powers as well leaves 4.66 MB traced
+    for obj in vars(tq).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert all(r.passed for r in checks.run("tq-identities", 40, 6))
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 4 * 10**6
 
 
 class _FoldCalled(Exception):
