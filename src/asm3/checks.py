@@ -158,8 +158,6 @@ def scan_fixed(max_m: int, max_n: int) -> Iterator[CheckResult]:
 
 # -- tq-identities ------------------------------------------------------
 
-_TRANSFORM_SAMPLES = (Fraction(2), Fraction(3), Fraction(5, 7))
-
 
 def shift_equation(max_m: int, max_n: int) -> Iterator[CheckResult]:
     for m in range(max_m + 1):
@@ -189,7 +187,7 @@ def relations(max_m: int, max_n: int) -> Iterator[CheckResult]:
 
 def transforms(max_m: int, max_n: int) -> Iterator[CheckResult]:
     for m in range(max_m + 1):
-        yield from tq.transform_checks(m, _TRANSFORM_SAMPLES)
+        yield from tq.transform_checks(m)
 
 
 def degeneracy_guards(max_m: int, max_n: int) -> Iterator[CheckResult]:

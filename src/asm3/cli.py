@@ -42,12 +42,9 @@ MAX_DIGITS = MAX_HEIGHT.bit_length() - 1
 MAX_N_VALUES = 1000
 
 # wall-time caps on `verify --suite all`, measured on a 2-CPU VM (Python
-# 3.11.7) with the other limit at its default.  max-m 64 took 9.1, 10.0
-# and 9.6 s at 41 MB peak RSS (25 MB since tq.phi keeps at most 256
-# entries and tq caches only the builders later blocks read again), and
-# max-n 170 took 9.4, 9.0 and 8.6 s at 56 MB since e_poly
-# is an integer Horner rule (11.5 to 14.2 s before);
-# both caps at once took 25.8 s at 85 MB in one run.  The VM's speed
+# 3.11.7) with the other limit at its default: max-m 64 took 5.9 to 7.6 s
+# at 25 MB peak RSS and max-n 170 took 6.7 to 8.4 s at 53 MB (three runs
+# each); both caps at once took 13.3 s at 62 MB in one run.  The VM's speed
 # swings up to fourfold from day to day: on a slow day max-n 170 took 52
 # to 65 s against a one-minute aim, so neither cap was raised
 MAX_VERIFY_M = 64

@@ -14,6 +14,8 @@ content gcd per result; a QsElem is built only where a value is read
 a fresh polynomial, and they are unhashable.
 `lincomb` folds a whole sum of rational multiples of polynomials in one
 integer pass, over one denominator and with one content gcd.
+`divide_exact` takes only divisors that are monic with integer
+coefficients, the only kind the quotient families divide by.
 
 >>> p = LaurentPoly({1: 1, -1: -1})
 >>> p * p == LaurentPoly({2: 1, 0: -2, -2: 1})
@@ -216,61 +218,43 @@ class LaurentPoly:
     # -- the operations the identity checks are built from --------------
 
     def divide_exact(self, den: "LaurentPoly") -> "LaurentPoly":
-        """Exact quotient self / den.
+        """Exact quotient self / den, for den monic with integer coefficients.
 
-        Raises ZeroDivisionError on a zero divisor and NonExactDivision
-        when the division leaves a remainder.  Since x is a unit here,
-        the division normalises both operands to ordinary polynomials
-        with nonzero constant term and long-divides those, in integer
-        pairs: when the divisor's lead has an s-part, both operands are
-        multiplied by its conjugate, so the lead becomes a rational
-        integer L, and when |L| != 1 the dividend is first multiplied by
-        |L| ** steps, so that every step divides exactly.
+        The quotient families divide only by (x - 1/x)^n, or that times
+        x + 2 + 1/x, and over such a divisor every step of the long
+        division is exact in the dividend's integer pairs.  Any other
+        nonzero divisor raises ValueError, a zero one ZeroDivisionError,
+        and a remainder NonExactDivision.
         """
         if not isinstance(den, LaurentPoly):
             raise TypeError("divisor must be a LaurentPoly")
         if den.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
+        div, dlo, dhi = den._c, den.min_exp, den.max_exp
+        if den._d != 1 or div[dhi] != (1, 0) or any(b for _, b in div.values()):
+            raise ValueError("divisor is not monic with integer coefficients")
         if self.is_zero:
             return LaurentPoly()
         nlo, nhi = self.min_exp, self.max_exp
-        dlo, dhi = den.min_exp, den.max_exp
-        if nhi - nlo < dhi - dlo:
+        width = dhi - dlo
+        if nhi - nlo < width:
             raise NonExactDivision("divisor support is wider than dividend")
-        num, div = self._c, den._c
-        la, lb = div[dhi]
-        if lb:
-            num = _times(num, la, -lb)
-            div = _times(div, la, -lb)
-            lead, _ = div[dhi]
-        else:
-            lead = la
+        num = self._c
         na = [num[k][0] if k in num else 0 for k in range(nlo, nhi + 1)]
         nb = [num[k][1] if k in num else 0 for k in range(nlo, nhi + 1)]
-        terms = [(k - dlo, a, b) for k, (a, b) in div.items() if k != dhi]
-        width = dhi - dlo
-        steps = len(na) - width
-        scale = abs(lead) ** steps
-        if scale != 1:
-            na = [a * scale for a in na]
-            nb = [b * scale for b in nb]
+        terms = [(k - dlo, a) for k, (a, _) in div.items() if k != dhi]
         quot = {}
-        for i in range(steps - 1, -1, -1):
+        for i in range(nhi - nlo - width, -1, -1):
             ca, cb = na[i + width], nb[i + width]
             if not (ca or cb):
                 continue
-            if lead != 1:
-                ca, cb = ca // lead, cb // lead
             quot[nlo - dlo + i] = (ca, cb)
-            for j, a, b in terms:
-                na[i + j] -= ca * a - 3 * cb * b
-                nb[i + j] -= ca * b + cb * a
+            for j, a in terms:
+                na[i + j] -= ca * a
+                nb[i + j] -= cb * a
         if any(na[:width]) or any(nb[:width]):
             raise NonExactDivision("nonzero remainder")
-        # (num/dn) / (div/dd) = (quot/scale) * dd/dn
-        dd = den._d
-        quot = {k: (a * dd, b * dd) for k, (a, b) in quot.items()}
-        return _poly(quot, self._d * scale)
+        return _poly(quot, self._d)
 
     def substitute_scale(self, c: Scalar) -> "LaurentPoly":
         """p(x) -> p(c*x) for a nonzero scalar c; c = 0 hits the pole x = 0."""

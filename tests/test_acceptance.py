@@ -15,7 +15,6 @@ from asm3.errors import DegenerateParameters
 from asm3.laurent import LaurentPoly
 
 F = Fraction
-SAMPLES = (F(2), F(3), F(5, 7))
 
 
 def _report(num, label, ok, detail=""):
@@ -109,11 +108,12 @@ def test_c05_tq_identity_suite():
 def test_c06_transformation_spot_checks():
     bad = []
     for m in range(11):
-        bad.extend(r for r in tq.transform_checks(m, SAMPLES) if not r.passed)
+        bad.extend(r for r in tq.transform_checks(m) if not r.passed)
     ok = not bad
+    xs = ", ".join(map(str, tq.TRANSFORM_SAMPLES))
     _report(
         6,
-        "variable changes at x in {2, 3, 5/7} (m<=10)",
+        f"variable changes at x in {{{xs}}} (m<=10)",
         ok,
         "" if ok else repr(bad[:3]),
     )

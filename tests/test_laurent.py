@@ -23,8 +23,13 @@ qs_points = st.builds(
     st.fractions(min_value=-3, max_value=3, max_denominator=4),
     st.fractions(min_value=-3, max_value=3, max_denominator=4),
 ).filter(bool)
-# divisor leads whose norm is not 1: 2, s, q = (1 + s)/2 and 3 + s
-leads = st.sampled_from([QsElem(2), S, Q, QsElem(3, 1)])
+# divisors monic with integer coefficients, the only kind divide_exact
+# takes: up to four integer terms below a top coefficient 1
+monic_dicts = st.builds(
+    lambda low, top: {**{k: v for k, v in low.items() if k < top}, top: QsElem(1)},
+    st.dictionaries(exps, st.builds(QsElem, st.integers(-6, 6)), max_size=4),
+    exps,
+)
 
 
 def _coeff(p, k):
@@ -82,13 +87,31 @@ def test_ring_axioms(a, b, c):
     assert (a + b) * c == a * c + b * c
 
 
-@given(polys, polys)
-def test_exact_division_round_trip(p, d):
-    if d.is_zero:
-        with pytest.raises(ZeroDivisionError):
-            p.divide_exact(d)
-    else:
-        assert (p * d).divide_exact(d) == p
+@given(qs_dicts, monic_dicts)
+def test_exact_division_round_trip(x, y):
+    p, d = LaurentPoly(x), LaurentPoly(y)
+    assert (p * d).divide_exact(d) == p
+
+
+def test_division_refuses_other_divisors():
+    # 2x + 1, s*x + 1, x + 1/2, x + s, q*x and 1 - x: a lead other than 1
+    # or a coefficient outside Z; a zero dividend or an exact product is
+    # refused as well, since the check comes before any work
+    p = LaurentPoly({1: 1, 0: -S, -2: Fraction(1, 3)})
+    for c in [
+        {1: 2, 0: 1},
+        {1: S, 0: 1},
+        {1: 1, 0: Fraction(1, 2)},
+        {1: 1, 0: S},
+        {1: Q},
+        {1: -1, 0: 1},
+    ]:
+        den = LaurentPoly(c)
+        for num in (p * den, p, LaurentPoly()):
+            with pytest.raises(ValueError):
+                num.divide_exact(den)
+    with pytest.raises(ZeroDivisionError):
+        p.divide_exact(LaurentPoly())
 
 
 def test_division_with_remainder_raises():
@@ -279,41 +302,15 @@ def _check_extra_term(prod, y):
         assert _same(LaurentPoly(extra).divide_exact(LaurentPoly(y)), want)
 
 
-@given(qs_dicts, qs_dicts)
+@given(qs_dicts, monic_dicts)
 def test_division_matches_reference(x, y):
     y = _ref_clean(y)
-    if not y:
-        return
     p, q = LaurentPoly(x), LaurentPoly(y)
     prod = _ref_mul(x, y)
     got = LaurentPoly(prod).divide_exact(q)
     assert _canonical(got)
     assert _same(got, _ref_divide(prod, y)) and got == p
     _check_extra_term(prod, y)
-
-
-@given(qs_dicts, qs_dicts, leads)
-def test_division_by_a_lead_of_norm_not_one(x, y, lead):
-    # the lead L of the divisor (after the conjugate, when it has an
-    # s-part) is 2, 3, 4 or 12, so the dividend is prescaled by |L|^steps
-    y = _ref_clean(y)
-    y[6] = lead
-    p, q = LaurentPoly(x), LaurentPoly(y)
-    prod = _ref_mul(x, y)
-    got = LaurentPoly(prod).divide_exact(q)
-    assert _canonical(got)
-    assert _same(got, _ref_divide(prod, y)) and got == p
-    _check_extra_term(prod, y)
-
-
-def test_division_prescale_by_hand():
-    # divisors lead*x + low whose lead is 2, s, q and 3 + s
-    for lead, low in [(2, S), (S, 1), (Q, 3), (QsElem(3, 1), S)]:
-        den = LaurentPoly({1: lead, 0: low})
-        p = LaurentPoly({1: 1, 0: -S, -2: Fraction(1, 3)})
-        assert (p * den).divide_exact(den) == p
-        with pytest.raises(NonExactDivision):
-            (p * den + 1).divide_exact(den)
 
 
 @given(qs_dicts, qs_points)
@@ -372,6 +369,7 @@ def test_canonical_form_cancels_common_content():
 def test_kernel_runs_without_qselem_arithmetic(monkeypatch):
     p = LaurentPoly({2: QsElem(Fraction(1, 2), 3), 0: Q, -1: Fraction(-2, 3)})
     q = LaurentPoly({1: QsElem(3, 1), -2: S})
+    k = LaurentPoly({1: 1, -1: -1})
     expected = [p * q, p + q, p, p.euler_d()]
 
     def boom(*args):
@@ -379,6 +377,6 @@ def test_kernel_runs_without_qselem_arithmetic(monkeypatch):
 
     for name in ("__mul__", "__rmul__", "__add__", "__sub__"):
         monkeypatch.setattr(QsElem, name, boom)
-    got = [p * q, p + q, (p * q).divide_exact(q), p.euler_d()]
+    got = [p * q, p + q, (p * k).divide_exact(k), p.euler_d()]
     monkeypatch.undo()
     assert got == expected

@@ -232,6 +232,7 @@ def test_hot_path_builds_no_fraction(monkeypatch):
     u = QsElem(Fraction(1, 2), Fraction(-3, 4))
     v = QsElem(Fraction(5, 3), Fraction(2, 7))
     p = LaurentPoly({1: u, 0: 3, -2: v})
+    k = LaurentPoly({1: 1, -1: -1})
     expected = [u * v, u + v, u - v, u.inverse(), u ** 5, u ** -3, p * p]
 
     def no_fraction(*args, **kwargs):
@@ -240,6 +241,6 @@ def test_hot_path_builds_no_fraction(monkeypatch):
     monkeypatch.setattr(qfield, "Fraction", no_fraction)
     got = [u * v, u + v, u - v, u.inverse(), u ** 5, u ** -3, p * p]
     assert got == expected
-    assert (p * p).divide_exact(p) == p
+    assert (p * k).divide_exact(k) == p
     assert u * Fraction(2, 3) + 1 == QsElem(Fraction(4, 3), Fraction(-1, 2))
     assert tq_check(f_poly(3))
