@@ -80,12 +80,14 @@ def b_family(max_m: int, max_n: int) -> Iterator[CheckResult]:
         tag = f"m={m}"
         yield CheckResult("b_reflective", tag, bt == bt[::-1])
         yield CheckResult("b_sums_to_one", tag, sum(bt) == 1)
+        # b_coeff_4f3 reflects alpha > m to 2m - alpha, so each value is
+        # evaluated once and compared with both entries it stands for
         yield CheckResult(
             "b_matches_series_route",
             tag,
             all(
-                counts.b_coeff_4f3(m, a) == bt[a]
-                for a in range(2 * m + 1)
+                bt[a] == counts.b_coeff_4f3(m, a) == bt[2 * m - a]
+                for a in range(m + 1)
             ),
         )
         yield CheckResult(
@@ -300,13 +302,19 @@ def run_block(block: Block, max_m: int, max_n: int) -> List[CheckResult]:
         ]
 
 
-def run(suite: str, max_m: int, max_n: int) -> List[CheckResult]:
-    """Results of every block of one suite (or of "all"), in order."""
+def run(suite: str, max_m: int, max_n: int) -> Iterator[CheckResult]:
+    """Results of every block of one suite (or of "all"), in order.
+
+    An unknown suite raises ValueError at the call, before any block
+    runs.  The results then come block by block, each block's as it
+    finishes, so a caller that writes them as they come holds one
+    block's results at a time.
+    """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
-    return [
+    return (
         r
         for block_suite, block in BLOCKS
         if suite in (block_suite, "all")
         for r in run_block(block, max_m, max_n)
-    ]
+    )

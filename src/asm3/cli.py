@@ -18,6 +18,7 @@ from types import SimpleNamespace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from . import checks, counts, oracle
+from .report import CheckResult
 
 _RATIONAL_RE = re.compile(r"([+-]?)(\d+)(?:/(\d+)|\.(\d+))?")
 
@@ -43,10 +44,11 @@ MAX_N_VALUES = 1000
 
 # wall-time caps on `verify --suite all`, measured on a 2-CPU VM (Python
 # 3.11.7) with the other limit at its default: max-m 64 took 5.9 to 7.6 s
-# at 25 MB peak RSS and max-n 170 took 6.7 to 8.4 s at 53 MB (three runs
-# each); both caps at once took 13.3 s at 62 MB in one run.  The VM's speed
-# swings up to fourfold from day to day: on a slow day max-n 170 took 52
-# to 65 s against a one-minute aim, so neither cap was raised
+# and peaks at 22.7 MB RSS, and max-n 170 took 6.7 to 8.4 s at 53 MB
+# (three runs each); both caps at once took 13.3 s at 62 MB in one run.
+# The VM's speed swings up to fourfold from day to day: on a slow day
+# max-n 170 took 52 to 65 s against a one-minute aim, so neither cap was
+# raised
 MAX_VERIFY_M = 64
 MAX_VERIFY_N = 170
 
@@ -249,20 +251,34 @@ def cmd_verify(args: SimpleNamespace) -> int:
             f"max-n <= {MAX_VERIFY_N}"
         )
     results = checks.run(args.suite, max_m, max_n)
-    for r in results:
-        if not r.passed and r.detail:
-            print(f"FAIL,{r.name},{r.params}: {r.detail}", file=sys.stderr)
-    n_fail = sum(1 for r in results if not r.passed)
+    # each result is written as its block finishes, so the summary line
+    # and the exit code come from a running count
+    n_all = n_fail = 0
+
+    def tallied() -> Iterator[CheckResult]:
+        nonlocal n_all, n_fail
+        for r in results:
+            n_all += 1
+            if not r.passed:
+                n_fail += 1
+                if r.detail:
+                    print(f"FAIL,{r.name},{r.params}: {r.detail}", file=sys.stderr)
+            yield r
+
+    def summary() -> Iterator[str]:
+        yield f"# {n_all - n_fail}/{n_all} checks passed\n"
+
+    rows = tallied()
     _emit(
         args,
         {"suite": args.suite, "max_m": str(max_m), "max_n": str(max_n)},
-        ({"name": r.name, "params": r.params, "passed": r.passed} for r in results),
+        ({"name": r.name, "params": r.params, "passed": r.passed} for r in rows),
         chain(
             (
                 f"{'PASS' if r.passed else 'FAIL'},{r.name},{r.params}\n"
-                for r in results
+                for r in rows
             ),
-            [f"# {len(results) - n_fail}/{len(results)} checks passed\n"],
+            summary(),
         ),
     )
     return 0 if n_fail == 0 else 1

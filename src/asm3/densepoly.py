@@ -3,13 +3,16 @@
 `horner` evaluates such a tuple at an int, a Fraction or a point of
 Q(s); it is the one evaluation rule the checks use on them.  A DensePoly
 is the tuple of its Fraction coefficients with trailing zeros trimmed,
-and its one operation is the product that glues h3_poly together; like a
-LaurentPoly it is immutable by convention and unhashable.
+and its one operation is the product that glues h3_poly together, an
+integer convolution of the numerators over each operand's common
+denominator; like a LaurentPoly it is immutable by convention and
+unhashable.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Union
 
 from .qfield import _rational
@@ -23,6 +26,12 @@ def horner(coeffs, v):
     for c in reversed(coeffs):
         acc = acc * v + c
     return acc
+
+
+def _over_common(coeffs) -> tuple:
+    # (d, numerators) with every Fraction coefficient equal to numerator/d
+    d = lcm(*(c.denominator for c in coeffs))
+    return d, [c.numerator * (d // c.denominator) for c in coeffs]
 
 
 class DensePoly:
@@ -39,11 +48,21 @@ class DensePoly:
     def __mul__(self, other):
         if not isinstance(other, DensePoly):
             return NotImplemented
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
+        if not (self.coeffs and other.coeffs):
+            return DensePoly()
+        # the numerators over each operand's common denominator convolve
+        # in integers; each output coefficient is one Fraction
+        da, left = _over_common(self.coeffs)
+        db, right = _over_common(other.coeffs)
+        out = [0] * (len(left) + len(right) - 1)
+        for i, a in enumerate(left):
+            for j, b in enumerate(right):
                 out[i + j] += a * b
-        return DensePoly(out)
+        d = da * db
+        # leading coefficients are nonzero, so the product keeps its top
+        prod = object.__new__(DensePoly)
+        prod.coeffs = tuple(Fraction(v, d) for v in out)
+        return prod
 
     def __repr__(self):
         return f"DensePoly({list(self.coeffs)!r})"

@@ -3,15 +3,17 @@
 Exponents are ints and coefficients live in Q(s), given as int, Fraction
 or QsElem; anything else raises TypeError, and rationals embed with a
 zero s-part.  A polynomial is stored as one denominator `_d`, an int > 0,
-and a dict `_c = {k: (a, b)}` of integer pairs, meaning the sum of
-(a_k + b_k*s)/d * x^k.  The form is canonical: no pair is (0, 0),
-gcd(d, every a, every b) = 1, and the zero polynomial has d = 1, so
-equal polynomials have equal `_d` and `_c`.  The dict suits the thin
-supports that show up here (arithmetic progressions of step 6 between
--3m-2 and 3m+2).  Every ring operation is integer arithmetic plus one
-content gcd per result; a QsElem is built only where a value is read
-(`eval_at`, `repr`).  Instances are immutable, every operation returns
-a fresh polynomial, and they are unhashable.
+and two integer lanes `_a = {k: a}` and `_b = {k: b}`, meaning the sum
+of (a_k + b_k*s)/d * x^k.  The form is canonical: neither lane holds a
+zero entry, gcd(d, every a, every b) = 1, and the zero polynomial has
+d = 1, so equal polynomials have equal `_d`, `_a` and `_b`.  A rational
+polynomial, as almost every family in tq is, keeps one int per term and
+an empty s-lane, and every operation skips an empty lane.  The dicts
+suit the thin supports that show up here (arithmetic progressions of
+step 6 between -3m-2 and 3m+2).  Every ring operation is integer
+arithmetic plus one content gcd per result; a QsElem is built only where
+a value is read (`eval_at`, `repr`).  Instances are immutable, every
+operation returns a fresh polynomial, and they are unhashable.
 `lincomb` folds a whole sum of rational multiples of polynomials in one
 integer pass, over one denominator and with one content gcd.
 `divide_exact` takes only divisors that are monic with integer
@@ -38,25 +40,65 @@ from .qfield import _RATIONAL_TYPES, QsElem, _lift, _rational, _reduced
 Scalar = Union[int, Fraction, QsElem]
 
 
-def _poly(c: dict, d: int) -> "LaurentPoly":
-    # the canonical form of the sum of (a + b*s)/d * x^k over
-    # c = {k: (a, b)}, for d > 0 and integer pairs none of which is (0, 0)
-    if not c:
+def _poly(a: dict, b: dict, d: int) -> "LaurentPoly":
+    # the canonical form of the sum of (a_k + b_k*s)/d * x^k over the
+    # lanes a and b, for d > 0 and lanes without zero entries
+    if not (a or b):
         d = 1
     elif d != 1:
-        g = gcd(d, *chain.from_iterable(c.values()))
+        g = gcd(d, *a.values(), *b.values())
         if g != 1:
             d //= g
-            c = {k: (a // g, b // g) for k, (a, b) in c.items()}
+            a = {k: v // g for k, v in a.items()}
+            b = {k: v // g for k, v in b.items()}
     self = object.__new__(LaurentPoly)
-    self._c = c
+    self._a = a
+    self._b = b
     self._d = d
     return self
 
 
-def _times(c: dict, ea: int, eb: int) -> dict:
-    # the pairs of c, each times ea + eb*s
-    return {k: (a * ea - 3 * b * eb, a * eb + b * ea) for k, (a, b) in c.items()}
+def _nonzero(lane: dict) -> dict:
+    return {k: v for k, v in lane.items() if v}
+
+
+def _sum(x: dict, u: int, y: dict, v: int) -> dict:
+    # u*x + v*y for two lanes, without the entries that cancel
+    c = {k: a * u for k, a in x.items()} if u else {}
+    if v:
+        for k, a in y.items():
+            a *= v
+            if k in c:
+                a += c[k]
+                if not a:
+                    del c[k]
+                    continue
+            c[k] = a
+    return c
+
+
+def _times(a: dict, b: dict, ea: int, eb: int) -> tuple:
+    # the lanes of (a + b*s) * (ea + eb*s)
+    if not eb:
+        return {k: v * ea for k, v in a.items()}, {k: v * ea for k, v in b.items()}
+    return _sum(a, ea, b, -3 * eb), _sum(a, eb, b, ea)
+
+
+def _conv(x: dict, y: dict, acc: dict, f: int) -> None:
+    # adds f times the product of the lanes x and y into acc; an empty
+    # lane adds nothing, so a rational operand costs one product
+    if not (x and y):
+        return
+    right = list(y.items())
+    for k1, c1 in x.items():
+        if f != 1:
+            c1 *= f
+        for k2, c2 in right:
+            k = k1 + k2
+            if k in acc:
+                acc[k] += c1 * c2
+            else:
+                acc[k] = c1 * c2
 
 
 def _pair_pow(a: int, b: int, n: int) -> tuple:
@@ -70,31 +112,52 @@ def _pair_pow(a: int, b: int, n: int) -> tuple:
     return ra, rb
 
 
+def _quotient(lane: dict, div: dict, dlo: int, dhi: int) -> dict:
+    # the exact quotient of one lane by the monic integer lane div, whose
+    # support spans dlo..dhi
+    if not lane:
+        return {}
+    nlo, nhi = min(lane), max(lane)
+    width = dhi - dlo
+    if nhi - nlo < width:
+        raise NonExactDivision("divisor support is wider than dividend")
+    num = [lane.get(k, 0) for k in range(nlo, nhi + 1)]
+    terms = [(k - dlo, a) for k, a in div.items() if k != dhi]
+    quot = {}
+    for i in range(nhi - nlo - width, -1, -1):
+        c = num[i + width]
+        if c:
+            quot[nlo - dlo + i] = c
+            for j, a in terms:
+                num[i + j] -= c * a
+    if any(num[:width]):
+        raise NonExactDivision("nonzero remainder")
+    return quot
+
+
 def lincomb(polys, coeffs) -> "LaurentPoly":
     """Sum of c * p over zip(polys, coeffs), for rational coefficients c.
 
     Every term c * p is put over the lcm of the terms' denominators and
-    their integer pairs are added up, so the sum takes one content gcd
-    instead of one per term.  A coefficient that is not an int or a
-    Fraction raises TypeError.
+    their lanes are added up, so the sum takes one content gcd instead
+    of one per term.  A coefficient that is not an int or a Fraction
+    raises TypeError.
     """
     terms = []
     for p, c in zip(polys, coeffs):
         n, e = _rational(c).as_integer_ratio()
-        if n and p._c:
-            terms.append((p._c, n, e * p._d))
+        if n and not p.is_zero:
+            terms.append((p, n, e * p._d))
     d = lcm(*(e for _, _, e in terms))
-    acc: dict = {}
-    for c, n, e in terms:
+    acc_a: dict = {}
+    acc_b: dict = {}
+    for p, n, e in terms:
         f = n * (d // e)
-        for k, (a, b) in c.items():
-            pair = acc.get(k)
-            if pair is None:
-                acc[k] = [a * f, b * f]
-            else:
-                pair[0] += a * f
-                pair[1] += b * f
-    return _poly({k: (a, b) for k, (a, b) in acc.items() if a or b}, d)
+        for acc, lane in ((acc_a, p._a), (acc_b, p._b)):
+            get = acc.get
+            for k, v in lane.items():
+                acc[k] = get(k, 0) + v * f
+    return _poly(_nonzero(acc_a), _nonzero(acc_b), d)
 
 
 def _operand(v) -> "LaurentPoly | None":
@@ -107,7 +170,7 @@ def _operand(v) -> "LaurentPoly | None":
 
 
 class LaurentPoly:
-    __slots__ = ("_c", "_d")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, coeffs: Mapping[int, Scalar] | None = None):
         lifted = {}
@@ -120,9 +183,10 @@ class LaurentPoly:
                 if q:
                     lifted[k] = q
         # each QsElem is in lowest terms, so over the lcm of their
-        # denominators the pairs are already canonical
+        # denominators the lanes are already canonical
         d = lcm(*(q.d for q in lifted.values()))
-        self._c = {k: (q.a * (d // q.d), q.b * (d // q.d)) for k, q in lifted.items()}
+        self._a = {k: q.a * (d // q.d) for k, q in lifted.items() if q.a}
+        self._b = {k: q.b * (d // q.d) for k, q in lifted.items() if q.b}
         self._d = d
 
     @classmethod
@@ -133,19 +197,19 @@ class LaurentPoly:
 
     @property
     def is_zero(self) -> bool:
-        return not self._c
+        return not (self._a or self._b)
 
     @property
     def min_exp(self) -> int:
-        if not self._c:
+        if self.is_zero:
             raise ValueError("zero polynomial has no support")
-        return min(self._c)
+        return min(chain(self._a, self._b))
 
     @property
     def max_exp(self) -> int:
-        if not self._c:
+        if self.is_zero:
             raise ValueError("zero polynomial has no support")
-        return max(self._c)
+        return max(chain(self._a, self._b))
 
     # -- ring operations ------------------------------------------------
 
@@ -156,56 +220,36 @@ class LaurentPoly:
         d, e = self._d, other._d
         m = lcm(d, e)
         u, v = m // d, m // e
-        c = {k: (a * u, b * u) for k, (a, b) in self._c.items()}
-        for k, (a, b) in other._c.items():
-            if k in c:
-                x, y = c[k]
-                x += a * v
-                y += b * v
-                if x or y:
-                    c[k] = (x, y)
-                else:
-                    del c[k]
-            else:
-                c[k] = (a * v, b * v)
-        return _poly(c, m)
+        return _poly(_sum(self._a, u, other._a, v), _sum(self._b, u, other._b, v), m)
 
     def __sub__(self, other):
         other = _operand(other)
         return NotImplemented if other is None else self + -other
 
     def __neg__(self):
-        return _poly({k: (-a, -b) for k, (a, b) in self._c.items()}, self._d)
+        return _poly(*_times(self._a, self._b, -1, 0), self._d)
 
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):
+            a1, b1, a2, b2 = self._a, self._b, other._a, other._b
             ra: dict = {}
             rb: dict = {}
-            right = list(other._c.items())
-            for k1, (a1, b1) in self._c.items():
-                t1 = 3 * b1
-                for k2, (a2, b2) in right:
-                    k = k1 + k2
-                    if k in ra:
-                        ra[k] += a1 * a2 - t1 * b2
-                        rb[k] += a1 * b2 + b1 * a2
-                    else:
-                        ra[k] = a1 * a2 - t1 * b2
-                        rb[k] = a1 * b2 + b1 * a2
-            c = {k: (a, rb[k]) for k, a in ra.items() if a or rb[k]}
-            return _poly(c, self._d * other._d)
+            _conv(a1, a2, ra, 1)
+            _conv(b1, b2, ra, -3)
+            _conv(a1, b2, rb, 1)
+            _conv(b1, a2, rb, 1)
+            return _poly(_nonzero(ra), _nonzero(rb), self._d * other._d)
         if isinstance(other, _RATIONAL_TYPES):
             n, e = other.numerator, other.denominator
             if not n:
                 return LaurentPoly()
-            c = {k: (a * n, b * n) for k, (a, b) in self._c.items()}
-            return _poly(c, self._d * e)
+            return _poly(*_times(self._a, self._b, n, 0), self._d * e)
         w = _lift(other)
         if w is None:
             return NotImplemented
         if not w:
             return LaurentPoly()
-        return _poly(_times(self._c, w.a, w.b), self._d * w.d)
+        return _poly(*_times(self._a, self._b, w.a, w.b), self._d * w.d)
 
     __rmul__ = __mul__
 
@@ -213,7 +257,9 @@ class LaurentPoly:
         other = _operand(other)
         if other is None:
             return NotImplemented
-        return self._d == other._d and self._c == other._c
+        return (
+            self._d == other._d and self._a == other._a and self._b == other._b
+        )
 
     # -- the operations the identity checks are built from --------------
 
@@ -221,40 +267,23 @@ class LaurentPoly:
         """Exact quotient self / den, for den monic with integer coefficients.
 
         The quotient families divide only by (x - 1/x)^n, or that times
-        x + 2 + 1/x, and over such a divisor every step of the long
-        division is exact in the dividend's integer pairs.  Any other
-        nonzero divisor raises ValueError, a zero one ZeroDivisionError,
-        and a remainder NonExactDivision.
+        x + 2 + 1/x, and over such a divisor each lane of the dividend
+        divides apart, every step of its long division exact in
+        integers.  Any other nonzero divisor raises ValueError, a zero
+        one ZeroDivisionError, and a remainder NonExactDivision.
         """
         if not isinstance(den, LaurentPoly):
             raise TypeError("divisor must be a LaurentPoly")
         if den.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
-        div, dlo, dhi = den._c, den.min_exp, den.max_exp
-        if den._d != 1 or div[dhi] != (1, 0) or any(b for _, b in div.values()):
+        div, dlo, dhi = den._a, den.min_exp, den.max_exp
+        if den._d != 1 or den._b or div.get(dhi) != 1:
             raise ValueError("divisor is not monic with integer coefficients")
         if self.is_zero:
             return LaurentPoly()
-        nlo, nhi = self.min_exp, self.max_exp
-        width = dhi - dlo
-        if nhi - nlo < width:
-            raise NonExactDivision("divisor support is wider than dividend")
-        num = self._c
-        na = [num[k][0] if k in num else 0 for k in range(nlo, nhi + 1)]
-        nb = [num[k][1] if k in num else 0 for k in range(nlo, nhi + 1)]
-        terms = [(k - dlo, a) for k, (a, _) in div.items() if k != dhi]
-        quot = {}
-        for i in range(nhi - nlo - width, -1, -1):
-            ca, cb = na[i + width], nb[i + width]
-            if not (ca or cb):
-                continue
-            quot[nlo - dlo + i] = (ca, cb)
-            for j, a in terms:
-                na[i + j] -= ca * a
-                nb[i + j] -= cb * a
-        if any(na[:width]) or any(nb[:width]):
-            raise NonExactDivision("nonzero remainder")
-        return _poly(quot, self._d)
+        quot_a = _quotient(self._a, div, dlo, dhi)
+        quot_b = _quotient(self._b, div, dlo, dhi)
+        return _poly(quot_a, quot_b, self._d)
 
     def substitute_scale(self, c: Scalar) -> "LaurentPoly":
         """p(x) -> p(c*x) for a nonzero scalar c; c = 0 hits the pole x = 0."""
@@ -263,47 +292,59 @@ class LaurentPoly:
             raise TypeError(f"scale factor of type {type(c).__name__}")
         if not w:
             raise PoleAtSample("Laurent polynomial scaled or evaluated at x = 0")
-        if not self._c:
+        if self.is_zero:
             return LaurentPoly()
         # c = (wa + wb*s)/wd: the term k picks up (wa + wb*s)^(k-lo) over
         # wd^(hi-lo), times wd^(hi-k), and the whole polynomial c^lo
         wa, wb, wd = w.a, w.b, w.d
         lo, hi = self.min_exp, self.max_exp
         pa, pb, prev = 1, 0, lo
-        out = {}
-        for k in sorted(self._c):
+        lane_a, lane_b = self._a, self._b
+        out_a, out_b = {}, {}
+        for k in sorted(lane_a.keys() | lane_b.keys()):
             ga, gb = _pair_pow(wa, wb, k - prev)
             pa, pb, prev = pa * ga - 3 * pb * gb, pa * gb + pb * ga, k
-            a, b = self._c[k]
             f = wd ** (hi - k)
-            out[k] = ((a * pa - 3 * b * pb) * f, (a * pb + b * pa) * f)
+            a, b = lane_a.get(k, 0), lane_b.get(k, 0)
+            x, y = (a * pa - 3 * b * pb) * f, (a * pb + b * pa) * f
+            if x:
+                out_a[k] = x
+            if y:
+                out_b[k] = y
         if lo < 0:
             # c^lo = (1/c)^-lo, and 1/c = wd*(wa - wb*s)/(wa^2 + 3*wb^2)
             wa, wb, wd = wd * wa, -wd * wb, wa * wa + 3 * wb * wb
         ea, eb = _pair_pow(wa, wb, abs(lo))
-        return _poly(_times(out, ea, eb), self._d * w.d ** (hi - lo) * wd ** abs(lo))
+        d = self._d * w.d ** (hi - lo) * wd ** abs(lo)
+        return _poly(*_times(out_a, out_b, ea, eb), d)
 
     def invert_x(self) -> "LaurentPoly":
         """p(x) -> p(1/x); an involution on the support."""
-        return _poly({-k: v for k, v in self._c.items()}, self._d)
+        return _poly(
+            {-k: v for k, v in self._a.items()},
+            {-k: v for k, v in self._b.items()},
+            self._d,
+        )
 
     def eval_at(self, x0: Scalar) -> QsElem:
         """Exact value at a nonzero point of Q(s), by substitute_scale."""
         p = self.substitute_scale(x0)
-        return _reduced(
-            sum(a for a, _ in p._c.values()), sum(b for _, b in p._c.values()), p._d
-        )
+        return _reduced(sum(p._a.values()), sum(p._b.values()), p._d)
 
     def euler_d(self) -> "LaurentPoly":
         """Euler derivative x * d/dx: multiplies each term by its exponent."""
-        return _poly({k: (k * a, k * b) for k, (a, b) in self._c.items() if k}, self._d)
+        return _poly(
+            {k: k * v for k, v in self._a.items() if k},
+            {k: k * v for k, v in self._b.items() if k},
+            self._d,
+        )
 
     def __repr__(self):
-        if not self._c:
+        if self.is_zero:
             return "LaurentPoly(0)"
         bits = []
-        for k in sorted(self._c):
-            v = _reduced(*self._c[k], self._d)
+        for k in sorted(self._a.keys() | self._b.keys()):
+            v = _reduced(self._a.get(k, 0), self._b.get(k, 0), self._d)
             if k == 0:
                 bits.append(f"({v})")
             elif k == 1:

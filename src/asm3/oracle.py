@@ -175,7 +175,8 @@ def mt_refined_enum(n: int, x) -> EnumTable:
     step is how many entries of the upper row are missing from the
     lower one, at most n - 1, and its weight comes from one table of
     the powers of x.  Completions are cached per row, which leaves the
-    recursion structure untouched.
+    recursion structure untouched; the cache belongs to this call and
+    is freed when it returns.
     """
     if n < 1 or n > MT_LIMIT:
         raise OutOfRange(f"n must lie in 1..{MT_LIMIT}")
@@ -184,18 +185,21 @@ def mt_refined_enum(n: int, x) -> EnumTable:
     x = p if q == 1 else Fraction(p, q)
     powers = [x ** k for k in range(n)]
     cache: dict = {}
-
-    def below(row: Tuple[int, ...]) -> int | Fraction:
-        if len(row) == n:
-            return 1
-        got = cache.get(row)
-        if got is not None:
-            return got
-        total = 0
-        for ext, dropped in _interlacing_extensions(row, n):
-            total += powers[dropped] * below(ext)
-        cache[row] = total
-        return total
-
-    counts = tuple(below((r,)) for r in range(1, n + 1))
+    counts = tuple(_below((r,), n, powers, cache) for r in range(1, n + 1))
     return EnumTable(n, counts)
+
+
+def _below(row: Tuple[int, ...], n: int, powers: list, cache: dict) -> int | Fraction:
+    # the weight of every completion of a triangle whose current row is
+    # row; a module-level function, so the recursion holds no reference
+    # cycle that would keep the row cache alive after the call
+    if len(row) == n:
+        return 1
+    got = cache.get(row)
+    if got is not None:
+        return got
+    total = 0
+    for ext, dropped in _interlacing_extensions(row, n):
+        total += powers[dropped] * _below(ext, n, powers, cache)
+    cache[row] = total
+    return total

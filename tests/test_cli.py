@@ -474,6 +474,32 @@ def test_table_writes_each_size_before_computing_the_next(capsys, monkeypatch, f
     assert cli.main(["table", "--n", "2..6", "--x", "3", "--format", fmt]) == 0
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_verify_writes_each_block_before_running_the_last(capsys, monkeypatch, fmt):
+    # when the last block starts, the first block's results are on stdout
+    *rest, (suite, last) = checks.BLOCKS
+    seen = []
+
+    def last_block(max_m, max_n):
+        seen.append(capsys.readouterr().out)
+        yield from last(max_m, max_n)
+
+    monkeypatch.setattr(checks, "BLOCKS", (*rest, (suite, last_block)))
+    argv = ["verify", "--suite", "all", "--max-m", "1", "--max-n", "3"]
+    assert cli.main(argv + ["--format", fmt]) == 0
+    [text] = seen
+    first = list(rest[0][1](1, 3))
+    assert first and all(r.passed for r in first)
+    for r in first:
+        if fmt == "json":
+            result = {"name": r.name, "params": r.params, "passed": True}
+            line = json.dumps(result, indent=2).replace("\n", "\n    ")
+        else:
+            line = f"PASS,{r.name},{r.params}\n"
+        assert line in text
+    assert "checks passed" not in text
+
+
 def test_table_json_keeps_a_small_peak(monkeypatch):
     # the document is written one result at a time, never built whole
     monkeypatch.setattr(cli.sys, "stdout", open(os.devnull, "w"))

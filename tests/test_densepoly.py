@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from asm3.densepoly import DensePoly, horner
 from asm3.qfield import Q, QsElem
@@ -31,6 +32,29 @@ def test_coefficients_read_as_fractions():
     p = DensePoly((1, Fraction(2, 3), 4)) * DensePoly((1, 1))
     assert all(type(c) is Fraction for c in p.coeffs)
     assert p.coeffs == (1, Fraction(5, 3), Fraction(14, 3), 4)
+
+
+coeff_lists = st.lists(
+    st.one_of(
+        st.integers(-9, 9),
+        st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    ),
+    max_size=7,
+)
+
+
+@given(coeff_lists, coeff_lists)
+def test_product_matches_a_fraction_convolution(x, y):
+    p, q = DensePoly(x), DensePoly(y)
+    want = [Fraction(0)] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            want[i + j] += a * b
+    while want and not want[-1]:
+        want.pop()
+    got = (p * q).coeffs
+    assert got == tuple(want)
+    assert all(type(c) is Fraction for c in got)
 
 
 def test_quadratic_field_coefficients_are_refused():

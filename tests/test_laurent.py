@@ -33,9 +33,8 @@ monic_dicts = st.builds(
 
 
 def _coeff(p, k):
-    # the coefficient of x^k as a QsElem, read from the integer pairs
-    a, b = p._c.get(k, (0, 0))
-    return QsElem(Fraction(a, p._d), Fraction(b, p._d))
+    # the coefficient of x^k as a QsElem, read from the two integer lanes
+    return QsElem(Fraction(p._a.get(k, 0), p._d), Fraction(p._b.get(k, 0), p._d))
 
 
 def test_module_doctests():
@@ -190,6 +189,14 @@ def test_is_rational_flag():
     assert _coeff(LaurentPoly({0: QsElem(1, 0)}), 0).sb == 0
 
 
+@given(polys, polys, coeffs)
+def test_rational_results_keep_an_empty_s_lane(p, q, c):
+    # a rational polynomial stores one int per term and no s-lane entry
+    for r in (p, p * q, p + q, p - q, p * c, lincomb([p, q], [c, 2])):
+        assert r._b == {}
+        assert all(type(v) is int and v for v in r._a.values())
+
+
 def test_equality_against_scalars():
     assert LaurentPoly({0: 5}) == 5
     assert LaurentPoly() == 0
@@ -251,14 +258,13 @@ def _same(p, ref):
 
 
 def _canonical(p):
-    d, pairs = p._d, list(p._c.values())
+    d, entries = p._d, [*p._a.values(), *p._b.values()]
     return (
         type(d) is int
         and d > 0
-        and all(type(a) is int and type(b) is int for a, b in pairs)
-        and (0, 0) not in pairs
-        and gcd(d, *(v for ab in pairs for v in ab)) == 1
-        and (bool(pairs) or d == 1)
+        and all(type(v) is int and v for v in entries)
+        and gcd(d, *entries) == 1
+        and (bool(entries) or d == 1)
     )
 
 

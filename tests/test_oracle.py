@@ -7,6 +7,7 @@ is the definition, transcribed, with no transfer-matrix or triangle
 machinery, so it anchors both production oracles for tiny sizes.
 """
 
+import gc
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
@@ -147,6 +148,27 @@ def test_dp_keeps_no_memory():
         assert peak < 4 * 2 ** 20
 
 
+def test_mt_row_cache_is_freed_when_the_call_returns():
+    # with the cyclic collector off, a row cache kept alive by a reference
+    # cycle would add about 40 KB per call at n = 8 and the packed weight.
+    # The first call runs under tracing too, so that the interpreter's
+    # free lists of small tuples are filled before the baseline is read.
+    x = 1 << packing_bits(MT_LIMIT)
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        want = mt_refined_enum(MT_LIMIT, x)
+        before, _ = tracemalloc.get_traced_memory()
+        for _ in range(2):
+            assert mt_refined_enum(MT_LIMIT, x) == want
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert after - before < 4096
+
+
 def test_oracles_agree_on_fractional_weight():
     x = F(5, 7)
     for n in range(1, MT_LIMIT + 1):
@@ -250,7 +272,7 @@ def test_verify_sweeps_each_packed_weight_once():
     # n = 1..8: 18 calls, 10 sweeps; at DP_LIMIT every size stays kept
     for max_n, sweeps in ((10, 10), (DP_LIMIT, DP_LIMIT)):
         _sweep.cache_clear()
-        results = checks.run("oracle", 0, max_n)
+        results = list(checks.run("oracle", 0, max_n))
         assert results and all(r.passed for r in results)
         info = _sweep.cache_info()
         assert (info.misses, info.hits) == (sweeps, min(max_n, MT_LIMIT))
