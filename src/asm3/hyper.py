@@ -8,9 +8,11 @@ upper and a vanishing lower Pochhammer visible instead of silently
 resolving the 0/0, and DegenerateParameters is raised for it.  Every
 parameter and the argument is an int or a Fraction, and anything else,
 a float included, raises TypeError.  Arguments in Q(s) or rational
-functions are never pushed through hyp: callers clear denominators into
-polynomial arithmetic first, multiplying the coefficients from
-series_coeffs, the one term-ratio loop, into their own polynomial powers.
+functions are never pushed through hyp: callers take the coefficients
+from series_coeffs, the one term-ratio loop, and use them as they are,
+in integer Horner rules (e_poly), as exponent-recurrence seeds (phi) or
+as the coefficients of a polynomial (h1_poly and the series forms of
+f_poly and g_poly).
 
 The term loops run on integers: each parameter p/q is read once as its
 integer pair, the running term of series_coeffs is an integer numerator

@@ -14,8 +14,6 @@ step 6 between -3m-2 and 3m+2).  Every ring operation is integer
 arithmetic plus one content gcd per result; a QsElem is built only where
 a value is read (`eval_at`, `repr`).  Instances are immutable, every
 operation returns a fresh polynomial, and they are unhashable.
-`lincomb` folds a whole sum of rational multiples of polynomials in one
-integer pass, over one denominator and with one content gcd.
 `divide_exact` takes only divisors that are monic with integer
 coefficients, the only kind the quotient families divide by.
 
@@ -35,7 +33,7 @@ from math import gcd, lcm
 from typing import Mapping, Union
 
 from .errors import NonExactDivision, PoleAtSample
-from .qfield import _RATIONAL_TYPES, QsElem, _lift, _rational, _reduced
+from .qfield import _RATIONAL_TYPES, QsElem, _lift, _reduced
 
 Scalar = Union[int, Fraction, QsElem]
 
@@ -133,31 +131,6 @@ def _quotient(lane: dict, div: dict, dlo: int, dhi: int) -> dict:
     if any(num[:width]):
         raise NonExactDivision("nonzero remainder")
     return quot
-
-
-def lincomb(polys, coeffs) -> "LaurentPoly":
-    """Sum of c * p over zip(polys, coeffs), for rational coefficients c.
-
-    Every term c * p is put over the lcm of the terms' denominators and
-    their lanes are added up, so the sum takes one content gcd instead
-    of one per term.  A coefficient that is not an int or a Fraction
-    raises TypeError.
-    """
-    terms = []
-    for p, c in zip(polys, coeffs):
-        n, e = _rational(c).as_integer_ratio()
-        if n and not p.is_zero:
-            terms.append((p, n, e * p._d))
-    d = lcm(*(e for _, _, e in terms))
-    acc_a: dict = {}
-    acc_b: dict = {}
-    for p, n, e in terms:
-        f = n * (d // e)
-        for acc, lane in ((acc_a, p._a), (acc_b, p._b)):
-            get = acc.get
-            for k, v in lane.items():
-                acc[k] = get(k, 0) + v * f
-    return _poly(_nonzero(acc_a), _nonzero(acc_b), d)
 
 
 def _operand(v) -> "LaurentPoly | None":

@@ -10,21 +10,23 @@ forced root factors produces symmetric quotients q_poly, p_poly and
 v_poly; v_poly carries a palindromic even companion e_poly in the count
 variable t, from which h3_poly, the generating polynomial of the refined
 3-enumeration, is glued; h1_poly is that of the unweighted refinement.
-Each quotient has at least two independent construction routes
-(polynomial division versus a finite Gauss-type sum over the symmetric
-kernels q/x - x/q and q*x - 1/(q*x)), and the route comparisons plus the
-contiguous three-term relations are the artifact's working correctness
-argument, so none of them may be collapsed into a single code path.
+Each quotient has at least two independent construction routes:
+polynomial division, in LaurentPoly arithmetic, versus phi, the finite
+Gauss-type sum over the symmetric kernels q/x - x/q and q*x - 1/(q*x),
+whose coefficients phi builds by an integer recurrence in the exponent
+from two seeds read off the sum, with no polynomial arithmetic.  The
+route comparisons plus the contiguous three-term relations are the
+artifact's working correctness argument, so none of them may be
+collapsed into a single code path.
 
 All arithmetic is exact over Q or Q(s).  A builder keeps a cache only
 where a later verify block reads the same order again: f_poly, g_poly,
-q_poly, v_poly and e_poly (read 2 to 9 times per order), phi (bounded
-to the orders one relation block reads) and _kernel_terms (the orders
-one step builds from).  h_poly, p_poly, h1_poly and the kernel powers
-(x - 1/x)^n are cheap to rebuild or read once per call, so they are not
-cached.  Polynomials are immutable, so sharing cached instances is safe.
-This route module imports only the shared modules, never counts or
-oracle, which verify compares it with.
+q_poly, v_poly and e_poly (read 2 to 9 times per order) and phi
+(bounded to the orders one relation block reads).  h_poly, p_poly,
+h1_poly and the kernel powers (x - 1/x)^n are cheap to rebuild or read
+once per call, so they are not cached.  Polynomials are immutable, so
+sharing cached instances is safe.  This route module imports only the
+shared modules, never counts or oracle, which verify compares it with.
 """
 
 from __future__ import annotations
@@ -36,16 +38,11 @@ from math import comb, factorial, lcm
 from .densepoly import DensePoly, horner
 from .errors import OutOfRange, PoleAtSample
 from .hyper import gen_binomial, pochhammer, series_coeffs
-from .laurent import LaurentPoly, lincomb
-from .qfield import OMEGA, OMEGA_BAR, Q, QBAR, S, QsElem
+from .laurent import LaurentPoly
+from .qfield import OMEGA, OMEGA_BAR, Q, QBAR, QsElem
 from .report import CheckResult
 
 THIRD = Fraction(1, 3)
-
-# q/x - x/q and q*x - 1/(q*x): the two symmetric kernels every finite
-# sum below is written in
-_SMALL = LaurentPoly({-1: Q, 1: -QBAR})
-_BIG = LaurentPoly({1: Q, -1: -QBAR})
 
 # x^3 - x^-3, x^3 + x^-3 and x^3 + 2 + x^-3: the cleared trigonometric
 # factors of the differential equations and the contiguous relations; then
@@ -63,18 +60,6 @@ _EVEN2_PLUS1 = LaurentPoly({2: 1, 0: 1, -2: 1})
 def _odd_kernel_pow(n: int) -> LaurentPoly:
     """(x - 1/x) ** n, by the binomial theorem."""
     return LaurentPoly({n - 2 * k: (-1) ** k * comb(n, k) for k in range(n + 1)})
-
-
-# gauss_relation_checks(m) reads the orders m - 1, m and m + 1 and builds
-# m + 1 from m; four slots keep each of them while the next is built, so
-# an ascending run never rebuilds an order from 0
-@lru_cache(maxsize=4)
-def _kernel_terms(m: int) -> tuple:
-    """small^(m-j) * big^j for j = 0..m, in m + 1 products from order m - 1."""
-    if m == 0:
-        return (LaurentPoly.one(),)
-    prev = _kernel_terms(m - 1)
-    return tuple(t * _SMALL for t in prev) + (prev[-1] * _BIG,)
 
 
 def c_norm(m: int) -> Fraction:
@@ -133,20 +118,54 @@ def tq_check(p: LaurentPoly) -> bool:
 # up to cli.MAX_VERIFY_M = 64, so an ascending run never rebuilds one
 @lru_cache(maxsize=256)
 def phi(m: int, k: int) -> LaurentPoly:
-    """Finite Gauss-type sum over the two symmetric kernels.
+    """Finite Gauss-type sum over the two symmetric kernels, by a recurrence.
 
-    The sum is invariant under x -> 1/x, has purely rational
-    coefficients, and is a degree-m polynomial in x + 1/x.  It is built
-    from the cleared form: the j-th term carries the coefficient
-    (-m)_j (k+1)_j / ((-m-k)_j j!) on small^(m-j) * big^j, all divided
-    by s^m.  A vanishing (-m-k)_j factor with a numerator that has not
-    already died raises DegenerateParameters; the smallest such case is
-    phi(1, -1).
+    The paper's sum is s^-m sum_j t_j small^(m-j) big^j, with small =
+    q/x - x/q, big = q*x - 1/(q*x) and t_j = (-m)_j (k+1)_j / ((-m-k)_j j!).
+    It is invariant under x -> 1/x, has rational coefficients, and is
+    sum_j c_j x^(2j-m) for j = 0..m.  The seeds c_0 and c_1 are that sum
+    read at x^-m and x^(2-m): there small^(m-j) big^j is q^(m+j) and
+    -(m-j) q^(m+j-2) + j q^(m+j+2), with q^6 = 1, so no Q(s) arithmetic
+    is needed.  Every later coefficient follows from
+
+        (j+2)(j+3) c_(j+3) = a (j+2) c_(j+2) + a (j-m+1) c_(j+1)
+                             + (j-m)(j-m+1) c_j,      a = m + 3k + 2,
+
+    run without division on the integers N_j = c_j j! D, with
+    D = 2d (-3)^(m//2) and d the common denominator of the t_j.  The
+    recurrence was guessed and is checked, not proved, as counts._t_row
+    is: it equals the Gauss sum for every m <= 65 and 0 <= k <= m + 2,
+    all the phi that verify reads; ROADMAP item 14 plans its proof.  A
+    vanishing (-m-k)_j factor with a numerator that has not already died
+    raises DegenerateParameters; the smallest such case is phi(1, -1).
     """
     if m < 0:
         raise OutOfRange("order must be >= 0")
-    coeffs = series_coeffs((-m, k + 1), (-m - k,), m)
-    return lincomb(_kernel_terms(m), coeffs) * S ** (-m)
+    t = series_coeffs((-m, k + 1), (-m - k,), m)
+    d = lcm(*(c.denominator for c in t))
+    n = [c.numerator * (d // c.denominator) for c in t]
+    # 2 q^e = A[e % 6] + B[e % 6] s; s^-m keeps the A part for even m and
+    # the B part for odd m
+    lane = (2, 1, -1, -2, -1, 1) if m % 2 == 0 else (0, 1, 1, 0, -1, -1)
+    n0 = sum(v * lane[(m + j) % 6] for j, v in enumerate(n))
+    n1 = -sum(
+        v * ((m - j) * lane[(m + j - 2) % 6] + j * lane[(m + j + 2) % 6])
+        for j, v in enumerate(n)
+    )
+    a = m + 3 * k + 2
+    seq = [0, n0, n1]  # N_-1, N_0, N_1
+    for j in range(-1, m - 2):
+        seq.append(
+            a * seq[-1]
+            + a * (j - m + 1) * seq[-2]
+            + (j + 1) * (j - m) * (j - m + 1) * seq[-3]
+        )
+    den = 2 * d * (-3) ** (m // 2)
+    coeffs = {}
+    for j, v in enumerate(seq[1 : m + 2]):
+        coeffs[2 * j - m] = Fraction(v, den)
+        den *= j + 1
+    return LaurentPoly(coeffs)
 
 
 # -- symmetric quotients, each with its independent routes --------------

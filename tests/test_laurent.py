@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 import asm3.laurent
 from asm3.errors import NonExactDivision, PoleAtSample
-from asm3.laurent import LaurentPoly, lincomb
+from asm3.laurent import LaurentPoly
 from asm3.qfield import OMEGA, OMEGA_BAR, Q, QsElem, S, ZERO
 
 coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=6)
@@ -192,7 +192,7 @@ def test_is_rational_flag():
 @given(polys, polys, coeffs)
 def test_rational_results_keep_an_empty_s_lane(p, q, c):
     # a rational polynomial stores one int per term and no s-lane entry
-    for r in (p, p * q, p + q, p - q, p * c, lincomb([p, q], [c, 2])):
+    for r in (p, p * q, p + q, p - q, p * c):
         assert r._b == {}
         assert all(type(v) is int and v for v in r._a.values())
 
@@ -334,31 +334,6 @@ def test_invert_x_and_constructor_are_canonical(x):
     p = LaurentPoly(x)
     assert _canonical(p) and _canonical(p.invert_x())
     assert _same(p.invert_x(), {-k: v for k, v in x.items()})
-
-
-@given(
-    st.lists(
-        st.tuples(qs_dicts, st.one_of(coeffs, st.integers(-6, 6))), max_size=5
-    )
-)
-def test_lincomb_matches_the_sum_of_scaled_terms(terms):
-    ps = [LaurentPoly(x) for x, _ in terms]
-    cs = [c for _, c in terms]
-    got = lincomb(ps, cs)
-    want, ref = LaurentPoly(), {}
-    for (x, c), p in zip(terms, ps):
-        want = want + p * c
-        ref = _ref_add(ref, {k: v * c for k, v in x.items()})
-    assert _canonical(got)
-    assert got == want
-    assert _same(got, ref)
-
-
-def test_lincomb_refuses_non_rational_coefficients():
-    p = LaurentPoly({1: 1})
-    for bad in (0.5, "1/2", Q):
-        with pytest.raises(TypeError):
-            lincomb([p], [bad])
 
 
 def test_canonical_form_cancels_common_content():

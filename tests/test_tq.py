@@ -2,7 +2,7 @@ import gc
 import sys
 import tracemalloc
 from fractions import Fraction
-from functools import lru_cache
+from math import factorial
 
 import pytest
 
@@ -10,6 +10,7 @@ from asm3 import checks, cli, counts, tq
 from asm3.densepoly import DensePoly
 from asm3.errors import DegenerateParameters, OutOfRange
 from asm3.laurent import LaurentPoly
+from asm3.qfield import Q, QBAR, S, QsElem
 from asm3.tq import (
     c_norm,
     e_poly,
@@ -137,60 +138,53 @@ def test_phi_structural_invariants():
                 assert all(e % 2 == m % 2 for e in _support(val))
 
 
-def _count_products(monkeypatch, build):
-    # clear tq's caches, then count LaurentPoly x LaurentPoly products in build()
-    for obj in vars(tq).values():
-        if hasattr(obj, "cache_clear"):
-            obj.cache_clear()
-    products = []
-    mul = LaurentPoly.__mul__
-
-    def counting(self, other):
-        if isinstance(other, LaurentPoly):
-            products.append(1)
-        return mul(self, other)
-
-    monkeypatch.setattr(LaurentPoly, "__mul__", counting)
-    build()
-    monkeypatch.setattr(LaurentPoly, "__mul__", mul)
-    return len(products)
+def _rising(a, j):
+    out = 1
+    for i in range(j):
+        out *= a + i
+    return out
 
 
-def test_phi_builds_each_kernel_term_once(monkeypatch):
-    # small^(m-j) * big^j for every j, built order by order, costs
-    # (m+1)(m+2)/2 - 1 polynomial products for all k at one order m
-    m = 6
-    count = _count_products(monkeypatch, lambda: [phi(m, k) for k in range(m + 1)])
-    assert count <= (m + 1) * (m + 2) // 2
+def _gauss_sum(m, k):
+    # the paper's form: s^-m sum_j t_j small^(m-j) big^j over the kernels
+    # small = q/x - x/q and big = q*x - 1/(q*x), in plain LaurentPoly
+    # products, with t_j = (-m)_j (k+1)_j / ((-m-k)_j j!)
+    small = LaurentPoly({-1: Q, 1: -QBAR})
+    big = LaurentPoly({1: Q, -1: -QBAR})
+    total = LaurentPoly()
+    for j in range(m + 1):
+        t = F(_rising(-m, j) * _rising(k + 1, j), _rising(-m - k, j) * factorial(j))
+        term = LaurentPoly({0: t})
+        for _ in range(m - j):
+            term = term * small
+        for _ in range(j):
+            term = term * big
+        total = total + term
+    return total * S ** (-m)
 
 
-def _phi_ascending():
+def test_phi_equals_the_gauss_sum():
+    # k = m + 2 is read by v_poly_phi(m + 1), one shift past relations' loop
     for m in range(13):
-        for k in range(m + 1):
-            phi(m, k)
-        info = tq._kernel_terms.cache_info()
-        assert info.maxsize is None or info.currsize <= info.maxsize
+        for k in range(m + 3):
+            assert phi(m, k) == _gauss_sum(m, k), (m, k)
 
 
-def _relations_ascending():
-    for m in range(13):
-        assert all(r.passed for r in gauss_relation_checks(m))
+def test_phi_makes_no_polynomial_or_field_arithmetic(monkeypatch):
+    # phi runs its recurrence on integers and only builds the result, so
+    # it computes with every LaurentPoly and QsElem operation refused
+    expected = {(m, k): phi(m, k) for m in range(10) for k in range(m + 3)}
 
+    def refused(*args):
+        raise AssertionError("polynomial or field arithmetic in phi")
 
-@pytest.mark.parametrize("build", [_phi_ascending, _relations_ascending])
-def test_kernel_term_cache_is_bounded_and_rebuilds_nothing(monkeypatch, build):
-    # the bounded cache keeps a few orders, yet an ascending run makes as
-    # many products as with every order kept: no order is built twice
-    bound = tq._kernel_terms.cache_info().maxsize
-    assert bound is not None and bound <= 4
-    bounded = _count_products(monkeypatch, build)
-    unbounded = lru_cache(maxsize=None)(tq._kernel_terms.__wrapped__)
-    monkeypatch.setattr(tq, "_kernel_terms", unbounded)
-    assert _count_products(monkeypatch, build) == bounded
-    assert unbounded.cache_info().currsize > bound
-    if build is _phi_ascending:
-        # order m costs m + 1 products from order m - 1
-        assert bounded == sum(m + 1 for m in range(1, 13))
+    phi.cache_clear()
+    for name in ("__mul__", "__add__", "divide_exact"):
+        monkeypatch.setattr(LaurentPoly, name, refused)
+    monkeypatch.setattr(QsElem, "__mul__", refused)
+    got = {(m, k): phi(m, k) for m, k in expected}
+    monkeypatch.undo()
+    assert got == expected
 
 
 def test_phi_cache_is_bounded_and_rebuilds_nothing(monkeypatch):
@@ -251,14 +245,13 @@ def test_identity_suite_leaves_little_in_the_caches():
     assert retained < 1.4 * 10**6
 
 
-class _FoldCalled(Exception):
+class _PhiCalled(Exception):
     pass
 
 
 def test_division_routes_never_call_the_fold_primitive(monkeypatch):
-    # lincomb serves the Gauss-sum side only: with it disabled in every
-    # module that binds it, the division routes and the contiguous pairs
-    # still compute, and phi does not
+    # phi is the Gauss-sum side only: with it disabled, the division
+    # routes and the contiguous pairs still compute, and q_poly_phi does not
     f3, f4 = f_poly(3), f_poly(4)
     routes = [
         (q_poly, (3,)),
@@ -271,19 +264,16 @@ def test_division_routes_never_call_the_fold_primitive(monkeypatch):
     expected = [f(*args) for f, args in routes]
 
     def disabled(*args):
-        raise _FoldCalled
+        raise _PhiCalled
 
-    for name, mod in list(sys.modules.items()):
-        if name == "asm3" or name.startswith("asm3."):
-            if hasattr(mod, "lincomb"):
-                monkeypatch.setattr(mod, "lincomb", disabled)
-            for obj in vars(mod).values():
-                if hasattr(obj, "cache_clear"):
-                    obj.cache_clear()
+    for obj in vars(tq).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+    monkeypatch.setattr(tq, "phi", disabled)
 
     assert [f(*args) for f, args in routes] == expected
-    with pytest.raises(_FoldCalled):
-        phi(2, 2)
+    with pytest.raises(_PhiCalled):
+        q_poly_phi(2)
 
 
 def test_phi_degenerate_case_raises():
