@@ -1,7 +1,9 @@
 """Polynomials in one variable t as coefficient tuples, constant term first.
 
 `horner` evaluates such a tuple at an int, a Fraction or a point of
-Q(s); it is the one evaluation rule the checks use on them.  A DensePoly
+Q(s); it is the one evaluation rule the checks use on them.  At a point
+of Q(s) it runs on the point's integer triple over the coefficients'
+common denominator and reduces once, at the end.  A DensePoly
 is the tuple of its Fraction coefficients with trailing zeros trimmed,
 and its one operation is the product that glues h3_poly together, an
 integer convolution of the numerators over each operand's common
@@ -15,17 +17,28 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Union
 
-from .qfield import _rational
+from .qfield import QsElem, _rational, _reduced
 
 Scalar = Union[int, Fraction]
 
 
 def horner(coeffs, v):
-    """Value at v of the polynomial with these coefficients."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * v + c
-    return acc
+    """Value at v of the polynomial with these rational coefficients."""
+    if not (coeffs and isinstance(v, QsElem)):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = acc * v + c
+        return acc
+    # with v = (a + b*s)/e and c_k = n_k/d, the value is
+    # sum_k n_k (a + b*s)^k e^(K-k) / (d e^K), K the degree, by Horner
+    d, nums = _over_common(coeffs)
+    a, b, e = v.a, v.b, v.d
+    x, y = nums[-1], 0
+    e_pow = 1
+    for n in reversed(nums[:-1]):
+        e_pow *= e
+        x, y = x * a - 3 * y * b + n * e_pow, x * b + y * a
+    return _reduced(x, y, d * e_pow)
 
 
 def _over_common(coeffs) -> tuple:

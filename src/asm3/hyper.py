@@ -14,18 +14,19 @@ in integer Horner rules (e_poly), as exponent-recurrence seeds (phi) or
 as the coefficients of a polynomial (h1_poly and the series forms of
 f_poly and g_poly).
 
-The term loops run on integers: each parameter p/q is read once as its
-integer pair, the running term of series_coeffs is an integer numerator
-and denominator reduced once per coefficient, gen_binomial and
-pochhammer are integer products with one Fraction at the end, and hyp
-sums its terms over one common denominator.
+The term loops run on integers.  Each parameter p/q is read once as its
+integer pair.  series_coeffs returns its coefficients as integers over
+one denominator, (nums, den) with c_j = nums[j]/den, den > 0 and
+gcd(den, *nums) = 1, from one gcd over the whole vector; its callers
+and hyp work on that pair directly, with no Fraction per term.
+pochhammer is an integer product with one Fraction at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm, prod
-from typing import List, Union
+from math import gcd, prod
+from typing import List, Tuple, Union
 
 from .errors import DegenerateParameters, OutOfRange
 from .qfield import _rational
@@ -39,20 +40,6 @@ def _ratio(v) -> tuple:
     return _rational(v).as_integer_ratio()
 
 
-def gen_binomial(r: Rational, k: int) -> Fraction:
-    """Generalized binomial coefficient with a rational top.
-
-    binom(r, k) = r (r-1) ... (r-k+1) / k! for k >= 0, and 0 for k < 0.
-    """
-    if k < 0:
-        return Fraction(0)
-    p, q = _ratio(r)
-    num = 1
-    for i in range(k):
-        num *= p - i * q
-    return Fraction(num, q ** k * factorial(k))
-
-
 def pochhammer(a: Rational, j: int) -> Fraction:
     """Rising factorial (a)_j = a (a+1) ... (a+j-1); empty product is 1."""
     if j < 0:
@@ -64,12 +51,14 @@ def pochhammer(a: Rational, j: int) -> Fraction:
     return Fraction(num, q ** j)
 
 
-def series_coeffs(upper, lower, n: int) -> List[Fraction]:
+def series_coeffs(upper, lower, n: int) -> Tuple[List[int], int]:
     """Coefficients c_0..c_n of sum_j [prod (a)_j / (prod (c)_j j!)] z^j.
 
-    Each step multiplies by the term ratio prod (a+j-1) / (j prod (c+j-1)).
+    Returns (nums, den) with c_j = nums[j]/den, den > 0 and gcd(den,
+    *nums) = 1, so den is the least common denominator of the c_j.  Each
+    step multiplies by the term ratio prod (a+j-1) / (j prod (c+j-1)).
     The list stops early once an upper factor vanishes, since every later
-    coefficient carries that zero, and is empty for n < 0.  A lower
+    coefficient carries that zero, and is ([], 1) for n < 0.  A lower
     factor vanishing at a step whose numerator has not already died at a
     strictly earlier step raises DegenerateParameters; a simultaneous
     first vanishing of numerator and denominator is treated the same way.
@@ -80,25 +69,37 @@ def series_coeffs(upper, lower, n: int) -> List[Fraction]:
     lows = [_ratio(c) for c in lower]
     up_q = prod(q for _, q in ups)
     low_q = prod(q for _, q in lows)
-    out = [Fraction(1)] if n >= 0 else []
-    num = den = 1
+    # c_j = nums[j] / (steps[0] ... steps[j-1]), nums the running product
+    # of the step numerators
+    nums = [1] if n >= 0 else []
+    steps = []
     for i in range(n):  # i = j - 1
-        step_den = i + 1
+        step_den = (i + 1) * up_q
         for p, q in lows:
             step_den *= p + i * q
         if not step_den:
             raise DegenerateParameters(
                 f"lower Pochhammer factor vanishes at term {i + 1}"
             )
-        step_num = 1
+        step_num = low_q
         for p, q in ups:
             step_num *= p + i * q
         if not step_num:
             break
-        c = Fraction(num * step_num * low_q, den * step_den * up_q)
-        out.append(c)
-        num, den = c.numerator, c.denominator
-    return out
+        nums.append(nums[-1] * step_num)
+        steps.append(step_den)
+    # over den, the product of every step, c_j is nums[j] times the steps
+    # after j, which a backward pass accumulates; c_0 = 1 is den itself
+    den = 1
+    for j in range(len(steps), 0, -1):
+        nums[j] *= den
+        den *= steps[j - 1]
+    if nums:
+        nums[0] = den
+    g = gcd(den, *nums)
+    if den < 0:
+        g = -g
+    return [v // g for v in nums], den // g
 
 
 def hyp(upper, lower, argument: Rational) -> Fraction:
@@ -114,12 +115,12 @@ def hyp(upper, lower, argument: Rational) -> Fraction:
     orders = [-a for a in map(_rational, upper) if a.denominator == 1 and a <= 0]
     if not orders:
         raise ValueError("no nonpositive integer upper parameter")
-    coeffs = series_coeffs(upper, lower, int(max(orders)))
-    # sum_j c_j (u/v)^j = sum_j c_j den u^j v^(n-j) / (den v^n), by Horner in u
-    den = lcm(*(c.denominator for c in coeffs))
+    nums, den = series_coeffs(upper, lower, int(max(orders)))
+    # sum_j (nums_j/den) (u/v)^j = sum_j nums_j u^j v^(n-j) / (den v^n),
+    # by Horner in u
     total = 0
     v_pow = 1
-    for c in reversed(coeffs):
-        total = total * u + c.numerator * (den // c.denominator) * v_pow
+    for c in reversed(nums):
+        total = total * u + c * v_pow
         v_pow *= v
-    return Fraction(total, den * v ** (len(coeffs) - 1))
+    return Fraction(total, den * v ** (len(nums) - 1))

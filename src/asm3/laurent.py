@@ -12,10 +12,13 @@ an empty s-lane, and every operation skips an empty lane.  The dicts
 suit the thin supports that show up here (arithmetic progressions of
 step 6 between -3m-2 and 3m+2).  Every ring operation is integer
 arithmetic plus one content gcd per result; a QsElem is built only where
-a value is read (`eval_at`, `repr`).  Instances are immutable, every
-operation returns a fresh polynomial, and they are unhashable.
-`divide_exact` takes only divisors that are monic with integer
-coefficients, the only kind the quotient families divide by.
+a value is read (`eval_at`, `repr`).  `from_lane` builds a rational
+polynomial straight from integers over one denominator, and the
+constructor sends a dict of rational coefficients down that path.
+Instances are immutable, every operation returns a fresh polynomial,
+and they are unhashable.  `divide_exact` takes only divisors that are
+monic with integer coefficients, the only kind the quotient families
+divide by.
 
 >>> p = LaurentPoly({1: 1, -1: -1})
 >>> p * p == LaurentPoly({2: 1, 0: -2, -2: 1})
@@ -146,21 +149,48 @@ class LaurentPoly:
     __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, coeffs: Mapping[int, Scalar] | None = None):
-        lifted = {}
-        if coeffs:
+        coeffs = coeffs or {}
+        if all(isinstance(v, _RATIONAL_TYPES) for v in coeffs.values()):
+            # rational coefficients, the common case, go over their lcm
+            # as one integer lane
+            d = lcm(*(v.denominator for v in coeffs.values()))
+            lane = {k: v.numerator * (d // v.denominator) for k, v in coeffs.items()}
+            p = LaurentPoly.from_lane(lane, d)
+        else:
+            lifted = {}
             for k, v in coeffs.items():
                 k = operator.index(k)  # a float or str exponent raises
                 q = _lift(v)
                 if q is None:
                     raise TypeError(f"coefficient of type {type(v).__name__}")
-                if q:
-                    lifted[k] = q
-        # each QsElem is in lowest terms, so over the lcm of their
-        # denominators the lanes are already canonical
-        d = lcm(*(q.d for q in lifted.values()))
-        self._a = {k: q.a * (d // q.d) for k, q in lifted.items() if q.a}
-        self._b = {k: q.b * (d // q.d) for k, q in lifted.items() if q.b}
-        self._d = d
+                lifted[k] = q
+            d = lcm(*(q.d for q in lifted.values()))
+            p = _poly(
+                {k: q.a * (d // q.d) for k, q in lifted.items() if q.a},
+                {k: q.b * (d // q.d) for k, q in lifted.items() if q.b},
+                d,
+            )
+        self._a, self._b, self._d = p._a, p._b, p._d
+
+    @classmethod
+    def from_lane(cls, lane: Mapping[int, int], d: int) -> "LaurentPoly":
+        """The rational polynomial sum of lane[k]/d * x^k.
+
+        Exponents, lane values and d are ints, d nonzero; anything else
+        raises TypeError.  One content gcd brings the lane to the
+        canonical form, so this is the constructor for coefficients
+        already held as integers over one denominator.
+        """
+        d = operator.index(d)
+        if not d:
+            raise ZeroDivisionError("zero denominator")
+        sign = 1 if d > 0 else -1
+        a = {}
+        for k, v in lane.items():
+            k, v = operator.index(k), operator.index(v)
+            if v:
+                a[k] = sign * v
+        return _poly(a, {}, sign * d)
 
     @classmethod
     def one(cls) -> "LaurentPoly":

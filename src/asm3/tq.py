@@ -5,28 +5,32 @@ The central functional equation is
     y(x) + y(w*x) + y(x/w) = 0,      w = q**2 the primitive cube root,
 
 whose odd Laurent solutions come in two adjacent families f_poly and
-g_poly with explicit generalized-binomial coefficients.  Dividing out
-forced root factors produces symmetric quotients q_poly, p_poly and
-v_poly; v_poly carries a palindromic even companion e_poly in the count
-variable t, from which h3_poly, the generating polynomial of the refined
-3-enumeration, is glued; h1_poly is that of the unweighted refinement.
-Each quotient has at least two independent construction routes:
-polynomial division, in LaurentPoly arithmetic, versus phi, the finite
-Gauss-type sum over the symmetric kernels q/x - x/q and q*x - 1/(q*x),
-whose coefficients phi builds by an integer recurrence in the exponent
-from two seeds read off the sum, with no polynomial arithmetic.  The
-route comparisons plus the contiguous three-term relations are the
-artifact's working correctness argument, so none of them may be
-collapsed into a single code path.
+g_poly with explicit generalized-binomial coefficients, built as integer
+falling products over one denominator.  Dividing out forced root factors
+produces symmetric quotients q_poly, p_poly and v_poly; v_poly carries a
+palindromic even companion e_poly in the count variable t, from which
+h3_poly, the generating polynomial of the refined 3-enumeration, is
+glued; h1_poly is that of the unweighted refinement.  Each quotient has
+at least two independent construction routes: polynomial division, in
+LaurentPoly arithmetic, versus phi, the finite Gauss-type sum over the
+symmetric kernels q/x - x/q and q*x - 1/(q*x), whose coefficients phi
+builds by an integer recurrence in the exponent from two seeds read off
+the sum, with no polynomial arithmetic.  The route comparisons plus the
+contiguous three-term relations are the artifact's working correctness
+argument, so none of them may be collapsed into a single code path.
 
-All arithmetic is exact over Q or Q(s).  A builder keeps a cache only
-where a later verify block reads the same order again: f_poly, g_poly,
-q_poly, v_poly and e_poly (read 2 to 9 times per order) and phi
-(bounded to the orders one relation block reads).  h_poly, p_poly,
-h1_poly and the kernel powers (x - 1/x)^n are cheap to rebuild or read
-once per call, so they are not cached.  Polynomials are immutable, so
-sharing cached instances is safe.  This route module imports only the
-shared modules, never counts or oracle, which verify compares it with.
+All arithmetic is exact over Q or Q(s).  The series builders (phi,
+e_poly, h1_poly and the series forms of f_poly and g_poly) take
+hyper.series_coeffs as its integer numerators over one denominator and
+stay in integers up to the constructor of their result.  A builder keeps
+a cache only where a later verify block reads the same order again:
+f_poly, g_poly, q_poly, v_poly and e_poly (read 2 to 9 times per order)
+and phi (bounded to the orders one relation block reads).  h_poly,
+p_poly, h1_poly and the kernel powers (x - 1/x)^n are cheap to rebuild
+or read once per call, so they are not cached.  Polynomials are
+immutable, so sharing cached instances is safe.  This route module
+imports only the shared modules, never counts or oracle, which verify
+compares it with.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from math import comb, factorial, lcm
 
 from .densepoly import DensePoly, horner
 from .errors import OutOfRange, PoleAtSample
-from .hyper import gen_binomial, pochhammer, series_coeffs
+from .hyper import pochhammer, series_coeffs
 from .laurent import LaurentPoly
 from .qfield import OMEGA, OMEGA_BAR, Q, QBAR, QsElem
 from .report import CheckResult
@@ -73,18 +77,24 @@ def c_norm(m: int) -> Fraction:
 def _odd_family(m: int, r: int) -> LaurentPoly:
     """Odd solution with support in +-(3m+r-6k), k = 0..m, for r = 1 or 2.
 
-    No two of the exponents +-e coincide, since each e is r mod 3.
+    The coefficient at x^(3m+r-6k) is binom(m + r/3, k) binom(m - r/3,
+    m - k) = P_k Q_(m-k) C(m, k) / (3^m m!), with P_k and Q_k the falling
+    products of 3m+r-3i and 3m-r-3i over i < k.  No two of the exponents
+    +-e coincide, since each e is r mod 3.
     """
     if m < 0:
         raise OutOfRange("family index must be >= 0")
-    third = Fraction(r, 3)
-    coeffs: dict = {}
+    up, down = [1], [1]
+    for i in range(m):
+        up.append(up[-1] * (3 * m + r - 3 * i))
+        down.append(down[-1] * (3 * m - r - 3 * i))
+    lane = {}
     for k in range(m + 1):
-        c = gen_binomial(m + third, k) * gen_binomial(m - third, m - k)
+        c = up[k] * down[m - k] * comb(m, k)
         e = 3 * m + r - 6 * k
-        coeffs[e] = c
-        coeffs[-e] = -c
-    return LaurentPoly(coeffs)
+        lane[e] = c
+        lane[-e] = -c
+    return LaurentPoly.from_lane(lane, 3 ** m * factorial(m))
 
 
 @lru_cache(maxsize=None)
@@ -132,18 +142,18 @@ def phi(m: int, k: int) -> LaurentPoly:
                              + (j-m)(j-m+1) c_j,      a = m + 3k + 2,
 
     run without division on the integers N_j = c_j j! D, with
-    D = 2d (-3)^(m//2) and d the common denominator of the t_j.  The
-    recurrence was guessed and is checked, not proved, as counts._t_row
-    is: it equals the Gauss sum for every m <= 65 and 0 <= k <= m + 2,
-    all the phi that verify reads; ROADMAP item 14 plans its proof.  A
-    vanishing (-m-k)_j factor with a numerator that has not already died
-    raises DegenerateParameters; the smallest such case is phi(1, -1).
+    D = 2d (-3)^(m//2).  series_coeffs gives the t_j as n_j/d, d their
+    least common denominator, and the c_j reach the polynomial as one
+    integer lane N_j m!/j! over D m!.  The recurrence was guessed and is
+    checked, not proved, as counts._t_row is: it equals the Gauss sum for
+    every m <= 65 and 0 <= k <= m + 2, all the phi that verify reads;
+    ROADMAP item 14 plans its proof.  A vanishing (-m-k)_j factor with a
+    numerator that has not already died raises DegenerateParameters; the
+    smallest such case is phi(1, -1).
     """
     if m < 0:
         raise OutOfRange("order must be >= 0")
-    t = series_coeffs((-m, k + 1), (-m - k,), m)
-    d = lcm(*(c.denominator for c in t))
-    n = [c.numerator * (d // c.denominator) for c in t]
+    n, d = series_coeffs((-m, k + 1), (-m - k,), m)
     # 2 q^e = A[e % 6] + B[e % 6] s; s^-m keeps the A part for even m and
     # the B part for odd m
     lane = (2, 1, -1, -2, -1, 1) if m % 2 == 0 else (0, 1, 1, 0, -1, -1)
@@ -160,12 +170,13 @@ def phi(m: int, k: int) -> LaurentPoly:
             + a * (j - m + 1) * seq[-2]
             + (j + 1) * (j - m) * (j - m + 1) * seq[-3]
         )
-    den = 2 * d * (-3) ** (m // 2)
+    # c_j = N_j (m!/j!) / (D m!), with m!/j! built from the top
     coeffs = {}
-    for j, v in enumerate(seq[1 : m + 2]):
-        coeffs[2 * j - m] = Fraction(v, den)
-        den *= j + 1
-    return LaurentPoly(coeffs)
+    scale = 1
+    for j in range(m, -1, -1):
+        coeffs[2 * j - m] = seq[j + 1] * scale
+        scale *= j or 1
+    return LaurentPoly.from_lane(coeffs, 2 * d * (-3) ** (m // 2) * scale)
 
 
 # -- symmetric quotients, each with its independent routes --------------
@@ -241,11 +252,11 @@ def e_poly(m: int) -> DensePoly:
     """
     if m < 0:
         raise OutOfRange("index must be >= 0")
-    first = series_coeffs((-m, m + 2), (-2 * m - 1,), m)
-    second = series_coeffs((1 - m, m + 2), (-2 * m,), m - 1)
-    den = lcm(*(c.denominator for c in first + second))
-    a = [(2 * m + 1) * c.numerator * (den // c.denominator) for c in first]
-    b = [-3 * m * c.numerator * (den // c.denominator) for c in second]
+    first, d1 = series_coeffs((-m, m + 2), (-2 * m - 1,), m)
+    second, d2 = series_coeffs((1 - m, m + 2), (-2 * m,), m - 1)
+    den = lcm(d1, d2)
+    a = [(2 * m + 1) * (den // d1) * v for v in first]
+    b = [-3 * m * (den // d2) * v for v in second]
 
     acc = [a[0]]  # S_0; integer coefficients, constant term first
     lin_pow = [1]  # L^0
@@ -258,11 +269,9 @@ def e_poly(m: int) -> DensePoly:
         for i, v in enumerate(lin_pow):
             acc[i] += a[k] * v
 
-    scale = Fraction(
-        factorial(2 * m) * factorial(2 * m + 2),
-        3 ** m * factorial(m + 1) * factorial(3 * m + 2) * den,
-    )
-    return DensePoly(c * scale for c in acc)
+    top = factorial(2 * m) * factorial(2 * m + 2)
+    den *= 3 ** m * factorial(m + 1) * factorial(3 * m + 2)
+    return DensePoly(Fraction(top * c, den) for c in acc)
 
 
 def h1_poly(n: int) -> DensePoly:
@@ -273,13 +282,10 @@ def h1_poly(n: int) -> DensePoly:
     """
     if n < 1:
         raise OutOfRange("n must be >= 1")
-    pref = Fraction(
-        factorial(2 * n - 1) * factorial(2 * n - 2),
-        factorial(3 * n - 2) * factorial(n - 1),
-    )
-    return DensePoly(
-        [pref * c for c in series_coeffs((1 - n, n), (2 - 2 * n,), n - 1)]
-    )
+    nums, den = series_coeffs((1 - n, n), (2 - 2 * n,), n - 1)
+    top = factorial(2 * n - 1) * factorial(2 * n - 2)
+    den *= factorial(3 * n - 2) * factorial(n - 1)
+    return DensePoly(Fraction(top * v, den) for v in nums)
 
 
 def h3_poly(n: int) -> DensePoly:
@@ -334,8 +340,8 @@ def ode_check_h(m: int) -> bool:
 
 def _odd_series(upper, lower, top: int, m: int) -> LaurentPoly:
     """s(x) - s(1/x) for s = sum_j r_j x^(top - 6j), r_j the series coefficients."""
-    coeffs = series_coeffs(upper, lower, m)
-    s = LaurentPoly({top - 6 * j: c for j, c in enumerate(coeffs)})
+    nums, den = series_coeffs(upper, lower, m)
+    s = LaurentPoly.from_lane({top - 6 * j: v for j, v in enumerate(nums)}, den)
     return s - s.invert_x()
 
 

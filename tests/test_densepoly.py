@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from asm3 import tq
 from asm3.densepoly import DensePoly, horner
-from asm3.qfield import Q, QsElem
+from asm3.qfield import Q, QBAR, QsElem
 
 
 def test_trailing_zeros_are_trimmed():
@@ -74,3 +75,44 @@ def test_float_coefficients_are_refused():
     for bad in (0.1, 1.0, "1/3"):
         with pytest.raises(TypeError):
             DensePoly((1, bad))
+
+
+def _qs_horner(coeffs, v):
+    # the plain Horner rule, one reducing QsElem multiply and add per step
+    acc = QsElem(0)
+    for c in reversed(coeffs):
+        acc = acc * v + c
+    return acc
+
+
+qs_points = st.builds(
+    QsElem,
+    st.fractions(min_value=-4, max_value=4, max_denominator=9),
+    st.fractions(min_value=-4, max_value=4, max_denominator=9),
+)
+
+
+@given(coeff_lists, qs_points)
+def test_horner_at_a_field_point_matches_the_plain_rule(coeffs, v):
+    got = horner(coeffs, v)
+    want = _qs_horner(coeffs, v)
+    assert got == want
+    if coeffs:
+        assert isinstance(got, QsElem) and (got.a, got.b, got.d) == (want.a, want.b, want.d)
+
+
+def test_horner_at_the_transform_points_matches_the_plain_rule():
+    # the two points t of tq.transform_checks at each sample, with the
+    # coefficient tuples it evaluates there
+    for m in range(8):
+        for x0 in tq.TRANSFORM_SAMPLES:
+            xq = QsElem(x0)
+            t_even = -(xq - Q) / (Q * xq - 1)
+            big = Q * xq - QBAR * xq.inverse()
+            t_first = (Q * xq.inverse() - QBAR * xq) / big
+            for coeffs, t in (
+                (tq.e_poly(m).coeffs, t_even),
+                (tq.h1_poly(m + 1).coeffs, t_first),
+            ):
+                got, want = horner(coeffs, t), _qs_horner(coeffs, t)
+                assert (got.a, got.b, got.d) == (want.a, want.b, want.d)

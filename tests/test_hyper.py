@@ -1,28 +1,20 @@
 import sys
 from fractions import Fraction
-from math import comb
+from math import gcd
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from asm3 import counts, hyper, tq
 from asm3.errors import DegenerateParameters, OutOfRange
-from asm3.hyper import gen_binomial, hyp, pochhammer, series_coeffs
+from asm3.hyper import hyp, pochhammer, series_coeffs
 from asm3.qfield import Q
 
 
-def test_gen_binomial_integer_top_matches_comb():
-    for n in range(8):
-        for k in range(10):
-            assert gen_binomial(n, k) == (comb(n, k) if k <= n else 0)
-
-
-def test_gen_binomial_rational_top():
-    assert gen_binomial(Fraction(4, 3), 2) == Fraction(2, 9)
-    assert gen_binomial(Fraction(1, 2), 3) == Fraction(1, 16)
-    assert gen_binomial(Fraction(-1, 3), 1) == Fraction(-1, 3)
-    assert gen_binomial(Fraction(7, 5), 0) == 1
-    assert gen_binomial(Fraction(7, 5), -2) == 0
+def _fractions(pair):
+    # the coefficients nums[j]/den of a series_coeffs result
+    nums, den = pair
+    return [Fraction(v, den) for v in nums]
 
 
 def test_pochhammer_values():
@@ -32,12 +24,6 @@ def test_pochhammer_values():
     assert pochhammer(-2, 4) == 0
     with pytest.raises(OutOfRange):
         pochhammer(1, -1)
-
-
-def test_gen_binomial_refuses_a_float_top():
-    for bad in (0.1, 2.0, "1/2"):
-        with pytest.raises(TypeError):
-            gen_binomial(bad, 1)
 
 
 def test_pochhammer_refuses_a_float_base():
@@ -68,17 +54,19 @@ def test_known_gauss_values():
     # its coefficients; an order past the termination adds none, a
     # shorter one truncates
     full = [1, Fraction(-2, 3), Fraction(1, 6)]
-    assert series_coeffs((-2, 1), (3,), 2) == full
-    assert series_coeffs((-2, 1), (3,), 7) == full
-    assert series_coeffs((-2, 1), (3,), 1) == full[:2]
+    assert _fractions(series_coeffs((-2, 1), (3,), 2)) == full
+    assert _fractions(series_coeffs((-2, 1), (3,), 7)) == full
+    assert _fractions(series_coeffs((-2, 1), (3,), 1)) == full[:2]
+    # as integers over their least common denominator
+    assert series_coeffs((-2, 1), (3,), 2) == ([6, -4, 1], 6)
     assert hyp((-3, Fraction(-1, 3)), (Fraction(4, 3),), 1) == Fraction(11, 7)
 
 
 def test_zero_order_series_is_one_even_with_zero_lower():
     # termination at order 0 never touches the lower parameters
     assert hyp((0, 1), (0,), Fraction(1, 2)) == 1
-    assert series_coeffs((0, 1), (0,), 0) == [1]
-    assert series_coeffs((0, 1), (0,), -1) == []
+    assert series_coeffs((0, 1), (0,), 0) == ([1], 1)
+    assert series_coeffs((0, 1), (0,), -1) == ([], 1)
 
 
 def test_degenerate_lower_parameter_raises():
@@ -94,7 +82,7 @@ def test_late_lower_zero_after_series_truncates_is_fine():
     # upper kills the series at j = 2; the lower would vanish only at j = 3
     val = hyp((-1, 5), (-2,), 1)
     assert val == 1 + Fraction(-1 * 5, -2)
-    assert series_coeffs((-1, 5), (-2,), 5) == [1, Fraction(-1 * 5, -2)]
+    assert _fractions(series_coeffs((-1, 5), (-2,), 5)) == [1, Fraction(-1 * 5, -2)]
 
 
 def test_argument_must_be_rational():
@@ -121,13 +109,6 @@ def test_series_and_hyp_refuse_float_parameters():
 
 
 # -- plain Fraction reference loops for the integer term loops -----------
-
-
-def _ref_gen_binomial(r, k):
-    out = Fraction(1) if k >= 0 else Fraction(0)
-    for i in range(k):
-        out = out * (Fraction(r) - i) / (i + 1)
-    return out
 
 
 def _ref_pochhammer(a, j):
@@ -177,12 +158,6 @@ rationals = st.one_of(
 params = st.lists(rationals, max_size=3)
 
 
-@given(rationals, st.integers(min_value=-2, max_value=9))
-def test_gen_binomial_matches_fraction_reference(r, k):
-    got = gen_binomial(r, k)
-    assert type(got) is Fraction and got == _ref_gen_binomial(r, k)
-
-
 @given(rationals, st.integers(min_value=0, max_value=9))
 def test_pochhammer_matches_fraction_reference(a, j):
     got = pochhammer(a, j)
@@ -198,9 +173,25 @@ def test_pochhammer_matches_fraction_reference(a, j):
 @given(params, params, st.integers(min_value=-1, max_value=8))
 def test_series_coeffs_match_fraction_reference(upper, lower, n):
     got = _outcome(series_coeffs, upper, lower, n)
-    assert got == _outcome(_ref_series, upper, lower, n)
+    want = _outcome(_ref_series, upper, lower, n)
+    if got is DegenerateParameters:
+        assert want is DegenerateParameters
+    else:
+        assert _fractions(got) == want
+
+
+@example([-2, 1], [3], 6)
+@example([-1, 5], [-2], 5)
+@example([], [], -1)
+@given(params, params, st.integers(min_value=-1, max_value=8))
+def test_series_coeffs_are_in_canonical_form(upper, lower, n):
+    # one positive denominator with no factor common to every numerator,
+    # so den is the least common denominator of the coefficients
+    got = _outcome(series_coeffs, upper, lower, n)
     if got is not DegenerateParameters:
-        assert all(type(c) is Fraction for c in got)
+        nums, den = got
+        assert all(type(v) is int for v in [*nums, den])
+        assert den > 0 and gcd(den, *nums) == 1
 
 
 @example(2, [1], [3], Fraction(1))
@@ -260,7 +251,6 @@ def test_independent_routes_never_call_the_series_helper(monkeypatch):
         (tq.v_poly, (3,)),
         (counts.refined_asm, (7, 3)),
         (pochhammer, (Fraction(1, 3), 4)),
-        (gen_binomial, (Fraction(4, 3), 3)),
     ]
     expected = [f(*args) for f, args in routes]
 

@@ -1,6 +1,6 @@
 import doctest
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -56,6 +56,53 @@ def test_constructor_refuses_non_integer_exponents():
             LaurentPoly({bad: 1})
         with pytest.raises(TypeError):
             LaurentPoly({bad: 0})
+
+
+# integer lanes over a nonzero denominator of either sign, for from_lane
+int_lanes = st.dictionaries(exps, st.integers(-40, 40), max_size=6)
+denominators = st.integers(-36, 36).filter(bool)
+non_integers = st.one_of(st.floats(allow_nan=False), st.text(max_size=3))
+
+
+@given(int_lanes, denominators)
+def test_lane_constructor_matches_the_fraction_constructor(lane, d):
+    got = LaurentPoly.from_lane(lane, d)
+    # the canonical form written out: each coefficient in lowest terms,
+    # over the lcm of their denominators
+    fracs = {k: Fraction(v, d) for k, v in lane.items() if v}
+    den = lcm(*(c.denominator for c in fracs.values()))
+    want = (den, {k: c.numerator * (den // c.denominator) for k, c in fracs.items()}, {})
+    assert (got._d, got._a, got._b) == want
+    for other in (
+        LaurentPoly({k: Fraction(v, d) for k, v in lane.items()}),
+        LaurentPoly({k: QsElem(Fraction(v, d)) for k, v in lane.items()}),
+    ):
+        assert (other._d, other._a, other._b) == want
+
+
+@given(st.dictionaries(exps, st.just(0), max_size=4), denominators)
+def test_lane_of_zeros_is_the_zero_polynomial(lane, d):
+    p = LaurentPoly.from_lane(lane, d)
+    assert p.is_zero and (p._d, p._a, p._b) == (1, {}, {})
+    assert p == LaurentPoly()
+
+
+@given(non_integers, st.integers(-3, 3), denominators)
+def test_lane_constructor_refuses_non_integer_exponents(bad, v, d):
+    with pytest.raises(TypeError):
+        LaurentPoly.from_lane({bad: v}, d)
+    with pytest.raises(TypeError):
+        LaurentPoly({bad: Fraction(v, d)})
+
+
+def test_lane_constructor_refuses_non_integer_values():
+    for bad in (1.5, "2", Fraction(2), QsElem(1)):
+        with pytest.raises(TypeError):
+            LaurentPoly.from_lane({1: bad}, 3)
+        with pytest.raises(TypeError):
+            LaurentPoly.from_lane({1: 1}, bad)
+    with pytest.raises(ZeroDivisionError):
+        LaurentPoly.from_lane({1: 1}, 0)
 
 
 def test_zero_polynomial_has_no_support():

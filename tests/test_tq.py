@@ -377,6 +377,30 @@ def test_series_forms_of_f_and_g():
         assert fg_2f1_check(m)
 
 
+def _gen_binomial(top, k):
+    # binom(top, k) = top (top-1) ... (top-k+1) / k!, one Fraction step at a time
+    out = Fraction(1)
+    for i in range(k):
+        out = out * (top - i) / (i + 1)
+    return out
+
+
+def test_f_and_g_match_generalized_binomials():
+    # the families' coefficients binom(m + r/3, k) binom(m - r/3, m - k) at
+    # x^(3m+r-6k), and their negatives at the mirrored exponents, against
+    # the integer falling products the builder uses
+    for m in range(41):
+        for r, family in ((1, f_poly), (2, g_poly)):
+            want = {}
+            for k in range(m + 1):
+                c = _gen_binomial(m + F(r, 3), k) * _gen_binomial(m - F(r, 3), m - k)
+                e = 3 * m + r - 6 * k
+                want[e], want[-e] = c, -c
+            p = family(m)
+            assert _is_rational(p)
+            assert {k: F(v, p._d) for k, v in p._a.items()} == want
+
+
 def test_relation_suite_passes():
     res = []
     for m in range(5):
