@@ -53,7 +53,8 @@ class DensePoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        c = [Fraction(_rational(v)) for v in coeffs]
+        # a Fraction is kept, not built a second time
+        c = [v if isinstance(v, Fraction) else Fraction(_rational(v)) for v in coeffs]
         while c and not c[-1]:
             c.pop()
         self.coeffs = tuple(c)

@@ -1,24 +1,19 @@
-"""Sparse Laurent polynomials in one variable x over Q(s).
+"""Sparse Laurent polynomials in one variable x over Q.
 
-Exponents are ints and coefficients live in Q(s), given as int, Fraction
-or QsElem; anything else raises TypeError, and rationals embed with a
-zero s-part.  A polynomial is stored as one denominator `_d`, an int > 0,
-and two integer lanes `_a = {k: a}` and `_b = {k: b}`, meaning the sum
-of (a_k + b_k*s)/d * x^k.  The form is canonical: neither lane holds a
-zero entry, gcd(d, every a, every b) = 1, and the zero polynomial has
-d = 1, so equal polynomials have equal `_d`, `_a` and `_b`.  A rational
-polynomial, as almost every family in tq is, keeps one int per term and
-an empty s-lane, and every operation skips an empty lane.  The dicts
-suit the thin supports that show up here (arithmetic progressions of
-step 6 between -3m-2 and 3m+2).  Every ring operation is integer
-arithmetic plus one content gcd per result; a QsElem is built only where
-a value is read (`eval_at`, `repr`).  `from_lane` builds a rational
-polynomial straight from integers over one denominator, and the
-constructor sends a dict of rational coefficients down that path.
-Instances are immutable, every operation returns a fresh polynomial,
-and they are unhashable.  `divide_exact` takes only divisors that are
-monic with integer coefficients, the only kind the quotient families
-divide by.
+Exponents are ints and coefficients are ints or Fractions; anything
+else, a QsElem, a float or a str included, raises TypeError.  Every
+family tq builds (f, g, h, q, p, v and phi) is rational, and tq reads
+the shift equation y(x) + y(w*x) + y(x/w) = 0 coefficient by
+coefficient, so no polynomial needs Q(s).  A polynomial is one
+denominator `_d`, an int > 0, over one integer lane `_a = {k: a}`,
+meaning the sum of a_k/d * x^k.  The form is canonical: no zero entry,
+gcd(d, every a) = 1, and d = 1 for the zero polynomial, so equal
+polynomials have equal `_d` and `_a`.  The dict suits the thin supports
+that show up here (steps of 6 between -3m-2 and 3m+2).  Every ring
+operation is integer arithmetic plus one content gcd, and `eval_at`
+builds one Fraction.  Instances are immutable and unhashable.
+`divide_exact` takes only divisors that are monic with integer
+coefficients, the only kind the quotient families divide by.
 
 >>> p = LaurentPoly({1: 1, -1: -1})
 >>> p * p == LaurentPoly({2: 1, 0: -2, -2: 1})
@@ -31,93 +26,48 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
 from typing import Mapping, Union
 
 from .errors import NonExactDivision, PoleAtSample
-from .qfield import _RATIONAL_TYPES, QsElem, _lift, _reduced
+from .qfield import _RATIONAL_TYPES
 
-Scalar = Union[int, Fraction, QsElem]
+Scalar = Union[int, Fraction]
 
 
-def _poly(a: dict, b: dict, d: int) -> "LaurentPoly":
-    # the canonical form of the sum of (a_k + b_k*s)/d * x^k over the
-    # lanes a and b, for d > 0 and lanes without zero entries
-    if not (a or b):
+def _poly(a: dict, d: int) -> "LaurentPoly":
+    # the canonical form of the sum of a_k/d * x^k, for d > 0 and a lane
+    # without zero entries
+    if not a:
         d = 1
     elif d != 1:
-        g = gcd(d, *a.values(), *b.values())
+        g = gcd(d, *a.values())
         if g != 1:
             d //= g
             a = {k: v // g for k, v in a.items()}
-            b = {k: v // g for k, v in b.items()}
     self = object.__new__(LaurentPoly)
     self._a = a
-    self._b = b
     self._d = d
     return self
 
 
-def _nonzero(lane: dict) -> dict:
-    return {k: v for k, v in lane.items() if v}
-
-
 def _sum(x: dict, u: int, y: dict, v: int) -> dict:
     # u*x + v*y for two lanes, without the entries that cancel
-    c = {k: a * u for k, a in x.items()} if u else {}
-    if v:
-        for k, a in y.items():
-            a *= v
-            if k in c:
-                a += c[k]
-                if not a:
-                    del c[k]
-                    continue
-            c[k] = a
+    c = {k: a * u for k, a in x.items()}
+    for k, a in y.items():
+        a *= v
+        if k in c:
+            a += c[k]
+            if not a:
+                del c[k]
+                continue
+        c[k] = a
     return c
 
 
-def _times(a: dict, b: dict, ea: int, eb: int) -> tuple:
-    # the lanes of (a + b*s) * (ea + eb*s)
-    if not eb:
-        return {k: v * ea for k, v in a.items()}, {k: v * ea for k, v in b.items()}
-    return _sum(a, ea, b, -3 * eb), _sum(a, eb, b, ea)
-
-
-def _conv(x: dict, y: dict, acc: dict, f: int) -> None:
-    # adds f times the product of the lanes x and y into acc; an empty
-    # lane adds nothing, so a rational operand costs one product
-    if not (x and y):
-        return
-    right = list(y.items())
-    for k1, c1 in x.items():
-        if f != 1:
-            c1 *= f
-        for k2, c2 in right:
-            k = k1 + k2
-            if k in acc:
-                acc[k] += c1 * c2
-            else:
-                acc[k] = c1 * c2
-
-
-def _pair_pow(a: int, b: int, n: int) -> tuple:
-    # (a + b*s) ** n as an integer pair, n >= 0
-    ra, rb = 1, 0
-    while n:
-        if n & 1:
-            ra, rb = ra * a - 3 * rb * b, ra * b + rb * a
-        a, b = a * a - 3 * b * b, 2 * a * b
-        n >>= 1
-    return ra, rb
-
-
 def _quotient(lane: dict, div: dict, dlo: int, dhi: int) -> dict:
-    # the exact quotient of one lane by the monic integer lane div, whose
-    # support spans dlo..dhi
-    if not lane:
-        return {}
+    # the exact quotient of a nonempty lane by the monic integer lane div,
+    # whose support spans dlo..dhi
     nlo, nhi = min(lane), max(lane)
     width = dhi - dlo
     if nhi - nlo < width:
@@ -137,44 +87,32 @@ def _quotient(lane: dict, div: dict, dlo: int, dhi: int) -> dict:
 
 
 def _operand(v) -> "LaurentPoly | None":
-    # the other side of +, - or ==: a scalar becomes a constant polynomial,
-    # and None stands for an unsupported type
+    # the other side of +, - or ==: a rational becomes a constant
+    # polynomial, and None stands for an unsupported type
     if isinstance(v, LaurentPoly):
         return v
-    w = _lift(v)
-    return None if w is None else LaurentPoly({0: w})
+    if isinstance(v, _RATIONAL_TYPES):
+        return _poly({0: v.numerator} if v else {}, v.denominator)
+    return None
 
 
 class LaurentPoly:
-    __slots__ = ("_a", "_b", "_d")
+    __slots__ = ("_a", "_d")
 
     def __init__(self, coeffs: Mapping[int, Scalar] | None = None):
         coeffs = coeffs or {}
-        if all(isinstance(v, _RATIONAL_TYPES) for v in coeffs.values()):
-            # rational coefficients, the common case, go over their lcm
-            # as one integer lane
-            d = lcm(*(v.denominator for v in coeffs.values()))
-            lane = {k: v.numerator * (d // v.denominator) for k, v in coeffs.items()}
-            p = LaurentPoly.from_lane(lane, d)
-        else:
-            lifted = {}
-            for k, v in coeffs.items():
-                k = operator.index(k)  # a float or str exponent raises
-                q = _lift(v)
-                if q is None:
-                    raise TypeError(f"coefficient of type {type(v).__name__}")
-                lifted[k] = q
-            d = lcm(*(q.d for q in lifted.values()))
-            p = _poly(
-                {k: q.a * (d // q.d) for k, q in lifted.items() if q.a},
-                {k: q.b * (d // q.d) for k, q in lifted.items() if q.b},
-                d,
-            )
-        self._a, self._b, self._d = p._a, p._b, p._d
+        for v in coeffs.values():
+            if not isinstance(v, _RATIONAL_TYPES):
+                raise TypeError(f"coefficient of type {type(v).__name__}")
+        # the coefficients over their lcm, as one integer lane
+        d = lcm(*(v.denominator for v in coeffs.values()))
+        lane = {k: v.numerator * (d // v.denominator) for k, v in coeffs.items()}
+        p = LaurentPoly.from_lane(lane, d)
+        self._a, self._d = p._a, p._d
 
     @classmethod
     def from_lane(cls, lane: Mapping[int, int], d: int) -> "LaurentPoly":
-        """The rational polynomial sum of lane[k]/d * x^k.
+        """The polynomial sum of lane[k]/d * x^k.
 
         Exponents, lane values and d are ints, d nonzero; anything else
         raises TypeError.  One content gcd brings the lane to the
@@ -190,7 +128,7 @@ class LaurentPoly:
             k, v = operator.index(k), operator.index(v)
             if v:
                 a[k] = sign * v
-        return _poly(a, {}, sign * d)
+        return _poly(a, sign * d)
 
     @classmethod
     def one(cls) -> "LaurentPoly":
@@ -200,59 +138,60 @@ class LaurentPoly:
 
     @property
     def is_zero(self) -> bool:
-        return not (self._a or self._b)
+        return not self._a
+
+    @property
+    def support(self):
+        """The exponents of the nonzero terms, in no particular order."""
+        return self._a.keys()
 
     @property
     def min_exp(self) -> int:
         if self.is_zero:
             raise ValueError("zero polynomial has no support")
-        return min(chain(self._a, self._b))
+        return min(self._a)
 
     @property
     def max_exp(self) -> int:
         if self.is_zero:
             raise ValueError("zero polynomial has no support")
-        return max(chain(self._a, self._b))
+        return max(self._a)
 
     # -- ring operations ------------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int):
+        # self + sign*other over the lcm of the two denominators
         other = _operand(other)
         if other is None:
             return NotImplemented
         d, e = self._d, other._d
         m = lcm(d, e)
-        u, v = m // d, m // e
-        return _poly(_sum(self._a, u, other._a, v), _sum(self._b, u, other._b, v), m)
+        return _poly(_sum(self._a, m // d, other._a, sign * (m // e)), m)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        other = _operand(other)
-        return NotImplemented if other is None else self + -other
-
-    def __neg__(self):
-        return _poly(*_times(self._a, self._b, -1, 0), self._d)
+        return self._combine(other, -1)
 
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):
-            a1, b1, a2, b2 = self._a, self._b, other._a, other._b
-            ra: dict = {}
-            rb: dict = {}
-            _conv(a1, a2, ra, 1)
-            _conv(b1, b2, ra, -3)
-            _conv(a1, b2, rb, 1)
-            _conv(b1, a2, rb, 1)
-            return _poly(_nonzero(ra), _nonzero(rb), self._d * other._d)
+            acc: dict = {}
+            right = list(other._a.items())
+            for k1, c1 in self._a.items():
+                for k2, c2 in right:
+                    k = k1 + k2
+                    if k in acc:
+                        acc[k] += c1 * c2
+                    else:
+                        acc[k] = c1 * c2
+            lane = {k: v for k, v in acc.items() if v}
+            return _poly(lane, self._d * other._d)
         if isinstance(other, _RATIONAL_TYPES):
-            n, e = other.numerator, other.denominator
-            if not n:
-                return LaurentPoly()
-            return _poly(*_times(self._a, self._b, n, 0), self._d * e)
-        w = _lift(other)
-        if w is None:
-            return NotImplemented
-        if not w:
-            return LaurentPoly()
-        return _poly(*_times(self._a, self._b, w.a, w.b), self._d * w.d)
+            n = other.numerator
+            lane = {k: v * n for k, v in self._a.items()} if n else {}
+            return _poly(lane, self._d * other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -260,9 +199,7 @@ class LaurentPoly:
         other = _operand(other)
         if other is None:
             return NotImplemented
-        return (
-            self._d == other._d and self._a == other._a and self._b == other._b
-        )
+        return self._d == other._d and self._a == other._a
 
     # -- the operations the identity checks are built from --------------
 
@@ -270,88 +207,57 @@ class LaurentPoly:
         """Exact quotient self / den, for den monic with integer coefficients.
 
         The quotient families divide only by (x - 1/x)^n, or that times
-        x + 2 + 1/x, and over such a divisor each lane of the dividend
-        divides apart, every step of its long division exact in
-        integers.  Any other nonzero divisor raises ValueError, a zero
-        one ZeroDivisionError, and a remainder NonExactDivision.
+        x + 2 + 1/x, and over such a divisor every step of the long
+        division of the dividend's integer lane is exact in integers.
+        Any other nonzero divisor raises ValueError, a zero one
+        ZeroDivisionError, and a remainder NonExactDivision.
         """
         if not isinstance(den, LaurentPoly):
             raise TypeError("divisor must be a LaurentPoly")
         if den.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
         div, dlo, dhi = den._a, den.min_exp, den.max_exp
-        if den._d != 1 or den._b or div.get(dhi) != 1:
+        if den._d != 1 or div[dhi] != 1:
             raise ValueError("divisor is not monic with integer coefficients")
         if self.is_zero:
             return LaurentPoly()
-        quot_a = _quotient(self._a, div, dlo, dhi)
-        quot_b = _quotient(self._b, div, dlo, dhi)
-        return _poly(quot_a, quot_b, self._d)
-
-    def substitute_scale(self, c: Scalar) -> "LaurentPoly":
-        """p(x) -> p(c*x) for a nonzero scalar c; c = 0 hits the pole x = 0."""
-        w = _lift(c)
-        if w is None:
-            raise TypeError(f"scale factor of type {type(c).__name__}")
-        if not w:
-            raise PoleAtSample("Laurent polynomial scaled or evaluated at x = 0")
-        if self.is_zero:
-            return LaurentPoly()
-        # c = (wa + wb*s)/wd: the term k picks up (wa + wb*s)^(k-lo) over
-        # wd^(hi-lo), times wd^(hi-k), and the whole polynomial c^lo
-        wa, wb, wd = w.a, w.b, w.d
-        lo, hi = self.min_exp, self.max_exp
-        pa, pb, prev = 1, 0, lo
-        lane_a, lane_b = self._a, self._b
-        out_a, out_b = {}, {}
-        for k in sorted(lane_a.keys() | lane_b.keys()):
-            ga, gb = _pair_pow(wa, wb, k - prev)
-            pa, pb, prev = pa * ga - 3 * pb * gb, pa * gb + pb * ga, k
-            f = wd ** (hi - k)
-            a, b = lane_a.get(k, 0), lane_b.get(k, 0)
-            x, y = (a * pa - 3 * b * pb) * f, (a * pb + b * pa) * f
-            if x:
-                out_a[k] = x
-            if y:
-                out_b[k] = y
-        if lo < 0:
-            # c^lo = (1/c)^-lo, and 1/c = wd*(wa - wb*s)/(wa^2 + 3*wb^2)
-            wa, wb, wd = wd * wa, -wd * wb, wa * wa + 3 * wb * wb
-        ea, eb = _pair_pow(wa, wb, abs(lo))
-        d = self._d * w.d ** (hi - lo) * wd ** abs(lo)
-        return _poly(*_times(out_a, out_b, ea, eb), d)
+        return _poly(_quotient(self._a, div, dlo, dhi), self._d)
 
     def invert_x(self) -> "LaurentPoly":
         """p(x) -> p(1/x); an involution on the support."""
-        return _poly(
-            {-k: v for k, v in self._a.items()},
-            {-k: v for k, v in self._b.items()},
-            self._d,
-        )
+        return _poly({-k: v for k, v in self._a.items()}, self._d)
 
-    def eval_at(self, x0: Scalar) -> QsElem:
-        """Exact value at a nonzero point of Q(s), by substitute_scale."""
-        p = self.substitute_scale(x0)
-        return _reduced(sum(p._a.values()), sum(p._b.values()), p._d)
+    def eval_at(self, x0: Scalar) -> Fraction:
+        """Exact value at a nonzero rational point, as a Fraction.
+
+        With x0 = n/e, one integer Horner pass over lo..hi builds
+        S = sum_k a_k n^(k-lo) e^(hi-k), and the value is
+        S n^lo / (d e^hi), reduced once.
+        """
+        if not isinstance(x0, _RATIONAL_TYPES):
+            raise TypeError(f"point of type {type(x0).__name__}")
+        if not x0:
+            raise PoleAtSample("Laurent polynomial evaluated at x = 0")
+        if self.is_zero:
+            return Fraction(0)
+        n, e = x0.numerator, x0.denominator
+        lane, lo, hi = self._a, self.min_exp, self.max_exp
+        acc, e_pow = lane[hi], 1
+        for k in range(hi - 1, lo - 1, -1):
+            e_pow *= e
+            acc *= n
+            if k in lane:
+                acc += lane[k] * e_pow
+        # times n^lo / e^hi, each power on the side its sign puts it
+        num = acc * n ** max(lo, 0) * e ** max(-hi, 0)
+        den = self._d * n ** max(-lo, 0) * e ** max(hi, 0)
+        return Fraction(num, den)
 
     def euler_d(self) -> "LaurentPoly":
         """Euler derivative x * d/dx: multiplies each term by its exponent."""
-        return _poly(
-            {k: k * v for k, v in self._a.items() if k},
-            {k: k * v for k, v in self._b.items() if k},
-            self._d,
-        )
+        return _poly({k: k * v for k, v in self._a.items() if k}, self._d)
 
     def __repr__(self):
-        if self.is_zero:
-            return "LaurentPoly(0)"
-        bits = []
-        for k in sorted(self._a.keys() | self._b.keys()):
-            v = _reduced(self._a.get(k, 0), self._b.get(k, 0), self._d)
-            if k == 0:
-                bits.append(f"({v})")
-            elif k == 1:
-                bits.append(f"({v})*x")
-            else:
-                bits.append(f"({v})*x^{k}")
-        return "LaurentPoly[" + " + ".join(bits) + "]"
+        d = self._d
+        terms = (f"({Fraction(v, d)})*x^{k}" for k, v in sorted(self._a.items()))
+        return "LaurentPoly[" + (" + ".join(terms) or "0") + "]"

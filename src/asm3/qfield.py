@@ -8,9 +8,12 @@ meaning (a + b*s)/d, with d > 0 and gcd(a, b, d) = 1, so equal values
 have equal triples.  Every ring operation is integer arithmetic plus one
 three-way gcd; a Fraction is built only to print an element.  There is
 no floating point anywhere.  Elements compare equal to ints and
-Fractions of the same value, and are unhashable.  A LaurentPoly does not
-hold QsElem coefficients: it keeps integer pairs over one denominator
-and builds a QsElem only when a value is read.
+Fractions of the same value, and are unhashable.  A LaurentPoly is over
+Q and refuses a QsElem coefficient or point: the shift equation meets
+the cube roots only through the three factors 1 + w^k + w^-k, k mod 3,
+that tq builds once from OMEGA and OMEGA_BAR, and transform_checks
+evaluates its coefficient tuples at points of Q(s) through
+densepoly.horner.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from typing import Union
 
 Rational = Union[int, Fraction]
 
-# the scalar types that mix with QsElem in arithmetic and comparison
+# the scalar types that mix with QsElem in arithmetic and comparison,
+# and the only coefficient types of a LaurentPoly
 _RATIONAL_TYPES = (int, Fraction)
 
 
@@ -49,8 +53,8 @@ def _reduced(a: int, b: int, d: int) -> "QsElem":
 
 def _lift(v) -> "QsElem | None":
     # a scalar operand as a QsElem; None when it is neither a QsElem nor a
-    # rational.  Every mixed operation here and in laurent lifts through
-    # this; the hot operations test for a QsElem first and skip the call
+    # rational.  Every mixed operation here lifts through this; the hot
+    # operations test for a QsElem first and skip the call
     if isinstance(v, QsElem):
         return v
     if isinstance(v, _RATIONAL_TYPES):

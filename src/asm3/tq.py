@@ -19,8 +19,11 @@ the sum, with no polynomial arithmetic.  The route comparisons plus the
 contiguous three-term relations are the artifact's working correctness
 argument, so none of them may be collapsed into a single code path.
 
-All arithmetic is exact over Q or Q(s).  The series builders (phi,
-e_poly, h1_poly and the series forms of f_poly and g_poly) take
+All arithmetic is exact.  Every polynomial here is a LaurentPoly or a
+DensePoly over Q; Q(s) enters only through the three factors
+1 + w^k + w^-k that tq_check reads by k mod 3 and the points of Q(s)
+that transform_checks evaluates at.  The series builders (phi, e_poly,
+h1_poly and the series forms of f_poly and g_poly) take
 hyper.series_coeffs as its integer numerators over one denominator and
 stay in integers up to the constructor of their result.  A builder keeps
 a cache only where a later verify block reads the same order again:
@@ -118,9 +121,18 @@ def h_poly(m: int) -> LaurentPoly:
     return (g_poly(m) + f_poly(m) * Fraction(3 * m + 2, 3 * m + 1)) * c_norm(m)
 
 
+# 1 + w^k + w^-k for k = 0, 1 and 2 mod 3: (3, 0, 0), from w^3 = 1
+_SHIFT_FACTORS = tuple(OMEGA ** r + OMEGA_BAR ** r + 1 for r in range(3))
+
+
 def tq_check(p: LaurentPoly) -> bool:
-    """True when p solves the three-term shift equation."""
-    return (p + p.substitute_scale(OMEGA) + p.substitute_scale(OMEGA_BAR)).is_zero
+    """True when p solves the three-term shift equation.
+
+    The x^k coefficient of p(x) + p(w*x) + p(x/w) is p_k (1 + w^k + w^-k),
+    so p solves it exactly when the factor of every exponent in its
+    support is zero.
+    """
+    return not any(_SHIFT_FACTORS[k % 3] for k in p.support)
 
 
 # gauss_relation_checks(m) reads phi at orders m - 1, m and m + 1 with

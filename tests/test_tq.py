@@ -2,15 +2,17 @@ import gc
 import sys
 import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import pytest
+from hypothesis import given, strategies as st
 
 from asm3 import checks, cli, counts, tq
 from asm3.densepoly import DensePoly
 from asm3.errors import DegenerateParameters, OutOfRange
 from asm3.laurent import LaurentPoly
-from asm3.qfield import Q, QBAR, S, QsElem
+from asm3.qfield import OMEGA, Q, QBAR, S, ZERO, QsElem
 from asm3.tq import (
     c_norm,
     e_poly,
@@ -37,14 +39,8 @@ F = Fraction
 
 
 def _support(p):
-    # the exponents of the nonzero terms, ascending; the canonical form
-    # keeps no zero entry in either lane
-    return tuple(sorted(p._a.keys() | p._b.keys()))
-
-
-def _is_rational(p):
-    # no coefficient has an s-part: the s-lane is empty
-    return not p._b
+    # the exponents of the nonzero terms, ascending
+    return tuple(sorted(p.support))
 
 
 def test_first_families_literal():
@@ -74,14 +70,41 @@ def test_family_supports_are_arithmetic():
 
 def test_families_are_odd():
     for m in range(6):
-        assert f_poly(m).invert_x() == -f_poly(m)
-        assert g_poly(m).invert_x() == -g_poly(m)
+        assert f_poly(m).invert_x() == f_poly(m) * -1
+        assert g_poly(m).invert_x() == g_poly(m) * -1
 
 
 def test_shift_equation_on_monomials():
     # x^k solves iff k is not divisible by 3
     for k in range(-6, 7):
         assert tq_check(LaurentPoly({k: 1})) == (k % 3 != 0)
+
+
+# rational Laurent polynomials, and ones whose exponents avoid 3Z, which
+# all solve the shift equation
+shift_coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=5)
+shift_exps = st.integers(-12, 12)
+shift_dicts = st.one_of(
+    st.dictionaries(shift_exps, shift_coeffs, max_size=6),
+    st.dictionaries(shift_exps.filter(lambda k: k % 3), shift_coeffs, max_size=6),
+)
+
+
+def _solves_three_term_sum(y):
+    # y(x) + y(w x) + y(x/w), written out coefficient by coefficient: the
+    # x^k coefficient is y_k + y_k w^k + y_k w^-k
+    return all(not (OMEGA ** k * v + OMEGA ** -k * v + v) for k, v in y.items())
+
+
+@given(shift_dicts)
+def test_tq_check_matches_the_literal_three_term_sum(y):
+    assert tq_check(LaurentPoly(y)) == _solves_three_term_sum(y)
+
+
+def test_shift_factors_by_residue():
+    # 1 + w^k + w^-k for k = 0, 1, 2 mod 3, from w^3 = 1
+    assert OMEGA ** 3 == 1
+    assert tq._SHIFT_FACTORS == (3, 0, 0)
 
 
 def test_families_solve_shift_equation():
@@ -111,9 +134,9 @@ def test_quotients_literal():
 
 def test_quotients_are_symmetric_and_rational():
     for m in range(6):
+        # a LaurentPoly is over Q, so each is rational by construction
         for p in (q_poly(m), p_poly(m), v_poly(m)):
             assert p.invert_x() == p
-            assert _is_rational(p)
 
 
 def test_v_is_one_at_one():
@@ -132,7 +155,6 @@ def test_phi_structural_invariants():
         for k in range(4):
             val = phi(m, k)
             assert val.invert_x() == val
-            assert _is_rational(val)
             if not val.is_zero:
                 assert val.max_exp <= m
                 assert all(e % 2 == m % 2 for e in _support(val))
@@ -145,29 +167,64 @@ def _rising(a, j):
     return out
 
 
+def _qs_mul(x, y):
+    # the product of two Laurent polynomials kept as {k: QsElem} dicts
+    out = {}
+    for k1, v1 in x.items():
+        for k2, v2 in y.items():
+            out[k1 + k2] = out.get(k1 + k2, ZERO) + v1 * v2
+    return {k: v for k, v in out.items() if v}
+
+
+@lru_cache(maxsize=None)
+def _kernel_products(m):
+    # small^(m-j) big^j for j = 0..m, over small = q/x - x/q and
+    # big = q*x - 1/(q*x)
+    small, big = {-1: Q, 1: -QBAR}, {1: Q, -1: -QBAR}
+    small_pows, big_pows = [{0: QsElem(1)}], [{0: QsElem(1)}]
+    for _ in range(m):
+        small_pows.append(_qs_mul(small_pows[-1], small))
+        big_pows.append(_qs_mul(big_pows[-1], big))
+    return [_qs_mul(small_pows[m - j], big_pows[j]) for j in range(m + 1)]
+
+
 def _gauss_sum(m, k):
-    # the paper's form: s^-m sum_j t_j small^(m-j) big^j over the kernels
-    # small = q/x - x/q and big = q*x - 1/(q*x), in plain LaurentPoly
-    # products, with t_j = (-m)_j (k+1)_j / ((-m-k)_j j!)
-    small = LaurentPoly({-1: Q, 1: -QBAR})
-    big = LaurentPoly({1: Q, -1: -QBAR})
-    total = LaurentPoly()
-    for j in range(m + 1):
+    # the paper's form: s^-m sum_j t_j small^(m-j) big^j, in test-local
+    # {k: QsElem} products with no LaurentPoly arithmetic, and
+    # t_j = (-m)_j (k+1)_j / ((-m-k)_j j!)
+    total = {}
+    for j, term in enumerate(_kernel_products(m)):
         t = F(_rising(-m, j) * _rising(k + 1, j), _rising(-m - k, j) * factorial(j))
-        term = LaurentPoly({0: t})
-        for _ in range(m - j):
-            term = term * small
-        for _ in range(j):
-            term = term * big
-        total = total + term
-    return total * S ** (-m)
+        for e, v in term.items():
+            total[e] = total.get(e, ZERO) + v * t
+    scale = S ** (-m)
+    return {e: v * scale for e, v in total.items() if v}
+
+
+# k = m + 2 is read by v_poly_phi(m + 1), one shift past relations' loop
+GAUSS_PAIRS = [(m, k) for m in range(13) for k in range(m + 3)]
+
+
+def _gauss_mismatches():
+    # the (m, k) of GAUSS_PAIRS where tq.phi differs from the Gauss sum in
+    # any coefficient; the sum's coefficients must all be rational
+    out = []
+    for m, k in GAUSS_PAIRS:
+        p, want = tq.phi(m, k), _gauss_sum(m, k)
+        got = {e: F(v, p._d) for e, v in p._a.items()}
+        if got.keys() != want.keys() or any(want[e] != got[e] for e in got):
+            out.append((m, k))
+    return out
 
 
 def test_phi_equals_the_gauss_sum():
-    # k = m + 2 is read by v_poly_phi(m + 1), one shift past relations' loop
-    for m in range(13):
-        for k in range(m + 3):
-            assert phi(m, k) == _gauss_sum(m, k), (m, k)
+    assert _gauss_mismatches() == []
+
+
+def test_gauss_sum_comparison_catches_an_add_one_mutant(monkeypatch):
+    built = tq.phi
+    monkeypatch.setattr(tq, "phi", lambda m, k: built(m, k) + 1)
+    assert _gauss_mismatches() == GAUSS_PAIRS
 
 
 def test_phi_makes_no_polynomial_or_field_arithmetic(monkeypatch):
@@ -397,7 +454,6 @@ def test_f_and_g_match_generalized_binomials():
                 e = 3 * m + r - 6 * k
                 want[e], want[-e] = c, -c
             p = family(m)
-            assert _is_rational(p)
             assert {k: F(v, p._d) for k, v in p._a.items()} == want
 
 
