@@ -43,10 +43,10 @@ MAX_DIGITS = MAX_HEIGHT.bit_length() - 1
 MAX_N_VALUES = 1000
 
 # wall-time caps on `verify --suite all`, measured on a 2-CPU VM (Python
-# 3.11.7) with the other limit at its default: max-m 64 took 2.4 to 2.8 s
-# and peaks at 19.4 to 19.7 MB RSS (three runs), and max-n 170 took 5.8 to
-# 6.1 s at 52.4 MB (two runs); both caps at once took 11.3 s at 57 MB in
-# one earlier run.
+# 3.11.7) with the other limit at its default: max-m 64 took 2.1 to 2.6 s
+# at 19.4 to 19.5 MB peak RSS, and max-n 170 took 5.9 to 7.5 s at 52.4 to
+# 52.6 MB (three runs each); both caps at once took 7.6 s at 56.4 MB in
+# one run.
 # The VM's speed swings up to fourfold from day to day: on a slow day
 # max-n 170 took 52 to 65 s against a one-minute aim, so neither cap was
 # raised

@@ -1,8 +1,12 @@
 """Polynomials in one variable t as coefficient tuples, constant term first.
 
-`horner` evaluates such a tuple at an int, a Fraction or a point of
-Q(s); it is the one evaluation rule the checks use on them.  At a point
-of Q(s) it runs on the point's integer triple over the coefficients'
+`horner` is the one Horner loop over such a tuple.  It returns the
+homogeneous value sum_k c_k a^k b^(K-k), K the degree: the value at a
+for b = 1, and b^K times the value at a/b otherwise, so no caller
+divides.  verify reads the oracle's polynomials at integer weights
+through it, hyper.hyp sums its series at u/v, and tq.transform_checks
+evaluates its coefficient tuples at pairs of points of Q(s).  When a or b is in
+Q(s) it runs on the points' integer triples over the coefficients'
 common denominator and reduces once, at the end.  A DensePoly
 is the tuple of its Fraction coefficients with trailing zeros trimmed,
 and its one operation is the product that glues h3_poly together, an
@@ -17,28 +21,33 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Union
 
-from .qfield import QsElem, _rational, _reduced
+from .qfield import QsElem, _lift, _rational, _reduced
 
 Scalar = Union[int, Fraction]
 
 
-def horner(coeffs, v):
-    """Value at v of the polynomial with these rational coefficients."""
-    if not (coeffs and isinstance(v, QsElem)):
+def horner(coeffs, a, b=1):
+    """sum_k c_k a^k b^(K-k) over the coefficients c_0..c_K; 0 for ()."""
+    if not (coeffs and (isinstance(a, QsElem) or isinstance(b, QsElem))):
         acc = 0
+        b_pow = 1
         for c in reversed(coeffs):
-            acc = acc * v + c
+            acc = acc * a + c * b_pow
+            b_pow *= b
         return acc
-    # with v = (a + b*s)/e and c_k = n_k/d, the value is
-    # sum_k n_k (a + b*s)^k e^(K-k) / (d e^K), K the degree, by Horner
+    # with a = (a1 + a2*s)/ad, b = (b1 + b2*s)/bd and c_k = n_k/d, the
+    # value is sum_k n_k A^k B^(K-k) / (d (ad bd)^K) over the integer
+    # pairs A = (a1 + a2*s) bd and B = (b1 + b2*s) ad, by Horner in A
     d, nums = _over_common(coeffs)
-    a, b, e = v.a, v.b, v.d
+    a, b = _lift(a), _lift(b)
+    a1, a2 = a.a * b.d, a.b * b.d
+    b1, b2 = b.a * a.d, b.b * a.d
     x, y = nums[-1], 0
-    e_pow = 1
+    p, r = 1, 0  # B^(K-k)
     for n in reversed(nums[:-1]):
-        e_pow *= e
-        x, y = x * a - 3 * y * b + n * e_pow, x * b + y * a
-    return _reduced(x, y, d * e_pow)
+        p, r = p * b1 - 3 * r * b2, p * b2 + r * b1
+        x, y = x * a1 - 3 * y * a2 + n * p, x * a2 + y * a1 + n * r
+    return _reduced(x, y, d * (a.d * b.d) ** (len(nums) - 1))
 
 
 def _over_common(coeffs) -> tuple:

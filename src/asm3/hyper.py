@@ -18,8 +18,10 @@ The term loops run on integers.  Each parameter p/q is read once as its
 integer pair.  series_coeffs returns its coefficients as integers over
 one denominator, (nums, den) with c_j = nums[j]/den, den > 0 and
 gcd(den, *nums) = 1, from one gcd over the whole vector; its callers
-and hyp work on that pair directly, with no Fraction per term.
-pochhammer is an integer product with one Fraction at the end.
+and hyp work on that pair directly, with no Fraction per term.  hyp
+sums the series at z = u/v as densepoly.horner(nums, u, v), the
+homogeneous integer Horner rule, over den v^n.  pochhammer is an
+integer product with one Fraction at the end.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from fractions import Fraction
 from math import gcd, prod
 from typing import List, Tuple, Union
 
+from .densepoly import horner
 from .errors import DegenerateParameters, OutOfRange
 from .qfield import _rational
 
@@ -116,11 +119,5 @@ def hyp(upper, lower, argument: Rational) -> Fraction:
     if not orders:
         raise ValueError("no nonpositive integer upper parameter")
     nums, den = series_coeffs(upper, lower, int(max(orders)))
-    # sum_j (nums_j/den) (u/v)^j = sum_j nums_j u^j v^(n-j) / (den v^n),
-    # by Horner in u
-    total = 0
-    v_pow = 1
-    for c in reversed(nums):
-        total = total * u + c * v_pow
-        v_pow *= v
-    return Fraction(total, den * v ** (len(nums) - 1))
+    # sum_j (nums_j/den) (u/v)^j = sum_j nums_j u^j v^(n-j) / (den v^n)
+    return Fraction(horner(nums, u, v), den * v ** (len(nums) - 1))

@@ -8,12 +8,14 @@ meaning (a + b*s)/d, with d > 0 and gcd(a, b, d) = 1, so equal values
 have equal triples.  Every ring operation is integer arithmetic plus one
 three-way gcd; a Fraction is built only to print an element.  There is
 no floating point anywhere.  Elements compare equal to ints and
-Fractions of the same value, and are unhashable.  A LaurentPoly is over
+Fractions of the same value, and are unhashable.  QsElem is a ring
+type: nothing in the package divides in Q(s), so there is no inverse and
+no `/`, and a negative power raises TypeError.  A LaurentPoly is over
 Q and refuses a QsElem coefficient or point: the shift equation meets
 the cube roots only through the three factors 1 + w^k + w^-k, k mod 3,
 that tq builds once from OMEGA and OMEGA_BAR, and transform_checks
-evaluates its coefficient tuples at points of Q(s) through
-densepoly.horner.
+evaluates its coefficient tuples at pairs of points of Q(s) through the
+homogeneous rule densepoly.horner.
 """
 
 from __future__ import annotations
@@ -72,7 +74,6 @@ class QsElem:
     """Element (a + b*s)/d of Q(s), in lowest terms.  Immutable by convention.
 
     Both parts must be int or Fraction, anything else raises TypeError.
-    `sb` reads the coefficient of s as a Fraction.
     """
 
     __slots__ = ("a", "b", "d")
@@ -88,20 +89,8 @@ class QsElem:
         self.b = b // g
         self.d = d // g
 
-    @property
-    def sb(self) -> Fraction:
-        return Fraction(self.b, self.d)
-
     def conjugate(self) -> "QsElem":
         return _reduced(self.a, -self.b, self.d)
-
-    def inverse(self) -> "QsElem":
-        # d/(a + b*s) = d*(a - b*s) / (a*a + 3*b*b)
-        a, b, d = self.a, self.b, self.d
-        n = a * a + 3 * b * b
-        if not n:
-            raise ZeroDivisionError("inverse of zero in Q(s)")
-        return _reduced(d * a, -d * b, n)
 
     # -- ring operations ------------------------------------------------
 
@@ -135,17 +124,12 @@ class QsElem:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = _lift(other)
-        return NotImplemented if other is None else self * other.inverse()
-
     def __pow__(self, n: int) -> "QsElem":
-        if not isinstance(n, int):
+        # a ring has no negative powers: n < 0 raises TypeError, as a
+        # non-int exponent does
+        if not isinstance(n, int) or n < 0:
             return NotImplemented
         base = self
-        if n < 0:
-            base = self.inverse()
-            n = -n
         result = ONE
         while n:
             if n & 1:
@@ -171,14 +155,7 @@ class QsElem:
         return bool(self.a or self.b)
 
     def __repr__(self):
-        return f"QsElem({Fraction(self.a, self.d)!r}, {self.sb!r})"
-
-    def __str__(self):
-        if not self.b:
-            return str(Fraction(self.a, self.d))
-        if not self.a:
-            return f"{self.sb}*s"
-        return f"{Fraction(self.a, self.d)} + {self.sb}*s"
+        return f"QsElem({Fraction(self.a, self.d)!r}, {Fraction(self.b, self.d)!r})"
 
 
 ZERO = QsElem(0, 0)

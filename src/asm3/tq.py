@@ -21,19 +21,20 @@ argument, so none of them may be collapsed into a single code path.
 
 All arithmetic is exact.  Every polynomial here is a LaurentPoly or a
 DensePoly over Q; Q(s) enters only through the three factors
-1 + w^k + w^-k that tq_check reads by k mod 3 and the points of Q(s)
-that transform_checks evaluates at.  The series builders (phi, e_poly,
-h1_poly and the series forms of f_poly and g_poly) take
-hyper.series_coeffs as its integer numerators over one denominator and
-stay in integers up to the constructor of their result.  A builder keeps
-a cache only where a later verify block reads the same order again:
-f_poly, g_poly, q_poly, v_poly and e_poly (read 2 to 9 times per order)
-and phi (bounded to the orders one relation block reads).  h_poly,
-p_poly, h1_poly and the kernel powers (x - 1/x)^n are cheap to rebuild
-or read once per call, so they are not cached.  Polynomials are
-immutable, so sharing cached instances is safe.  This route module
-imports only the shared modules, never counts or oracle, which verify
-compares it with.
+1 + w^k + w^-k that tq_check reads by k mod 3 and the pairs of points
+of Q(s) at which transform_checks evaluates its coefficient tuples by
+the homogeneous densepoly.horner, so nothing divides in Q(s).  The
+series builders (phi, e_poly, h1_poly and the series forms of f_poly
+and g_poly) take hyper.series_coeffs as its integer numerators over one
+denominator and stay in integers up to the constructor of their result.
+A builder keeps a cache only where a later verify block reads the same
+order again: f_poly, g_poly, q_poly, v_poly and e_poly (read 2 to 9
+times per order) and phi (bounded to the orders one relation block
+reads).  h_poly, p_poly, h1_poly and the kernel powers (x - 1/x)^n are
+cheap to rebuild or read once per call, so they are not cached.
+Polynomials are immutable, so sharing cached instances is safe.  This
+route module imports only the shared modules, never counts or oracle,
+which verify compares it with.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .densepoly import DensePoly, horner
 from .errors import OutOfRange, PoleAtSample
 from .hyper import pochhammer, series_coeffs
 from .laurent import LaurentPoly
-from .qfield import OMEGA, OMEGA_BAR, Q, QBAR, QsElem
+from .qfield import OMEGA, OMEGA_BAR, Q, QBAR, S
 from .report import CheckResult
 
 THIRD = Fraction(1, 3)
@@ -424,23 +425,29 @@ TRANSFORM_SAMPLES = (Fraction(2), Fraction(3), Fraction(5, 7))
 def transform_checks(m: int) -> list:
     """Spot checks of the two variable changes at TRANSFORM_SAMPLES.
 
-    (a) The count variable t = -(x - q)/(q x - 1) links e_poly and
-        v_poly through E(t) = t^-m e_poly(t) = v_poly(x)/(x - 1 + 1/x)^m.
-    (b) With t = (q/x - x/q)/(q x - 1/(q x)), the refined-count
-        generating polynomial of order n = m + 1 is proportional to
-        q_poly(m)/(q x - 1/(q x))^(n-1); the constant is fixed at the
-        first sample and must hold at every sample.
+    Both are written without division, with q + 1/q = 1.
+    (a) The count variable t = N/D, N = q - x and D = q x - 1, links
+        e_poly and v_poly through
+        t^-m e_poly(t) = v_poly(x)/(x - 1 + 1/x)^m.  Since
+        N D = -q x (x - 1 + 1/x) and e_poly has degree 2m, that equation
+        times the nonzero (N D)^m is sum_k e_k N^k D^(2m-k) =
+        (-q x)^m v_poly(x), which gives the same verdict.
+    (b) With t = small/big, small = q/x - x/q and big = q x - 1/(q x), the
+        refined-count generating polynomial of order n = m + 1 is
+        proportional to q_poly(m)/big^(n-1).  G(x) = h1_poly(t) big^(n-1)
+        = sum_r c_r small^r big^(n-1-r) takes the value s^(n-1) sum_r c_r
+        at x = 1, where both kernels are s, so the claim is G(x) q_poly(1)
+        = G(1) q_poly(x) at each sample: the constant is fixed away from
+        the samples and each of their lines can fail.
     """
     out = []
     e = e_poly(m).coeffs
     v = v_poly(m)
-    # q is not real, so at a rational x != 0, as every sample is, none of
-    # q*x - 1, x - q and q*x - qbar/x vanishes
+    # at a rational x != 0, as every sample is, neither q*x - 1 nor x - q
+    # vanishes, since q is not real, nor does x - 1 + 1/x = (x^2 - x + 1)/x
     for x0 in TRANSFORM_SAMPLES:
-        xq = QsElem(x0)
-        t = -(xq - Q) / (Q * xq - 1)
-        lhs = horner(e, t) * t ** (-m) * (xq - 1 + xq.inverse()) ** m
-        rhs = v.eval_at(x0)
+        lhs = horner(e, Q - x0, Q * x0 - 1)
+        rhs = (-Q * x0) ** m * v.eval_at(x0)
         out.append(
             CheckResult("weight_map_even_family", f"m={m} x={x0}", lhs == rhs)
         )
@@ -448,20 +455,20 @@ def transform_checks(m: int) -> list:
     n = m + 1
     hp = h1_poly(n).coeffs
     qp = q_poly(m)
-    const = None
+    q_one = qp.eval_at(1)
+    if not q_one:
+        raise PoleAtSample("first solution vanishes at x = 1")
+    g_one = S ** (n - 1) * sum(hp)
     for x0 in TRANSFORM_SAMPLES:
-        xq = QsElem(x0)
-        big = Q * xq - QBAR * xq.inverse()
-        t = (Q * xq.inverse() - QBAR * xq) / big
-        lhs = horner(hp, t) * big ** (n - 1)
-        rhs = qp.eval_at(x0)
-        if const is None:
-            if not rhs:
-                raise PoleAtSample(f"first solution vanishes at x = {x0}")
-            const = lhs / rhs
+        x_inv = 1 / x0
+        small = Q * x_inv - QBAR * x0
+        big = Q * x0 - QBAR * x_inv
+        lhs = horner(hp, small, big) * q_one
         out.append(
             CheckResult(
-                "gen_fn_vs_first_solution", f"n={n} x={x0}", lhs == rhs * const
+                "gen_fn_vs_first_solution",
+                f"n={n} x={x0}",
+                lhs == g_one * qp.eval_at(x0),
             )
         )
     return out

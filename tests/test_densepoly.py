@@ -101,18 +101,48 @@ def test_horner_at_a_field_point_matches_the_plain_rule(coeffs, v):
         assert isinstance(got, QsElem) and (got.a, got.b, got.d) == (want.a, want.b, want.d)
 
 
+def _qs_homogeneous(coeffs, a, b):
+    # sum_k c_k a^k b^(K-k), term by term in QsElem arithmetic, with a
+    # rational a or b lifted to a QsElem
+    a, b = (v if isinstance(v, QsElem) else QsElem(v) for v in (a, b))
+    top = len(coeffs) - 1
+    return sum((a ** k * b ** (top - k) * c for k, c in enumerate(coeffs)), QsElem(0))
+
+
 def test_horner_at_the_transform_points_matches_the_plain_rule():
-    # the two points t of tq.transform_checks at each sample, with the
+    # the two pairs (a, b) of tq.transform_checks at each sample, with the
     # coefficient tuples it evaluates there
     for m in range(8):
         for x0 in tq.TRANSFORM_SAMPLES:
-            xq = QsElem(x0)
-            t_even = -(xq - Q) / (Q * xq - 1)
-            big = Q * xq - QBAR * xq.inverse()
-            t_first = (Q * xq.inverse() - QBAR * xq) / big
-            for coeffs, t in (
-                (tq.e_poly(m).coeffs, t_even),
-                (tq.h1_poly(m + 1).coeffs, t_first),
+            even = (Q - x0, Q * x0 - 1)
+            first = (Q * (1 / x0) - QBAR * x0, Q * x0 - QBAR * (1 / x0))
+            for coeffs, (a, b) in (
+                (tq.e_poly(m).coeffs, even),
+                (tq.h1_poly(m + 1).coeffs, first),
             ):
-                got, want = horner(coeffs, t), _qs_horner(coeffs, t)
+                got, want = horner(coeffs, a, b), _qs_homogeneous(coeffs, a, b)
                 assert (got.a, got.b, got.d) == (want.a, want.b, want.d)
+
+
+rational_points = st.one_of(
+    st.integers(-6, 6), st.fractions(min_value=-4, max_value=4, max_denominator=9)
+)
+
+
+@given(
+    coeff_lists,
+    st.one_of(rational_points, qs_points),
+    st.one_of(st.none(), rational_points, qs_points),
+)
+def test_homogeneous_horner_matches_the_sum_of_its_terms(coeffs, a, b):
+    # b = None stands for the default b = 1
+    got = horner(coeffs, a) if b is None else horner(coeffs, a, b)
+    b = 1 if b is None else b
+    want = _qs_homogeneous(coeffs, a, b)
+    assert got == want
+    if coeffs and QsElem in (type(a), type(b)):
+        assert isinstance(got, QsElem) and (got.a, got.b, got.d) == (want.a, want.b, want.d)
+    else:
+        # rational points give an int or a Fraction, and () gives 0
+        assert type(got) in (int, Fraction)
+    assert horner((), a, b) == 0

@@ -16,11 +16,10 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "asm3"
 
-# kept for debugging only: no command prints a QsElem or a LaurentPoly,
-# and QsElem.sb is read only by these two.  LaurentPoly.one is called by
-# no command, but perfbench/test_perfbench.py traces it, so it stays
-# until that benchmark test stops calling it
-UNREACHED_BY_DESIGN = {"__repr__", "__str__", "sb", "one"}
+# kept for debugging only: no command prints a QsElem or a LaurentPoly.
+# LaurentPoly.one is called by no command, but perfbench/test_perfbench.py
+# traces it, so it stays until that benchmark test stops calling it
+UNREACHED_BY_DESIGN = {"__repr__", "one"}
 
 # small runs of every subcommand in both formats, `table` at x = 5/7, 1
 # and 3, three usage errors and one help page; the profile hook is set

@@ -12,7 +12,7 @@ from asm3 import checks, cli, counts, tq
 from asm3.densepoly import DensePoly
 from asm3.errors import DegenerateParameters, OutOfRange
 from asm3.laurent import LaurentPoly
-from asm3.qfield import OMEGA, Q, QBAR, S, ZERO, QsElem
+from asm3.qfield import OMEGA, OMEGA_BAR, Q, QBAR, S, ZERO, QsElem
 from asm3.tq import (
     c_norm,
     e_poly,
@@ -90,10 +90,17 @@ shift_dicts = st.one_of(
 )
 
 
+def _omega_pow(k):
+    # w^k for any integer k, with w^-1 = OMEGA_BAR
+    return OMEGA ** k if k >= 0 else OMEGA_BAR ** -k
+
+
 def _solves_three_term_sum(y):
     # y(x) + y(w x) + y(x/w), written out coefficient by coefficient: the
     # x^k coefficient is y_k + y_k w^k + y_k w^-k
-    return all(not (OMEGA ** k * v + OMEGA ** -k * v + v) for k, v in y.items())
+    return all(
+        not (_omega_pow(k) * v + _omega_pow(-k) * v + v) for k, v in y.items()
+    )
 
 
 @given(shift_dicts)
@@ -197,7 +204,8 @@ def _gauss_sum(m, k):
         t = F(_rising(-m, j) * _rising(k + 1, j), _rising(-m - k, j) * factorial(j))
         for e, v in term.items():
             total[e] = total.get(e, ZERO) + v * t
-    scale = S ** (-m)
+    # s^-m = s^m / (-3)^m, since s^2 = -3
+    scale = S ** m * F(1, (-3) ** m)
     return {e: v * scale for e, v in total.items() if v}
 
 
@@ -394,7 +402,8 @@ def test_e_poly_makes_no_polynomial_products(monkeypatch):
 
 def test_independent_routes_never_call_horner(monkeypatch):
     # transform_checks evaluates the coefficient tuples by horner and
-    # compares them with LaurentPoly.eval_at; that side, and the tables
+    # compares them with LaurentPoly.eval_at, and b_coeff_4f3 reaches it
+    # through hyp; the other sides of those comparisons, and the tables
     # the checks compare with, must compute with horner disabled
     x = Fraction(5, 7)
     routes = [
@@ -402,6 +411,8 @@ def test_independent_routes_never_call_horner(monkeypatch):
         lambda: tq.q_poly(3).eval_at(x),
         lambda: counts.asm_table(6),
         lambda: counts.asm3_table(6),
+        lambda: counts.b_table(4),
+        lambda: tq.e_poly(4).coeffs,
     ]
     expected = [f() for f in routes]
 
@@ -418,9 +429,11 @@ def test_independent_routes_never_call_horner(monkeypatch):
                 obj.cache_clear()
 
     assert [f() for f in routes] == expected
-    # the coefficient side does go through it
+    # the coefficient and series sides do go through it
     with pytest.raises(AssertionError, match="horner called"):
         transform_checks(3)
+    with pytest.raises(AssertionError, match="horner called"):
+        counts.b_coeff_4f3(4, 2)
 
 
 def test_differential_equations():
@@ -503,20 +516,35 @@ def test_identity_checks_fail_on_one_extra_term(monkeypatch, family, checks):
         assert not any(check(m) for check in checks)
 
 
-def test_first_transform_sample_is_checked_like_the_rest(monkeypatch):
-    # the first sample fixes the constant, so a perturbed generating
-    # polynomial passes there and fails at every later sample
-    exact = tq.h1_poly
-
-    def perturbed(n):
-        c = exact(n).coeffs
+def _plus_one(poly):
+    # the add-one mutant: one more in the constant term
+    if isinstance(poly, DensePoly):
+        c = poly.coeffs
         return DensePoly((c[0] + 1, *c[1:]))
+    return poly + 1
 
-    monkeypatch.setattr(tq, "h1_poly", perturbed)
-    for m in (1, 2, 3):
-        res = transform_checks(m)[len(tq.TRANSFORM_SAMPLES) :]
-        assert {r.name for r in res} == {"gen_fn_vs_first_solution"}
-        assert [r.passed for r in res] == [True, False, False]
+
+# each polynomial transform_checks reads, and the line that compares it
+TRANSFORM_INPUTS = {
+    "e_poly": "weight_map_even_family",
+    "v_poly": "weight_map_even_family",
+    "h1_poly": "gen_fn_vs_first_solution",
+    "q_poly": "gen_fn_vs_first_solution",
+}
+
+
+def test_first_transform_sample_is_checked_like_the_rest(monkeypatch):
+    # no constant is fixed at a sample, so an add-one mutant of any input
+    # fails its line at every sample and leaves the other line passing
+    for family, line in TRANSFORM_INPUTS.items():
+        built = getattr(tq, family)
+        with monkeypatch.context() as patch:
+            patch.setattr(tq, family, lambda k, built=built: _plus_one(built(k)))
+            for m in (1, 2, 3):
+                res = transform_checks(m)
+                mine = [r.passed for r in res if r.name == line]
+                assert mine == [False] * len(tq.TRANSFORM_SAMPLES), (family, m)
+                assert all(r.passed for r in res if r.name != line), (family, m)
 
 
 def test_negative_index_rejected():
