@@ -243,19 +243,24 @@ def against_closed_forms(max_m: int, max_n: int) -> Iterator[CheckResult]:
 
 
 def cross(max_m: int, max_n: int) -> Iterator[CheckResult]:
-    # the packed integers at x = 2^B are equal exactly when the two
-    # polynomials are; only when they differ is each weight swept apart,
-    # so that a failure names its weight
-    for n in range(1, min(max_n, oracle.MT_LIMIT) + 1):
-        packed = 1 << oracle.packing_bits(n)
-        same = (
-            oracle.dp_refined_enum(n, packed).counts
-            == oracle.mt_refined_enum(n, packed).counts
-        )
+    # one triangle pass at the top order's packed weight holds every
+    # order's polynomial, each coefficient below 2^B(n) <= 2^B(top), so
+    # its digits are compared with the DP's packed sweep at 2^B(n): equal
+    # digits are equal polynomials.  Only when they differ is each weight
+    # swept apart, so that a failure names its weight
+    top = min(max_n, oracle.MT_LIMIT)
+    top_bits = oracle.packing_bits(top)
+    tables = oracle.mt_refined_tables(top, 1 << top_bits)
+    for n, table in enumerate(tables, 1):
+        bits = oracle.packing_bits(n)
+        packed = oracle.dp_refined_enum(n, 1 << bits).counts
+        same = [oracle.unpack(v, bits) for v in packed] == [
+            oracle.unpack(v, top_bits) for v in table.counts
+        ]
         for x in (1, 2, 3):
             ok = same or (
                 oracle.dp_refined_enum(n, x).counts
-                == oracle.mt_refined_enum(n, x).counts
+                == oracle.mt_refined_tables(n, x)[-1].counts
             )
             yield CheckResult("oracles_agree", f"n={n} x={x}", ok)
 

@@ -5,9 +5,10 @@ It fills the matrix one entry at a time, row by row, carrying the mask
 of columns whose partial sum is 1.  The running prefix sum of the
 current row must stay in {0, 1} and close at 1, and it picks which of
 two dicts holds a state.  A 0 entry keeps every state, so each column
-starts from a copy of the old states and adds only the +1 and -1
+starts from a copy of the old states, and its loops make the +1 and -1
 moves.  Every entry has a local integer weight, so for x = p/q the
-sweep runs in integers and one power of q is divided out at the end.
+sweep runs in integers, the same loops rescale the copies that a 0
+weighs by q, and one power of q is divided out at the end.
 Only the states of the current column are kept while it runs, and the
 n refined counts are read from the states after n-1 rows.  Those n
 counts are all that outlives a sweep: the last DP_LIMIT are kept by
@@ -18,18 +19,25 @@ The second oracle enumerates the same objects as triangles of strictly
 increasing rows where consecutive rows interlace, written directly on
 sorted tuples with no bitmasks and no shared code with the DP.  Each
 step down weights x to the power of the entries that disappear, counted
-while the lower row is built and read from one table of powers.  The
-refined index r is the single entry of the top row in this picture,
-and of the bottom row in the sweep, which is the same count by the
-upside-down flip.
+while the lower row is built and read from one table of powers.  One
+pass goes down level by level from the top rows and keeps, per row, the
+weight of every triangle above it.  An order-m triangle ends in the row
+1..m, reached with nothing dropped from its row m-1, which misses just
+the column of the last matrix row's 1; so order m is read at level m-1
+from the row 1..m without r, and one pass to order n yields every order
+1..n.  The index r is thus the 1 of the last row in both oracles; the
+upside-down flip, which keeps the number of -1 entries, makes it the
+paper's index of the first row.
 
 Every coefficient of A_n(r; x) is a nonnegative count, and together
 they sum to A_n(r; 1) <= A_n <= A_n(2) = 2^(n(n-1)/2), so each one is
 below 2^B with B = packing_bits(n).  One run at the integer weight
 x = 2^B therefore returns the whole polynomial packed into one integer,
 whose base-2^B digits are its coefficients (`unpack`).  `verify` reads
-the weights 1, 2 and 3 from this one sweep per size, and compares the
-two oracles' packed integers: equal integers are equal polynomials.
+the weights 1, 2 and 3 from this one sweep per size.  It also compares
+these digits with those of one triangle pass at the largest size's
+packed weight, wide enough for every smaller size: equal digits are
+equal polynomials.
 Neither oracle imports counts or tq, the routes that verify checks
 them against.
 """
@@ -72,9 +80,11 @@ def _sweep(n: int, p: int, q: int) -> tuple:
     at column sum 0 to `opened`, and a -1 moves an `opened` state at sum
     1 back to `closed`; a row is admissible when it ends in `opened`.
     For x = p/q the local weights are integers: q for a column whose sum
-    stays 1, p for one that drops to 0, and 1 otherwise, so each column
-    starts from a copy of the old states (scaled by q where the sum
-    stays 1, unless q = 1) and loops only over the +1 and -1 moves.
+    stays 1, p for one that drops to 0, and 1 otherwise.  Each column
+    starts from plain copies of the old states, which hold every 0 entry
+    at weight 1, and one loop per dict makes the +1 and -1 moves; the
+    loop that visits a state at column sum 1 also rewrites its copy at
+    weight q, a write that q = 1 skips.
     Row k has k-1 columns at sum 1 before it, so it carries
     q^(k-1) x^(number of -1 entries), and rows 1..n-1 together carry
     q^((n-1)(n-2)/2), divided out at the end.
@@ -84,29 +94,32 @@ def _sweep(n: int, p: int, q: int) -> tuple:
     entries and swaps the first row with the last, so A_n(r; x) is the
     weight of the mask with only column r empty after n-1 rows.
     """
+    scaled = q != 1
     closed = {0: 1}
     for _ in range(n - 1):
         opened: dict = {}
         for col in range(n):
             bit = 1 << col
-            # a 0 entry keeps every state, at weight q where the sum stays 1
-            if q == 1:
-                nxt_closed, nxt_opened = dict(closed), dict(opened)
-            else:
-                nxt_closed, nxt_opened = (
-                    {s: w * q if s & bit else w for s, w in old.items()}
-                    for old in (closed, opened)
-                )
-            get = nxt_opened.get
-            for s, w in closed.items():
-                if not s & bit:
-                    key = s | bit
-                    nxt_opened[key] = get(key, 0) + w
+            nxt_closed, nxt_opened = dict(closed), dict(opened)
+            # an opened state at sum 1 takes a 0, at weight q, or a -1, at
+            # weight p; its copy is scaled before a +1 move adds to it
             get = nxt_closed.get
             for s, w in opened.items():
                 if s & bit:
+                    if scaled:
+                        nxt_opened[s] = w * q
                     key = s ^ bit
                     nxt_closed[key] = get(key, 0) + w * p
+            # a closed state at sum 1 takes a 0, at weight q; one at sum 0
+            # takes a 0, kept by the copy, or a +1
+            get = nxt_opened.get
+            for s, w in closed.items():
+                if s & bit:
+                    if scaled:
+                        nxt_closed[s] = w * q
+                else:
+                    key = s | bit
+                    nxt_opened[key] = get(key, 0) + w
             closed, opened = nxt_closed, nxt_opened
         closed = opened
     full = (1 << n) - 1
@@ -167,16 +180,16 @@ def _interlacing_extensions(row: Tuple[int, ...], n: int):
     ]
 
 
-def mt_refined_enum(n: int, x) -> EnumTable:
-    """Weighted refined counts by recursion over interlacing triangles.
+def mt_refined_tables(n: int, x) -> Tuple[EnumTable, ...]:
+    """Weighted refined counts of every order 1..n, from one pass.
 
-    The recursion weighs a completion of a partial triangle from its
-    current row down to the full bottom row 1..n; the drop count of a
-    step is how many entries of the upper row are missing from the
-    lower one, at most n - 1, and its weight comes from one table of
-    the powers of x.  Completions are cached per row, which leaves the
-    recursion structure untouched; the cache belongs to this call and
-    is freed when it returns.
+    Level k holds each strictly increasing row of length k with the
+    weight of all triangles above it; level 0 is the empty row at
+    weight 1, so level 1 is the rows (r,), each at weight 1.  A step
+    down pushes powers[dropped] * w into every interlacing extension,
+    the drop count read from one table of the powers of x.  Order m is
+    read at level m-1 from the row 1..m without r, before that level is
+    extended.
     """
     if n < 1 or n > MT_LIMIT:
         raise OutOfRange(f"n must lie in 1..{MT_LIMIT}")
@@ -184,22 +197,23 @@ def mt_refined_enum(n: int, x) -> EnumTable:
     p, q = _rational(x).as_integer_ratio()
     x = p if q == 1 else Fraction(p, q)
     powers = [x ** k for k in range(n)]
-    cache: dict = {}
-    counts = tuple(_below((r,), n, powers, cache) for r in range(1, n + 1))
-    return EnumTable(n, counts)
+    level: dict = {(): 1}
+    tables = []
+    for m in range(1, n + 1):
+        full = tuple(range(1, m + 1))
+        counts = tuple(level[full[:r] + full[r + 1 :]] for r in range(m))
+        tables.append(EnumTable(m, counts))
+        if m == n:
+            break
+        below: dict = {}
+        get = below.get
+        for row, w in level.items():
+            for ext, dropped in _interlacing_extensions(row, n):
+                below[ext] = get(ext, 0) + powers[dropped] * w
+        level = below
+    return tuple(tables)
 
 
-def _below(row: Tuple[int, ...], n: int, powers: list, cache: dict) -> int | Fraction:
-    # the weight of every completion of a triangle whose current row is
-    # row; a module-level function, so the recursion holds no reference
-    # cycle that would keep the row cache alive after the call
-    if len(row) == n:
-        return 1
-    got = cache.get(row)
-    if got is not None:
-        return got
-    total = 0
-    for ext, dropped in _interlacing_extensions(row, n):
-        total += powers[dropped] * _below(ext, n, powers, cache)
-    cache[row] = total
-    return total
+def mt_refined_enum(n: int, x) -> EnumTable:
+    """Weighted refined counts A_n(r; x) by the one-pass triangle oracle."""
+    return mt_refined_tables(n, x)[-1]

@@ -74,6 +74,9 @@ class QsElem:
     """Element (a + b*s)/d of Q(s), in lowest terms.  Immutable by convention.
 
     Both parts must be int or Fraction, anything else raises TypeError.
+    An int or a Fraction may sit on either side of `*` and `==`, but only
+    on the right of `+` and `-`: `S + 1` is an element and `1 + S` raises
+    TypeError, as no code in the package puts a rational left of a sum.
     """
 
     __slots__ = ("a", "b", "d")

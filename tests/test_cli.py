@@ -266,15 +266,17 @@ def test_output_is_deterministic(capsys):
 def test_cross_failure_names_its_weight(monkeypatch):
     # an MT oracle that is off by one at every weight but 1 spoils the
     # packed comparison; each weight is then judged on its own sweep
-    real = oracle.mt_refined_enum
+    real = oracle.mt_refined_tables
 
     def off_by_one(n, x):
-        t = real(n, x)
+        tables = real(n, x)
         if x == 1:
-            return t
-        return t._replace(counts=tuple(v + 1 for v in t.counts))
+            return tables
+        return tuple(
+            t._replace(counts=tuple(v + 1 for v in t.counts)) for t in tables
+        )
 
-    monkeypatch.setattr(oracle, "mt_refined_enum", off_by_one)
+    monkeypatch.setattr(oracle, "mt_refined_tables", off_by_one)
     results = list(checks.cross(0, oracle.MT_LIMIT))
     sizes = range(1, oracle.MT_LIMIT + 1)
     assert [r.name for r in results] == ["oracles_agree"] * 3 * len(sizes)

@@ -25,6 +25,7 @@ from asm3.oracle import (
     _sweep,
     dp_refined_enum,
     mt_refined_enum,
+    mt_refined_tables,
     packing_bits,
     unpack,
 )
@@ -84,9 +85,14 @@ def test_dp_against_literal_definition():
 
 
 def test_mt_against_literal_definition():
-    for n in range(1, 5):
-        for x in (1, 3, F(5, 7)):
-            assert mt_refined_enum(n, x).counts == literal_refined_enum(n, x)
+    # the literal enumeration reads r from the first row and the pass from
+    # the last, so this pins the upside-down flip at every order of a pass
+    for x in (1, 3, F(5, 7), 0, -2):
+        tables = mt_refined_tables(5, x)
+        assert [t.n for t in tables] == [1, 2, 3, 4, 5]
+        for t in tables:
+            assert t.counts == literal_refined_enum(t.n, x)
+        assert mt_refined_enum(5, x) == tables[-1]
 
 
 def test_dp_refined_small_values():
@@ -149,8 +155,10 @@ def test_dp_keeps_no_memory():
 
 
 def test_mt_row_cache_is_freed_when_the_call_returns():
-    # with the cyclic collector off, a row cache kept alive by a reference
-    # cycle would add about 40 KB per call at n = 8 and the packed weight.
+    # the pass keeps one level of rows at a time and nothing once it
+    # returns; with the cyclic collector off, rows kept alive by a
+    # reference cycle would add about 40 KB per call at n = 8 and the
+    # packed weight.
     # The first call runs under tracing too, so that the interpreter's
     # free lists of small tuples are filled before the baseline is read.
     x = 1 << packing_bits(MT_LIMIT)
@@ -170,9 +178,13 @@ def test_mt_row_cache_is_freed_when_the_call_returns():
 
 
 def test_oracles_agree_on_fractional_weight():
-    x = F(5, 7)
-    for n in range(1, MT_LIMIT + 1):
-        assert dp_refined_enum(n, x).counts == mt_refined_enum(n, x).counts
+    # every order of one triangle pass against the DP, at 5/7 and at the
+    # top order's packed weight, where every order's coefficients fit
+    for x in (F(5, 7), 1 << packing_bits(MT_LIMIT)):
+        tables = mt_refined_tables(MT_LIMIT, x)
+        assert [t.n for t in tables] == list(range(1, MT_LIMIT + 1))
+        for t in tables:
+            assert t.counts == dp_refined_enum(t.n, x).counts
 
 
 def test_fractional_weights_stay_exact():
@@ -200,13 +212,22 @@ def test_packed_sweep_carries_every_weight():
         for x in (1, 2, 3, F(5, 7)):
             got = tuple(sum(c * x ** k for k, c in enumerate(p)) for p in polys)
             assert got == literal_refined_enum(n, x)
+
+
+@given(st.integers(1, 9), st.integers(-50, 50), st.integers(1, 50))
+@example(9, 0, 1)
+@example(9, 0, 50)
+@example(9, -50, 49)
+@example(8, -3, 4)
+@example(9, 5, 7)
+def test_sweep_at_p_over_q_reads_the_packed_polynomial(n, p, q):
     # past the literal enumeration, against the sweep at x = p/q itself:
-    # the packed run copies its 0 entries, the q != 1 run scales them
-    for n in range(6, 11):
-        polys = _packed_polys(n, packing_bits(n))
-        for x in (F(5, 7), F(-3, 4)):
-            got = tuple(sum(c * x ** k for k, c in enumerate(p)) for p in polys)
-            assert got == dp_refined_enum(n, x).counts
+    # the packed run keeps its 0 entries in the copies, the q != 1 run
+    # rescales them in its move loops
+    x = F(p, q)
+    polys = _packed_polys(n, packing_bits(n))
+    got = tuple(sum(c * x ** k for k, c in enumerate(poly)) for poly in polys)
+    assert got == dp_refined_enum(n, x).counts
 
 
 def test_interlacing_extensions_match_definition():

@@ -76,6 +76,19 @@ def test_mixed_arithmetic_with_python_numbers():
     assert (S - 1) + (-S + 1) == 0
 
 
+def test_a_rational_sits_left_only_of_mul_and_eq():
+    # `*` and `==` take an int or a Fraction on either side, `+` and `-`
+    # only on the right: there is no __radd__ or __rsub__
+    for r in (2, Fraction(1, 2)):
+        assert r * S == S * r == QsElem(0, r)
+        assert r == QsElem(r) and QsElem(r) == r
+        assert S + r == QsElem(r, 1) and S - r == QsElem(-r, 1)
+        with pytest.raises(TypeError):
+            r + S
+        with pytest.raises(TypeError):
+            r - S
+
+
 @given(elements, elements, elements)
 def test_ring_axioms(a, b, c):
     assert a + b == b + a
