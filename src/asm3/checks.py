@@ -213,14 +213,13 @@ def degeneracy_guards(max_m: int, max_n: int) -> Iterator[CheckResult]:
 
 
 def against_closed_forms(max_m: int, max_n: int) -> Iterator[CheckResult]:
-    # one sweep per n at x = 2^B; the weights 1, 3 and 2 are read from
-    # the unpacked polynomials
-    for n in range(1, min(max_n, oracle.DP_LIMIT) + 1):
-        bits = oracle.packing_bits(n)
-        polys = [
-            oracle.unpack(v, bits)
-            for v in oracle.dp_refined_enum(n, 1 << bits).counts
-        ]
+    # one sweep at the top order's x = 2^B holds every order's
+    # polynomial, each coefficient below 2^B(n) <= 2^B; the weights 1, 3
+    # and 2 are read from the unpacked polynomials
+    top = min(max_n, oracle.DP_LIMIT)
+    bits = oracle.packing_bits(top)
+    for n, table in enumerate(oracle.dp_refined_tables(top, 1 << bits), 1):
+        polys = [oracle.unpack(v, bits) for v in table.counts]
         t1, t3, t2 = (
             tuple(densepoly.horner(p, x) for p in polys) for x in (1, 3, 2)
         )
@@ -243,19 +242,18 @@ def against_closed_forms(max_m: int, max_n: int) -> Iterator[CheckResult]:
 
 
 def cross(max_m: int, max_n: int) -> Iterator[CheckResult]:
-    # one triangle pass at the top order's packed weight holds every
-    # order's polynomial, each coefficient below 2^B(n) <= 2^B(top), so
-    # its digits are compared with the DP's packed sweep at 2^B(n): equal
-    # digits are equal polynomials.  Only when they differ is each weight
-    # swept apart, so that a failure names its weight
-    top = min(max_n, oracle.MT_LIMIT)
-    top_bits = oracle.packing_bits(top)
-    tables = oracle.mt_refined_tables(top, 1 << top_bits)
-    for n, table in enumerate(tables, 1):
-        bits = oracle.packing_bits(n)
-        packed = oracle.dp_refined_enum(n, 1 << bits).counts
-        same = [oracle.unpack(v, bits) for v in packed] == [
-            oracle.unpack(v, top_bits) for v in table.counts
+    # one triangle pass at its top order's packed weight holds every
+    # order's polynomial, and so does against_closed_forms' DP sweep at
+    # its own top order's, asked for again; their digits are compared, and
+    # equal digits are equal polynomials.  Only when they differ is each
+    # weight swept apart, so that a failure names its weight
+    mt_top, dp_top = min(max_n, oracle.MT_LIMIT), min(max_n, oracle.DP_LIMIT)
+    mt_bits, dp_bits = oracle.packing_bits(mt_top), oracle.packing_bits(dp_top)
+    tables = oracle.mt_refined_tables(mt_top, 1 << mt_bits)
+    swept = oracle.dp_refined_tables(dp_top, 1 << dp_bits)
+    for n, (table, dp) in enumerate(zip(tables, swept), 1):
+        same = [oracle.unpack(v, dp_bits) for v in dp.counts] == [
+            oracle.unpack(v, mt_bits) for v in table.counts
         ]
         for x in (1, 2, 3):
             ok = same or (

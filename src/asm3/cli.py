@@ -223,7 +223,9 @@ def cmd_table(args: SimpleNamespace) -> int:
     if route is None:
         if max(n_values) > oracle.DP_LIMIT:
             raise ValueError(f"sizes above {oracle.DP_LIMIT} need x = 1 or x = 3")
-        route = lambda n: oracle.dp_refined_enum(n, x)
+        # one sweep to the largest size reads every smaller one
+        tables = oracle.dp_refined_tables(max(n_values), x)
+        route = lambda n: tables[n - 1]
     elif max(n_values) > MAX_TABLE_N[x]:
         raise ValueError(
             f"sizes above {MAX_TABLE_N[x]} at x = {x} have counts of "

@@ -8,12 +8,12 @@ two dicts holds a state.  A 0 entry keeps every state, so each column
 starts from a copy of the old states, and its loops make the +1 and -1
 moves.  Every entry has a local integer weight, so for x = p/q the
 sweep runs in integers, the same loops rescale the copies that a 0
-weighs by q, and one power of q is divided out at the end.
-Only the states of the current column are kept while it runs, and the
-n refined counts are read from the states after n-1 rows.  Those n
-counts are all that outlives a sweep: the last DP_LIMIT are kept by
-size and weight, so `verify`, which asks for each packed sweep twice,
-runs it once.
+weighs by q, and one power of q is divided out of each order.
+Only the states of the current column are kept while it runs.  Order m
+is read from the states after m-1 rows, so one sweep to order n yields
+every order 1..n.  Those counts are all that outlives a sweep: the last
+DP_LIMIT sweeps keep every order they read, by size and weight, so
+`verify`, which asks for its one packed sweep twice, runs it once.
 
 The second oracle enumerates the same objects as triangles of strictly
 increasing rows where consecutive rows interlace, written directly on
@@ -34,10 +34,10 @@ they sum to A_n(r; 1) <= A_n <= A_n(2) = 2^(n(n-1)/2), so each one is
 below 2^B with B = packing_bits(n).  One run at the integer weight
 x = 2^B therefore returns the whole polynomial packed into one integer,
 whose base-2^B digits are its coefficients (`unpack`).  `verify` reads
-the weights 1, 2 and 3 from this one sweep per size.  It also compares
-these digits with those of one triangle pass at the largest size's
-packed weight, wide enough for every smaller size: equal digits are
-equal polynomials.
+the weights 1, 2 and 3 of every order from one sweep at the largest
+size's packed weight, wide enough for every smaller size.  It also
+compares these digits with those of one triangle pass at its own
+largest size's packed weight: equal digits are equal polynomials.
 Neither oracle imports counts or tq, the routes that verify checks
 them against.
 """
@@ -55,23 +55,28 @@ from .report import EnumTable
 DP_LIMIT = 16
 MT_LIMIT = 8
 
-def dp_refined_enum(n: int, x) -> EnumTable:
-    """Weighted refined counts A_n(r; x), r = 1..n, for a rational x.
+def dp_refined_tables(n: int, x) -> Tuple[EnumTable, ...]:
+    """Weighted refined counts of every order 1..n, from one sweep.
 
     The weight is checked and split into lowest terms p/q first, so a
     float or a str raises TypeError even when an equal rational was
-    swept before; the counts then come from `_sweep`, which keeps those
+    swept before; the tables then come from `_sweep`, which keeps those
     of its last DP_LIMIT sweeps.
     """
     if n < 1 or n > DP_LIMIT:
         raise OutOfRange(f"n must lie in 1..{DP_LIMIT}")
     p, q = _rational(x).as_integer_ratio()
-    return EnumTable(n, _sweep(n, p, q))
+    return _sweep(n, p, q)
+
+
+def dp_refined_enum(n: int, x) -> EnumTable:
+    """Weighted refined counts A_n(r; x), r = 1..n, for a rational x."""
+    return dp_refined_tables(n, x)[-1]
 
 
 @lru_cache(maxsize=DP_LIMIT)
-def _sweep(n: int, p: int, q: int) -> tuple:
-    """The counts at x = p/q by one forward sweep, column by column.
+def _sweep(n: int, p: int, q: int) -> Tuple[EnumTable, ...]:
+    """The counts of every order 1..n at x = p/q by one forward sweep.
 
     A state is the column-sum mask, with the columns left of the cursor
     already updated by the current row; `closed` holds the states whose
@@ -86,17 +91,35 @@ def _sweep(n: int, p: int, q: int) -> tuple:
     loop that visits a state at column sum 1 also rewrites its copy at
     weight q, a write that q = 1 skips.
     Row k has k-1 columns at sum 1 before it, so it carries
-    q^(k-1) x^(number of -1 entries), and rows 1..n-1 together carry
-    q^((n-1)(n-2)/2), divided out at the end.
+    q^(k-1) x^(number of -1 entries), and rows 1..m-1 together carry
+    q^((m-1)(m-2)/2), divided out of order m's counts.
 
     The last row is forced: its single 1 sits in the one column still at
     sum 0.  Flipping the matrix upside down keeps the number of -1
-    entries and swaps the first row with the last, so A_n(r; x) is the
-    weight of the mask with only column r empty after n-1 rows.
+    entries and swaps the first row with the last, so A_m(r; x) is the
+    weight of the mask 1..m without column r after m-1 rows.
+
+    Every order is read from the one sweep of width n: after m-1 rows, a
+    state whose mask lies inside columns 1..m has no nonzero entry right
+    of column m.  Else take the rightmost column c > m with one.  Its
+    sum is 0, since c is not in the mask, and its nonzero entries
+    alternate from +1, so the last of them is a -1.  That -1's row has
+    only zeros right of c and sums to 1, so its prefix sum before c
+    would be 2.  Such a state is thus an order-m state padded with zero
+    columns, each of weight 1, and it carries its order-m weight.
     """
     scaled = q != 1
     closed = {0: 1}
-    for _ in range(n - 1):
+    tables = []
+    for m in range(1, n + 1):
+        full = (1 << m) - 1
+        empty = [closed[full ^ (1 << r)] for r in range(m)]
+        if scaled:
+            scale = q ** ((m - 1) * (m - 2) // 2)
+            empty = [Fraction(v, scale) for v in empty]
+        tables.append(EnumTable(m, tuple(empty)))
+        if m == n:
+            break
         opened: dict = {}
         for col in range(n):
             bit = 1 << col
@@ -122,12 +145,7 @@ def _sweep(n: int, p: int, q: int) -> tuple:
                     nxt_opened[key] = get(key, 0) + w
             closed, opened = nxt_closed, nxt_opened
         closed = opened
-    full = (1 << n) - 1
-    empty = [closed[full ^ (1 << r)] for r in range(n)]
-    if q == 1:
-        return tuple(empty)
-    scale = q ** ((n - 1) * (n - 2) // 2)
-    return tuple(Fraction(v, scale) for v in empty)
+    return tuple(tables)
 
 
 def packing_bits(n: int) -> int:

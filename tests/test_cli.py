@@ -358,7 +358,7 @@ def test_raising_block_is_one_failed_check(capsys, monkeypatch, exc):
 def test_usage_errors_exit_two(capsys, monkeypatch):
     # oversized fractional-weight tables are refused before any DP runs
     monkeypatch.setattr(
-        oracle, "dp_refined_enum", lambda n, x: pytest.fail("DP was run")
+        oracle, "dp_refined_tables", lambda n, x: pytest.fail("DP was run")
     )
     assert cli.main(["table", "--n", "0", "--x", "1"]) == 2
     assert cli.main(["table", "--n", "3", "--x", "zebra"]) == 2
@@ -533,13 +533,13 @@ def test_streamed_json_equals_one_dumps(capsys, results):
 
 def test_table_picks_one_route_per_weight(capsys, monkeypatch):
     # x = 1 and x = 3 have closed forms; every other weight goes to the DP
-    routes = {"asm_table": counts, "asm3_table": counts, "dp_refined_enum": oracle}
+    routes = {"asm_table": counts, "asm3_table": counts, "dp_refined_tables": oracle}
     real = {name: getattr(mod, name) for name, mod in routes.items()}
     for x, expected in (
         ("1", "asm_table"),
         ("3", "asm3_table"),
-        ("2", "dp_refined_enum"),
-        ("5/7", "dp_refined_enum"),
+        ("2", "dp_refined_tables"),
+        ("5/7", "dp_refined_tables"),
     ):
         calls = []
         for name, mod in routes.items():
@@ -554,6 +554,23 @@ def test_table_picks_one_route_per_weight(capsys, monkeypatch):
         assert cli.main(["table", "--n", "4", "--x", x]) == 0
         assert calls == [expected]
         assert len(capsys.readouterr().out.splitlines()) == 5
+
+
+def test_table_sweeps_once_for_every_size(capsys):
+    # unsorted and repeated sizes at a fractional weight: one sweep to the
+    # largest size prints the rows of the per-order sweeps
+    oracle._sweep.cache_clear()
+    assert cli.main(["table", "--n", "9,1..3,9", "--x", "5/7"]) == 0
+    out = capsys.readouterr().out
+    info = oracle._sweep.cache_info()
+    assert (info.misses, info.hits) == (1, 0)
+    x = Fraction(5, 7)
+    want = ["n,r,value"] + [
+        f"{n},{r},{v}"
+        for n in (9, 1, 2, 3, 9)
+        for r, v in enumerate(oracle.dp_refined_enum(n, x).counts, 1)
+    ]
+    assert out.splitlines() == want
 
 
 def test_unknown_subcommand_exits_two(capsys):

@@ -24,6 +24,7 @@ from asm3.oracle import (
     _interlacing_extensions,
     _sweep,
     dp_refined_enum,
+    dp_refined_tables,
     mt_refined_enum,
     mt_refined_tables,
     packing_bits,
@@ -84,6 +85,36 @@ def test_dp_against_literal_definition():
             assert dp_refined_enum(n, x).counts == literal_refined_enum(n, x)
 
 
+def test_dp_tables_against_literal_definition():
+    # every order of one sweep is read through the padding lemma of
+    # _sweep, so each is pinned to the definition, as the triangle pass is
+    for x in (1, 3, F(5, 7), 0, -2):
+        tables = dp_refined_tables(5, x)
+        assert [t.n for t in tables] == [1, 2, 3, 4, 5]
+        for t in tables:
+            assert t.counts == literal_refined_enum(t.n, x)
+        assert dp_refined_enum(5, x) == tables[-1]
+
+
+@given(st.integers(1, 9), st.integers(-50, 50), st.integers(1, 50))
+@example(9, 0, 1)
+@example(9, 5, 7)
+@example(9, -2, 1)
+@example(9, 7, 2)
+@example(2, 1, 3)
+def test_each_order_of_a_sweep_equals_its_own_sweep(n, p, q):
+    # order m read after m - 1 rows of a wider sweep, at its own power of
+    # q, equals the sweep of width m; order 1 is a Fraction too at q > 1
+    x = F(p, q)
+    tables = dp_refined_tables(n, x)
+    kind = int if x.denominator == 1 else F
+    for m in range(1, n + 1):
+        alone = dp_refined_tables(m, x)[-1]
+        assert tables[m - 1] == alone
+        types = [type(v) for v in tables[m - 1].counts]
+        assert types == [type(v) for v in alone.counts] == [kind] * m
+
+
 def test_mt_against_literal_definition():
     # the literal enumeration reads r from the first row and the pass from
     # the last, so this pins the upside-down flip at every order of a pass
@@ -138,10 +169,10 @@ def test_oracles_agree_on_rational_weights(n, p, q):
 
 def test_dp_keeps_no_memory():
     # the sweep holds only the states of the current column, and once it
-    # returns only its n counts, in _sweep's memo of DP_LIMIT entries; a
-    # transition cache would hold about 3**n entries.  The packed weight
-    # carries a whole polynomial in each state's value.  The memo is
-    # emptied first, so that the sweep runs while it is traced.
+    # returns only the counts of its orders 1..n, in _sweep's memo of
+    # DP_LIMIT entries; a transition cache would hold about 3**n entries.
+    # The packed weight carries a whole polynomial in each state's value.
+    # The memo is emptied first, so that the sweep runs while it is traced.
     for x in (F(5, 7), 1 << packing_bits(12)):
         _sweep.cache_clear()
         tracemalloc.start()
@@ -289,14 +320,15 @@ def test_float_weights_are_refused():
 
 
 def test_verify_sweeps_each_packed_weight_once():
-    # against_closed_forms sweeps n = 1..10 and cross asks again for
-    # n = 1..8: 18 calls, 10 sweeps; at DP_LIMIT every size stays kept
-    for max_n, sweeps in ((10, 10), (DP_LIMIT, DP_LIMIT)):
+    # against_closed_forms sweeps once at the top order's packed weight
+    # and cross asks for that sweep again: one miss, one hit
+    limits = (("oracle", 0, 10), ("oracle", 0, DP_LIMIT), ("all", 8, 10))
+    for suite, max_m, max_n in limits:
         _sweep.cache_clear()
-        results = list(checks.run("oracle", 0, max_n))
+        results = list(checks.run(suite, max_m, max_n))
         assert results and all(r.passed for r in results)
         info = _sweep.cache_info()
-        assert (info.misses, info.hits) == (sweeps, min(max_n, MT_LIMIT))
+        assert (info.misses, info.hits) == (1, 1)
 
 
 def test_size_limits():
