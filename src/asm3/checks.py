@@ -108,12 +108,15 @@ def generating_polys(max_m: int, max_n: int) -> Iterator[CheckResult]:
             c = poly(n).coeffs
             count = total(n)
             tag = f"n={n}"
+            # each share c_(r-1) = refined/count, cross-multiplied in integers
             yield CheckResult(
                 f"{name}_matches_refinement",
                 tag,
                 len(c) == n
                 and all(
-                    c[r - 1] * count == refined(n, r) for r in range(1, n + 1)
+                    c[r - 1].numerator * count
+                    == refined(n, r) * c[r - 1].denominator
+                    for r in range(1, n + 1)
                 ),
             )
             yield CheckResult(
@@ -130,8 +133,9 @@ def recursions(max_m: int, max_n: int) -> Iterator[CheckResult]:
     if max_m < 0:
         raise OutOfRange("max_m must be >= 0")
 
-    def b0(m: int) -> Fraction:
-        return Fraction(
+    def b0(m: int) -> Tuple[int, int]:
+        # numerator and (positive) denominator, so each step compares integers
+        return (
             factorial(2 * m + 1) * factorial(2 * m + 2),
             3 ** m * factorial(m + 1) * factorial(3 * m + 2),
         )
@@ -140,10 +144,12 @@ def recursions(max_m: int, max_n: int) -> Iterator[CheckResult]:
     yield CheckResult("anchor_3enum", "n=1", total3(1) == 1)
     yield CheckResult("anchor_3enum", "n=2", total3(2) == 2)
     for m in range(max_m + 1):
-        ok = total3(2 * m + 3) * b0(m) ** 2 == 9 * total3(2 * m + 1)
+        num, den = b0(m)
+        ok = total3(2 * m + 3) * num ** 2 == 9 * total3(2 * m + 1) * den ** 2
         yield CheckResult("odd_step_3enum", f"m={m}", ok)
     for m in range(1, max_m + 1):
-        ok = total3(2 * m + 2) * b0(m) * b0(m - 1) == 9 * total3(2 * m)
+        (num, den), (num_1, den_1) = b0(m), b0(m - 1)
+        ok = total3(2 * m + 2) * num * num_1 == 9 * total3(2 * m) * den * den_1
         yield CheckResult("even_step_3enum", f"m={m}", ok)
     for n in range(2, 2 * max_m + 4):
         lhs = counts.total_asm(n - 1) * factorial(3 * n - 2) * factorial(n - 1)
@@ -233,10 +239,18 @@ def against_closed_forms(max_m: int, max_n: int) -> Iterator[CheckResult]:
             f"n={n} x=3",
             t3 == counts.asm3_table(n).counts,
         )
+        # each share t2[r-1] / total2 against the closed-form ratio s,
+        # cross-multiplied in integers; a row of the wrong length or a zero
+        # total fails this line
         total2 = sum(t2)
-        share_ok = all(
-            Fraction(t2[r - 1], total2) == counts.refined_asm2_ratio(n, r)
-            for r in range(1, n + 1)
+        shares = [counts.refined_asm2_ratio(n, r) for r in range(1, n + 1)]
+        share_ok = (
+            len(t2) == n
+            and total2 != 0
+            and all(
+                t * s.denominator == s.numerator * total2
+                for t, s in zip(t2, shares)
+            )
         )
         yield CheckResult("dp_matches_ratio2", f"n={n} x=2", share_ok)
 

@@ -14,12 +14,21 @@ operation is integer arithmetic plus one content gcd, and `eval_at`
 builds one Fraction.  Instances are immutable and unhashable.
 `divide_exact` takes only divisors that are monic with integer
 coefficients, the only kind the quotient families divide by.
+`vanishes` tests whether a sum of products c * M * P is zero without
+building any of them: tq writes each identity it checks (a contiguous
+relation, a step of phi, a differential equation, a series form) as one
+such residue over polynomials its builders have already made.
 
 >>> p = LaurentPoly({1: 1, -1: -1})
 >>> p * p == LaurentPoly({2: 1, 0: -2, -2: 1})
 True
 >>> (p * p * p).divide_exact(p) == p * p
 True
+>>> half = LaurentPoly({0: Fraction(1, 2)})
+>>> vanishes((2, p, half), (-1, LaurentPoly.one(), p))
+True
+>>> vanishes((Fraction(1, 3), p, p), (1, p, p))
+False
 """
 
 from __future__ import annotations
@@ -261,3 +270,36 @@ class LaurentPoly:
         d = self._d
         terms = (f"({Fraction(v, d)})*x^{k}" for k, v in sorted(self._a.items()))
         return "LaurentPoly[" + (" + ".join(terms) or "0") + "]"
+
+
+def vanishes(*terms) -> bool:
+    """True when the sum of c * M * P over the terms (c, M, P) is zero.
+
+    c is an int or a Fraction, anything else raising TypeError, and M
+    and P are LaurentPolys.  Each term is scaled by one integer weight
+    to the lcm of the terms' denominators c.den * M._d * P._d, and
+    every product of the two lanes lands in one integer dict keyed by
+    exponent, so no gcd is taken and no polynomial is built.
+    """
+    for c, left, right in terms:
+        if not isinstance(c, _RATIONAL_TYPES):
+            raise TypeError(f"coefficient of type {type(c).__name__}")
+        if not (isinstance(left, LaurentPoly) and isinstance(right, LaurentPoly)):
+            raise TypeError("factors must be LaurentPolys")
+    dens = [c.denominator * left._d * right._d for c, left, right in terms]
+    d = lcm(*dens)
+    acc: dict = {}
+    for (c, left, right), den in zip(terms, dens):
+        w = c.numerator * (d // den)
+        if not w:
+            continue
+        lane = right._a.items()
+        for k1, a in left._a.items():
+            a *= w
+            for k2, b in lane:
+                k = k1 + k2
+                if k in acc:
+                    acc[k] += a * b
+                else:
+                    acc[k] = a * b
+    return not any(acc.values())

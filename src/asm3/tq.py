@@ -18,6 +18,12 @@ builds by an integer recurrence in the exponent from two seeds read off
 the sum, with no polynomial arithmetic.  The route comparisons plus the
 contiguous three-term relations are the artifact's working correctness
 argument, so none of them may be collapsed into a single code path.
+Every check line that is not a route comparison (the contiguous pairs,
+the two steps of phi, the two differential equations and the series
+forms of f and g) is one integer residue: laurent.vanishes sums c * M * P
+over polynomials the builders have already made and tests that sum for
+zero without building it.  No route builder calls it, and each route
+comparison stays an == of two built polynomials.
 
 All arithmetic is exact.  Every polynomial here is a LaurentPoly or a
 DensePoly over Q; Q(s) enters only through the three factors
@@ -43,6 +49,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
 
+from . import laurent
 from .densepoly import DensePoly, horner
 from .errors import OutOfRange, PoleAtSample
 from .hyper import pochhammer, series_coeffs
@@ -63,6 +70,7 @@ _EVEN1_MINUS1 = LaurentPoly({1: 1, 0: -1, -1: 1})
 _EVEN1_MINUS2 = LaurentPoly({1: 1, 0: -2, -1: 1})
 _EVEN1 = LaurentPoly({1: 1, -1: 1})
 _EVEN2_PLUS1 = LaurentPoly({2: 1, 0: 1, -2: 1})
+_ONE = LaurentPoly.one()
 
 
 def _odd_kernel_pow(n: int) -> LaurentPoly:
@@ -324,7 +332,9 @@ def h3_poly(n: int) -> DensePoly:
 def _euler_residue_vanishes(p: LaurentPoly, mid: LaurentPoly, const) -> bool:
     """True when (x^3 - x^-3)(D^2 p + const p) - mid D p = 0, D = x d/dx."""
     d1 = p.euler_d()
-    return (_ODD3 * (d1.euler_d() + p * const) - mid * d1).is_zero
+    return laurent.vanishes(
+        (1, _ODD3, d1.euler_d()), (const, _ODD3, p), (-1, mid, d1)
+    )
 
 
 def ode_check_f(m: int) -> bool:
@@ -351,11 +361,16 @@ def ode_check_h(m: int) -> bool:
     return _euler_residue_vanishes(h_poly(m), mid, (3 * m + 1) * (3 * m + 2))
 
 
-def _odd_series(upper, lower, top: int, m: int) -> LaurentPoly:
-    """s(x) - s(1/x) for s = sum_j r_j x^(top - 6j), r_j the series coefficients."""
+def _series_form_holds(family, pref, upper, lower, top: int, m: int) -> bool:
+    """family = pref * (s(x) - s(1/x)), as one residue.
+
+    s = sum_j r_j x^(top - 6j), with r_j the series coefficients.
+    """
     nums, den = series_coeffs(upper, lower, m)
     s = LaurentPoly.from_lane({top - 6 * j: v for j, v in enumerate(nums)}, den)
-    return s - s.invert_x()
+    return laurent.vanishes(
+        (1, _ONE, family), (-pref, _ONE, s), (pref, _ONE, s.invert_x())
+    )
 
 
 def fg_2f1_check(m: int) -> bool:
@@ -367,16 +382,24 @@ def fg_2f1_check(m: int) -> bool:
     """
     four_thirds = Fraction(4, 3)
     pf = pochhammer(four_thirds, m) / factorial(m)
-    f_ref = _odd_series((Fraction(-m), -m + THIRD), (four_thirds,), 3 * m - 1, m)
     pg = pochhammer(THIRD, m) / factorial(m)
-    g_ref = _odd_series((Fraction(-m), -m - 2 * THIRD), (THIRD,), 3 * m + 2, m)
-    return f_ref * -pf == f_poly(m) and g_ref * pg == g_poly(m)
+    return _series_form_holds(
+        f_poly(m), -pf, (Fraction(-m), -m + THIRD), (four_thirds,), 3 * m - 1, m
+    ) and _series_form_holds(
+        g_poly(m), pg, (Fraction(-m), -m - 2 * THIRD), (THIRD,), 3 * m + 2, m
+    )
 
 
-def _pair(m: int, a, x_m: LaurentPoly, b, x_next: LaurentPoly) -> LaurentPoly:
-    """a X_m (3m+2)/(2(3m+1)) - b X_{m+1} (3m+3)/(2(3m+1)), the contiguous pair."""
-    half = Fraction(1, 2 * (3 * m + 1))
-    return a * x_m * ((3 * m + 2) * half) - b * x_next * ((3 * m + 3) * half)
+def _pair_holds(m: int, lhs, a, x_m, b, x_next, scale=1) -> bool:
+    """True when lhs = scale (a X_m (3m+2) - b X_(m+1) (3m+3)) / (2(3m+1)).
+
+    The contiguous pair, read as one residue cleared of 2(3m+1).
+    """
+    return laurent.vanishes(
+        (2 * (3 * m + 1), _ONE, lhs),
+        (-(3 * m + 2) * scale, a, x_m),
+        ((3 * m + 3) * scale, b, x_next),
+    )
 
 
 def gauss_relation_checks(m: int) -> list:
@@ -391,13 +414,14 @@ def gauss_relation_checks(m: int) -> list:
         raise OutOfRange("index must be >= 0")
     out = []
     tag = f"m={m}"
-    rhs = _pair(m, _EVEN3, f_poly(m), 1, f_poly(m + 1))
-    out.append(CheckResult("g_from_f_pair", tag, g_poly(m) == rhs))
-    rhs = _pair(m, _EVEN3_SHIFT, f_poly(m), 1, f_poly(m + 1)) * c_norm(m)
-    out.append(CheckResult("h_from_f_pair", tag, h_poly(m) == rhs))
+    f_m, f_next = f_poly(m), f_poly(m + 1)
+    ok = _pair_holds(m, g_poly(m), _EVEN3, f_m, _ONE, f_next)
+    out.append(CheckResult("g_from_f_pair", tag, ok))
+    ok = _pair_holds(m, h_poly(m), _EVEN3_SHIFT, f_m, _ONE, f_next, c_norm(m))
+    out.append(CheckResult("h_from_f_pair", tag, ok))
     p = p_poly(m)
-    rhs = _pair(m, _EVEN3, q_poly(m), _odd_kernel_pow(2), q_poly(m + 1))
-    out.append(CheckResult("p_from_q_pair", tag, p == rhs))
+    ok = _pair_holds(m, p, _EVEN3, q_poly(m), _odd_kernel_pow(2), q_poly(m + 1))
+    out.append(CheckResult("p_from_q_pair", tag, ok))
 
     out.append(CheckResult("v_from_q_pair", tag, v_poly(m) == v_poly_q(m)))
     out.append(CheckResult("q_routes_agree", tag, q_poly(m) == q_poly_phi(m)))
@@ -405,16 +429,24 @@ def gauss_relation_checks(m: int) -> list:
         out.append(CheckResult("p_routes_agree", tag, p == p_poly_phi(m)))
     out.append(CheckResult("v_routes_agree", tag, v_poly(m) == v_poly_phi(m)))
 
+    # each step of phi is one residue, cleared of its denominator
     for k in range(m + 1):
         ktag = f"m={m} k={k}"
         if m >= 1:
-            coeff = Fraction(m * (m + 2 * k + 1), 3 * (m + k + 1) * (m + k))
-            rhs = _EVEN1 * phi(m, k) - _EVEN2_PLUS1 * phi(m - 1, k) * coeff
-            out.append(CheckResult("phi_step_order", ktag, phi(m + 1, k) == rhs))
-        rhs = phi(m, k) * Fraction(m + 2 * k + 2, 2 * (m + k + 1))
+            den = 3 * (m + k + 1) * (m + k)
+            ok = laurent.vanishes(
+                (den, _ONE, phi(m + 1, k)),
+                (-den, _EVEN1, phi(m, k)),
+                (m * (m + 2 * k + 1), _EVEN2_PLUS1, phi(m - 1, k)),
+            )
+            out.append(CheckResult("phi_step_order", ktag, ok))
+        terms = [
+            (2 * (m + k + 1), _ONE, phi(m, k + 1)),
+            (-(m + 2 * k + 2), _ONE, phi(m, k)),
+        ]
         if m >= 1:
-            rhs = rhs + _EVEN1 * phi(m - 1, k + 1) * Fraction(m, 2 * (m + k + 1))
-        out.append(CheckResult("phi_step_shift", ktag, phi(m, k + 1) == rhs))
+            terms.append((-m, _EVEN1, phi(m - 1, k + 1)))
+        out.append(CheckResult("phi_step_shift", ktag, laurent.vanishes(*terms)))
     return out
 
 

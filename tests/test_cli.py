@@ -13,7 +13,7 @@ import pytest
 from asm3 import checks, cli, counts, oracle, tq
 from asm3.densepoly import DensePoly
 from asm3.errors import DegenerateParameters, NonExactDivision
-from asm3.report import CheckResult
+from asm3.report import CheckResult, EnumTable
 
 F = Fraction
 
@@ -309,6 +309,41 @@ def test_generating_polynomial_of_the_wrong_length_fails_its_family(monkeypatch)
         ]
     assert not any(r.passed for r in h1)
     assert len(h3) == 3 * 5 and all(r.passed for r in h3)
+
+
+def test_generating_polynomial_one_short_fails_its_family(monkeypatch):
+    # the integer comparison reads c[r - 1] for r = 1..n only after the
+    # length: an h3 row one coefficient short fails its lines without
+    # raising, and the h1 lines still pass
+    real = tq.h3_poly
+    monkeypatch.setattr(tq, "h3_poly", lambda n: DensePoly(real(n).coeffs[:-1]))
+    results = checks.run_block(checks.generating_polys, 0, 6)
+    assert not [r for r in results if r.params.startswith("raised")]
+    failed = [(r.name, r.params) for r in results if not r.passed]
+    for name in ("h3_matches_refinement", "h3_reciprocal", "h3_unit_at_one"):
+        assert [p for n, p in failed if n == name] == [f"n={n}" for n in range(2, 7)]
+    assert all(r.passed for r in results if r.name.startswith("h1_"))
+
+
+@pytest.mark.parametrize("change", ["short", "long"])
+def test_dp_row_of_the_wrong_length_fails_its_share_line(monkeypatch, change):
+    # the x = 2 shares are compared cross-multiplied after the row's
+    # length: a row one count short or one count long fails
+    # dp_matches_ratio2 at every order, and the block does not raise
+    real = oracle.dp_refined_tables
+
+    def altered(n, x):
+        return tuple(
+            EnumTable(t.n, t.counts[:-1] if change == "short" else t.counts + (1,))
+            for t in real(n, x)
+        )
+
+    monkeypatch.setattr(oracle, "dp_refined_tables", altered)
+    results = checks.run_block(checks.against_closed_forms, 0, 6)
+    assert len(results) == 3 * 6
+    shares = [r for r in results if r.name == "dp_matches_ratio2"]
+    assert [r.params for r in shares] == [f"n={n} x=2" for n in range(1, 7)]
+    assert not any(r.passed for r in shares)
 
 
 @pytest.mark.parametrize(

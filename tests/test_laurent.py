@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 import asm3.laurent
 from asm3.errors import NonExactDivision, PoleAtSample
-from asm3.laurent import LaurentPoly
+from asm3.laurent import LaurentPoly, vanishes
 from asm3.qfield import OMEGA, Q, QsElem, S
 
 coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=6)
@@ -418,3 +418,81 @@ def test_kernel_runs_without_qselem_arithmetic(monkeypatch):
     ]
     monkeypatch.undo()
     assert got == expected
+
+
+# -- vanishes: one integer residue against the ring operations ---------------
+
+# a term's scalar: an int, or a Fraction whose denominator is not 1
+term_scalars = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=6).filter(
+        lambda c: c.denominator != 1
+    ),
+)
+residue_terms = st.lists(st.tuples(term_scalars, polys, polys), min_size=1, max_size=4)
+
+
+def _ring_sum(terms):
+    # the reference: the sum of c * M * P by the ring operations
+    total = LaurentPoly()
+    for c, left, right in terms:
+        total = total + left * right * c
+    return total
+
+
+@given(residue_terms)
+def test_vanishes_matches_the_ring_sum(terms):
+    assert vanishes(*terms) == _ring_sum(terms).is_zero
+
+
+@given(residue_terms, st.integers(0, 3), exps)
+def test_vanishes_on_sums_built_to_cancel(terms, turn, k):
+    # each term with its negation, written with the factors swapped or
+    # the scalar moved into a factor, so that the sum is zero
+    def negated(c, left, right):
+        return [
+            (-c, right, left),
+            (-1, left * c, right),
+            (-2 * c, left, right * Fraction(1, 2)),
+            (-c, LaurentPoly.one(), left * right),
+        ][turn]
+
+    cancel = terms + [negated(*t) for t in terms]
+    assert _ring_sum(cancel).is_zero
+    assert vanishes(*cancel)
+    # one monomial more leaves a nonzero residue
+    extra = cancel + [(Fraction(1, 3), LaurentPoly({k: 1}), LaurentPoly.one())]
+    assert not vanishes(*extra)
+    assert not vanishes(*extra[::-1])
+
+
+def test_vanishes_refuses_non_rational_scalars_and_factors():
+    p = LaurentPoly({1: 1, -1: Fraction(1, 2)})
+    for bad in non_rationals:
+        with pytest.raises(TypeError):
+            vanishes((bad, p, p))
+        with pytest.raises(TypeError):
+            vanishes((1, p, p), (bad, p, p))
+    for bad in (2, Fraction(1, 2), {1: 1}):
+        with pytest.raises(TypeError):
+            vanishes((1, bad, p))
+        with pytest.raises(TypeError):
+            vanishes((1, p, bad))
+
+
+def test_vanishes_builds_no_polynomial(monkeypatch):
+    # the residue is one integer dict: no ring operation, no canonical
+    # form and no Fraction is made while it is summed
+    p = LaurentPoly({2: Fraction(1, 2), 0: 3, -1: Fraction(-2, 3)})
+    q = LaurentPoly({1: Fraction(3, 4), -2: 5})
+    terms = [(Fraction(2, 3), p, q), (-1, q, p * Fraction(2, 3))]
+
+    def refused(*args):
+        raise AssertionError("polynomial or Fraction built in vanishes")
+
+    for name in ("__mul__", "__rmul__", "__add__", "__sub__", "__eq__"):
+        monkeypatch.setattr(LaurentPoly, name, refused)
+    monkeypatch.setattr(asm3.laurent, "_poly", refused)
+    monkeypatch.setattr(asm3.laurent, "Fraction", refused)
+    assert vanishes(*terms)
+    assert not vanishes(*terms[:1])

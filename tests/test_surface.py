@@ -17,14 +17,12 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "asm3"
 
 # kept for debugging only: no command prints a QsElem or a LaurentPoly.
-# LaurentPoly.one is called by no command, but perfbench/test_perfbench.py
-# traces it, so it stays until that benchmark test stops calling it.
 # oracle.mt_refined_enum and oracle.dp_refined_enum are called by no
 # command either (verify and table read every order from one
 # mt_refined_tables pass or dp_refined_tables sweep), but perfbench's
 # table check and layers.json name them, so they stay until those trace
 # the passes
-UNREACHED_BY_DESIGN = {"__repr__", "one", "mt_refined_enum", "dp_refined_enum"}
+UNREACHED_BY_DESIGN = {"__repr__", "mt_refined_enum", "dp_refined_enum"}
 
 # small runs of every subcommand in both formats, `table` at x = 5/7, 1
 # and 3, three usage errors and one help page; the profile hook is set

@@ -8,9 +8,9 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from asm3 import checks, cli, counts, tq
+from asm3 import checks, cli, counts, laurent, tq
 from asm3.densepoly import DensePoly
-from asm3.errors import DegenerateParameters, OutOfRange
+from asm3.errors import DegenerateParameters, NonExactDivision, OutOfRange
 from asm3.laurent import LaurentPoly
 from asm3.qfield import OMEGA, OMEGA_BAR, Q, QBAR, S, ZERO, QsElem
 from asm3.tq import (
@@ -317,14 +317,14 @@ class _PhiCalled(Exception):
 def test_division_routes_never_call_the_fold_primitive(monkeypatch):
     # phi is the Gauss-sum side only: with it disabled, the division
     # routes and the contiguous pairs still compute, and q_poly_phi does not
-    f3, f4 = f_poly(3), f_poly(4)
+    f3, f4, g3 = f_poly(3), f_poly(4), g_poly(3)
     routes = [
         (q_poly, (3,)),
         (p_poly, (3,)),
         (v_poly, (3,)),
         (f_poly, (3,)),
         (g_poly, (3,)),
-        (tq._pair, (3, tq._EVEN3, f3, 1, f4)),
+        (tq._pair_holds, (3, g3, tq._EVEN3, f3, tq._ONE, f4)),
     ]
     expected = [f(*args) for f, args in routes]
 
@@ -514,6 +514,120 @@ def test_identity_checks_fail_on_one_extra_term(monkeypatch, family, checks):
     monkeypatch.setattr(tq, family, lambda m: built(m) + 1)
     for m in range(4):
         assert not any(check(m) for check in checks)
+
+
+def _clear_tq_caches():
+    for obj in vars(tq).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+
+
+@pytest.fixture
+def fresh_tq_caches():
+    # a mutant must not reach a cached quotient, nor stay in one after
+    _clear_tq_caches()
+    yield
+    _clear_tq_caches()
+
+
+# the relation lines that read each family, directly or through h_poly
+# (which reads f_poly and g_poly).  The quotient routes q_poly, p_poly
+# and v_poly divide f, g and h: for those three mutants the test pins
+# the quotients to their honest values, since the division itself raises
+# (test_dividing_a_mutant_family_raises), and checks the lines that read
+# the family directly
+RELATION_READERS = {
+    "phi": {
+        "q_routes_agree",
+        "p_routes_agree",
+        "v_routes_agree",
+        "phi_step_order",
+        "phi_step_shift",
+    },
+    "f_poly": {"g_from_f_pair", "h_from_f_pair"},
+    "g_poly": {"g_from_f_pair", "h_from_f_pair"},
+    "h_poly": {"h_from_f_pair"},
+    "q_poly": {"p_from_q_pair", "v_from_q_pair", "q_routes_agree"},
+    "p_poly": {"p_from_q_pair", "p_routes_agree"},
+}
+DIVIDED_FAMILIES = ("f_poly", "g_poly", "h_poly")
+
+
+@pytest.mark.parametrize("family", sorted(RELATION_READERS))
+def test_relation_lines_fail_on_one_extra_term(monkeypatch, fresh_tq_caches, family):
+    # phi_step_shift at m = 0 reads phi(0, k + 1) and phi(0, k) alone with
+    # weights 2(k + 1) and -(2k + 2), which an added constant leaves
+    # balanced; m = 1..4 is where every reader can fail
+    if family in DIVIDED_FAMILIES:
+        for name in ("q_poly", "p_poly", "v_poly"):
+            honest = {m: getattr(tq, name)(m) for m in range(6)}
+            monkeypatch.setattr(tq, name, honest.__getitem__)
+    built = getattr(tq, family)
+    monkeypatch.setattr(tq, family, lambda *a: built(*a) + 1)
+    for m in range(1, 5):
+        failed = {r.name for r in gauss_relation_checks(m) if not r.passed}
+        assert failed == RELATION_READERS[family], m
+
+
+@pytest.mark.parametrize("family", DIVIDED_FAMILIES)
+def test_dividing_a_mutant_family_raises(monkeypatch, fresh_tq_caches, family):
+    # a constant term is not a multiple of (x - 1/x)^(2m+1), so the
+    # quotient route that divides the family fails the relation block
+    built = getattr(tq, family)
+    monkeypatch.setattr(tq, family, lambda m: built(m) + 1)
+    for m in range(1, 5):
+        with pytest.raises(NonExactDivision):
+            gauss_relation_checks(m)
+
+
+# every route builder, and the orders at which it is asked for
+ROUTE_BUILDERS = {
+    "f_poly": range(5),
+    "g_poly": range(5),
+    "h_poly": range(5),
+    "q_poly": range(6),
+    "q_poly_phi": range(5),
+    "p_poly": range(5),
+    "p_poly_phi": range(1, 5),
+    "v_poly": range(5),
+    "v_poly_q": range(5),
+    "v_poly_phi": range(5),
+    "e_poly": range(5),
+    "h1_poly": range(1, 6),
+    "h3_poly": range(2, 7),
+}
+
+
+def _build_routes():
+    # each route's result; a DensePoly is compared by its coefficient tuple
+    out = {}
+    for name, ms in ROUTE_BUILDERS.items():
+        for m in ms:
+            poly = getattr(tq, name)(m)
+            out[name, m] = poly.coeffs if isinstance(poly, DensePoly) else poly
+    out.update({("phi", m, k): tq.phi(m, k) for m in range(6) for k in range(m + 3)})
+    return out
+
+
+def test_route_builders_never_read_a_residue(monkeypatch, fresh_tq_caches):
+    # vanishes only reads what the routes built: with it disabled every
+    # builder still builds at m <= 4, while the checks that use it raise
+    expected = _build_routes()
+    _clear_tq_caches()
+
+    def disabled(*terms):
+        raise AssertionError("vanishes called")
+
+    monkeypatch.setattr(laurent, "vanishes", disabled)
+    assert _build_routes() == expected
+    for check, args in (
+        (gauss_relation_checks, (1,)),
+        (ode_check_f, (1,)),
+        (ode_check_h, (1,)),
+        (fg_2f1_check, (1,)),
+    ):
+        with pytest.raises(AssertionError, match="vanishes called"):
+            check(*args)
 
 
 def _plus_one(poly):
