@@ -70,8 +70,8 @@ def refinement(max_m: int, max_n: int) -> Iterator[CheckResult]:
             tag,
             t3.counts[0] == counts.total_asm3(n - 1),
         )
-        ratios = [counts.refined_asm2_ratio(n, r) for r in range(1, n + 1)]
-        yield CheckResult("ratio2_sums_to_one", tag, sum(ratios) == 1)
+        shares = counts.asm2_shares(n)
+        yield CheckResult("ratio2_sums_to_one", tag, sum(shares) == 1)
 
 
 def b_family(max_m: int, max_n: int) -> Iterator[CheckResult]:
@@ -100,23 +100,23 @@ def b_family(max_m: int, max_n: int) -> Iterator[CheckResult]:
 def generating_polys(max_m: int, max_n: int) -> Iterator[CheckResult]:
     # built per call, so a monkeypatched tq or counts function is the one called
     families = (
-        ("h1", 1, tq.h1_poly, counts.total_asm, counts.refined_asm),
-        ("h3", 2, tq.h3_poly, counts.total_asm3, counts.refined_asm3),
+        ("h1", 1, tq.h1_poly, counts.total_asm, counts.asm_table),
+        ("h3", 2, tq.h3_poly, counts.total_asm3, counts.asm3_table),
     )
-    for name, n_min, poly, total, refined in families:
+    for name, n_min, poly, total, table in families:
         for n in range(n_min, max_n + 1):
             c = poly(n).coeffs
             count = total(n)
+            row = table(n).counts
             tag = f"n={n}"
-            # each share c_(r-1) = refined/count, cross-multiplied in integers
+            # each share c_(r-1) = row[r-1]/count, cross-multiplied in integers
             yield CheckResult(
                 f"{name}_matches_refinement",
                 tag,
                 len(c) == n
                 and all(
-                    c[r - 1].numerator * count
-                    == refined(n, r) * c[r - 1].denominator
-                    for r in range(1, n + 1)
+                    s.numerator * count == v * s.denominator
+                    for s, v in zip(c, row)
                 ),
             )
             yield CheckResult(
@@ -243,13 +243,12 @@ def against_closed_forms(max_m: int, max_n: int) -> Iterator[CheckResult]:
         # cross-multiplied in integers; a row of the wrong length or a zero
         # total fails this line
         total2 = sum(t2)
-        shares = [counts.refined_asm2_ratio(n, r) for r in range(1, n + 1)]
         share_ok = (
             len(t2) == n
             and total2 != 0
             and all(
                 t * s.denominator == s.numerator * total2
-                for t, s in zip(t2, shares)
+                for t, s in zip(t2, counts.asm2_shares(n))
             )
         )
         yield CheckResult("dp_matches_ratio2", f"n={n} x=2", share_ok)

@@ -298,8 +298,8 @@ def e_poly(m: int) -> DensePoly:
 def h1_poly(n: int) -> DensePoly:
     """Generating polynomial of the unweighted refinement.
 
-    Degree n-1 in t, coefficient r-1 equals refined_asm(n, r)/total_asm(n);
-    reciprocal and equal to 1 at t = 1.
+    Degree n-1 in t, coefficient r-1 equals column r of asm_table(n)
+    over total_asm(n); reciprocal and equal to 1 at t = 1.
     """
     if n < 1:
         raise OutOfRange("n must be >= 1")
@@ -313,7 +313,8 @@ def h3_poly(n: int) -> DensePoly:
     """Generating polynomial of the 3-enumeration refinement.
 
     Built by gluing a degree-2 prefactor onto the palindromic companion
-    polynomial of half order; reciprocal and equal to 1 at t = 1.
+    polynomial of half order; reciprocal and equal to 1 at t = 1.  The
+    glue repeats counts._mix on purpose: the two are independent routes.
     """
     if n < 2:
         raise OutOfRange("n must be >= 2")

@@ -1,19 +1,18 @@
 import tracemalloc
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from asm3 import checks, cli, counts
 from asm3.counts import (
+    asm2_shares,
     asm3_table,
     asm_table,
     b_coeff,
     b_coeff_4f3,
     b_table,
     concentration_scan,
-    refined_asm,
-    refined_asm2_ratio,
-    refined_asm3,
     total_asm,
     total_asm3,
 )
@@ -29,6 +28,24 @@ KNOWN_TABLES3 = {
     4: (9, 36, 36, 9),
     5: (90, 495, 855, 495, 90),
 }
+
+
+def reference_asm(n, r):
+    # the binomial product for one column r, apart from asm_table's row
+    return F(
+        comb(n + r - 2, n - 1) * comb(2 * n - 1 - r, n - 1) * total_asm(n),
+        comb(3 * n - 2, n - 1),
+    )
+
+
+def reference_asm3(n, r):
+    # b(m, r-1), b(m, r-2) (and b(m, r-3) at odd n) over 2 or (2, 5, 2)/9
+    if n % 2 == 0:
+        m, weights, den = (n - 2) // 2, (1, 1), 2
+    else:
+        m, weights, den = (n - 3) // 2, (2, 5, 2), 9
+    mixed = sum(w * b_coeff(m, r - 1 - i) for i, w in enumerate(weights))
+    return mixed * total_asm3(n) / den
 
 
 def test_total_asm_known_values():
@@ -68,10 +85,52 @@ def test_refined3_sums_symmetry_boundary():
 
 
 def test_refined3_values_are_integers_by_construction():
-    # _int_exact would blow up inside refined_asm3 otherwise
+    # _int_exact would blow up inside asm3_table otherwise
     for n in range(2, 12):
-        for r in range(1, n + 1):
-            assert isinstance(refined_asm3(n, r), int)
+        assert all(isinstance(v, int) for v in asm3_table(n).counts)
+
+
+def test_rows_match_per_column_references():
+    for n in range(1, 41):
+        assert asm_table(n).counts == tuple(
+            reference_asm(n, r) for r in range(1, n + 1)
+        ), n
+    for n in range(2, 41):
+        assert asm3_table(n).counts == tuple(
+            reference_asm3(n, r) for r in range(1, n + 1)
+        ), n
+
+
+def test_asm3_table_reads_each_alpha_once(monkeypatch):
+    direct = counts.b_coeff
+    calls = []
+
+    def counted(m, alpha):
+        calls.append((m, alpha))
+        return direct(m, alpha)
+
+    monkeypatch.setattr(counts, "b_coeff", counted)
+    for n in (2, 3, 8, 13, 40):
+        direct.cache_clear()
+        calls.clear()
+        asm3_table(n)
+        m = (n - 2) // 2 if n % 2 == 0 else (n - 3) // 2
+        assert sorted(calls) == [(m, a) for a in range(2 * m + 1)], n
+
+
+def test_asm3_table_stays_off_the_recurrence(monkeypatch):
+    # the table reads the direct sums only; the recurrence row is
+    # b_table's route, which verify checks on its own
+    expected = [asm3_table(n) for n in range(1, 21)]
+
+    def disabled(m):
+        raise AssertionError("asm3_table read the recurrence row")
+
+    monkeypatch.setattr(counts, "_t_row", disabled)
+    # a warm b_table cache would hide a read of the recurrence row
+    b_table.cache_clear()
+    b_coeff.cache_clear()
+    assert [asm3_table(n) for n in range(1, 21)] == expected
 
 
 def test_int_exact_remainder_is_a_non_exact_division():
@@ -167,10 +226,11 @@ def test_scan_holds_no_recurrence_row():
 
 
 def test_refined_asm2_ratio():
-    assert refined_asm2_ratio(4, 1) == F(1, 8)
-    assert refined_asm2_ratio(4, 2) == F(3, 8)
+    assert asm2_shares(4) == (F(1, 8), F(3, 8), F(3, 8), F(1, 8))
+    assert asm2_shares(1) == (F(1),)
     for n in range(1, 9):
-        assert sum(refined_asm2_ratio(n, r) for r in range(1, n + 1)) == 1
+        assert len(asm2_shares(n)) == n
+        assert sum(asm2_shares(n)) == 1
 
 
 def test_generating_polynomial_plain():
@@ -183,8 +243,7 @@ def test_generating_polynomial_plain():
         assert len(c) == n
         assert sum(c) == 1
         assert c == c[::-1]
-        for r in range(1, n + 1):
-            assert c[r - 1] * total == refined_asm(n, r)
+        assert tuple(s * total for s in c) == asm_table(n).counts
 
 
 def test_generating_polynomial_weighted():
@@ -194,8 +253,7 @@ def test_generating_polynomial_weighted():
         assert len(c) == n
         assert sum(c) == 1
         assert c == c[::-1]
-        for r in range(1, n + 1):
-            assert c[r - 1] * total == refined_asm3(n, r)
+        assert tuple(s * total for s in c) == asm3_table(n).counts
 
 
 def test_one_by_one_tables():
@@ -204,16 +262,17 @@ def test_one_by_one_tables():
 
 
 def test_range_guards():
+    for f in (total_asm, total_asm3):
+        with pytest.raises(OutOfRange):
+            f(0)
+
+
+@pytest.mark.parametrize("f", [asm_table, asm3_table, asm2_shares])
+@pytest.mark.parametrize("n", [0, -1, -3])
+def test_rows_refuse_orders_below_one(f, n):
+    # an empty range of columns used to skip the range check and return ()
     with pytest.raises(OutOfRange):
-        total_asm(0)
-    with pytest.raises(OutOfRange):
-        refined_asm(3, 0)
-    with pytest.raises(OutOfRange):
-        refined_asm(3, 4)
-    with pytest.raises(OutOfRange):
-        refined_asm3(1, 1)
-    with pytest.raises(OutOfRange):
-        refined_asm2_ratio(2, 3)
+        f(n)
 
 
 def test_recurrence_check_passes():
@@ -236,8 +295,8 @@ def test_concentration_scan_matches_direct_shares():
     for n in (5, 8, 13):
         (got_n, mass), = concentration_scan([n], eps)
         direct = sum(
-            F(refined_asm3(n, r), total_asm3(n))
-            for r in range(1, n + 1)
+            F(v, total_asm3(n))
+            for r, v in enumerate(asm3_table(n).counts, 1)
             if abs(F(r - 1, n - 1) - F(1, 2)) < eps
         )
         assert got_n == n and mass == direct

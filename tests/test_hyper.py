@@ -249,7 +249,7 @@ def test_independent_routes_never_call_the_series_helper(monkeypatch):
         (tq.q_poly, (3,)),
         (tq.p_poly, (3,)),
         (tq.v_poly, (3,)),
-        (counts.refined_asm, (7, 3)),
+        (counts.asm_table, (7,)),
         (pochhammer, (Fraction(1, 3), 4)),
     ]
     expected = [f(*args) for f, args in routes]

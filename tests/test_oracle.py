@@ -149,8 +149,7 @@ def test_dp_two_enumeration_shares():
     for n in range(1, 9):
         t = dp_refined_enum(n, 2)
         tot = t.total
-        for r in range(1, n + 1):
-            assert F(t.counts[r - 1], tot) == counts.refined_asm2_ratio(n, r)
+        assert tuple(F(v, tot) for v in t.counts) == counts.asm2_shares(n)
 
 
 @given(st.integers(1, 6), st.integers(-50, 50), st.integers(1, 1000))
