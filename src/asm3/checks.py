@@ -255,19 +255,16 @@ def against_closed_forms(max_m: int, max_n: int) -> Iterator[CheckResult]:
 
 
 def cross(max_m: int, max_n: int) -> Iterator[CheckResult]:
-    # one triangle pass at its top order's packed weight holds every
-    # order's polynomial, and so does against_closed_forms' DP sweep at
-    # its own top order's, asked for again; their digits are compared, and
-    # equal digits are equal polynomials.  Only when they differ is each
-    # weight swept apart, so that a failure names its weight
-    mt_top, dp_top = min(max_n, oracle.MT_LIMIT), min(max_n, oracle.DP_LIMIT)
-    mt_bits, dp_bits = oracle.packing_bits(mt_top), oracle.packing_bits(dp_top)
-    tables = oracle.mt_refined_tables(mt_top, 1 << mt_bits)
-    swept = oracle.dp_refined_tables(dp_top, 1 << dp_bits)
+    # one triangle pass and one DP sweep at the top order's packed weight
+    # each hold every order's polynomial, every coefficient below 2^B, so
+    # equal packed values are equal polynomials.  Only when they differ is
+    # each weight swept apart, so that a failure names its weight
+    top = min(max_n, oracle.MT_LIMIT)
+    weight = 1 << oracle.packing_bits(top)
+    tables = oracle.mt_refined_tables(top, weight)
+    swept = oracle.dp_refined_tables(top, weight)
     for n, (table, dp) in enumerate(zip(tables, swept), 1):
-        same = [oracle.unpack(v, dp_bits) for v in dp.counts] == [
-            oracle.unpack(v, mt_bits) for v in table.counts
-        ]
+        same = dp.counts == table.counts
         for x in (1, 2, 3):
             ok = same or (
                 oracle.dp_refined_enum(n, x).counts

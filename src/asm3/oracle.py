@@ -11,9 +11,7 @@ sweep runs in integers, the same loops rescale the copies that a 0
 weighs by q, and one power of q is divided out of each order.
 Only the states of the current column are kept while it runs.  Order m
 is read from the states after m-1 rows, so one sweep to order n yields
-every order 1..n.  Those counts are all that outlives a sweep: the last
-DP_LIMIT sweeps keep every order they read, by size and weight, so
-`verify`, which asks for its one packed sweep twice, runs it once.
+every order 1..n.  Those counts are all that outlives a sweep.
 
 The second oracle enumerates the same objects as triangles of strictly
 increasing rows where consecutive rows interlace, written directly on
@@ -36,8 +34,9 @@ x = 2^B therefore returns the whole polynomial packed into one integer,
 whose base-2^B digits are its coefficients (`unpack`).  `verify` reads
 the weights 1, 2 and 3 of every order from one sweep at the largest
 size's packed weight, wide enough for every smaller size.  It also
-compares these digits with those of one triangle pass at its own
-largest size's packed weight: equal digits are equal polynomials.
+compares one triangle pass with one DP sweep, both at the packed weight
+of the triangle pass's largest size: equal packed values are equal
+polynomials.
 Neither oracle imports counts or tq, the routes that verify checks
 them against.
 """
@@ -45,7 +44,6 @@ them against.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Tuple
 
 from .errors import OutOfRange
@@ -55,27 +53,8 @@ from .report import EnumTable
 DP_LIMIT = 16
 MT_LIMIT = 8
 
+
 def dp_refined_tables(n: int, x) -> Tuple[EnumTable, ...]:
-    """Weighted refined counts of every order 1..n, from one sweep.
-
-    The weight is checked and split into lowest terms p/q first, so a
-    float or a str raises TypeError even when an equal rational was
-    swept before; the tables then come from `_sweep`, which keeps those
-    of its last DP_LIMIT sweeps.
-    """
-    if n < 1 or n > DP_LIMIT:
-        raise OutOfRange(f"n must lie in 1..{DP_LIMIT}")
-    p, q = _rational(x).as_integer_ratio()
-    return _sweep(n, p, q)
-
-
-def dp_refined_enum(n: int, x) -> EnumTable:
-    """Weighted refined counts A_n(r; x), r = 1..n, for a rational x."""
-    return dp_refined_tables(n, x)[-1]
-
-
-@lru_cache(maxsize=DP_LIMIT)
-def _sweep(n: int, p: int, q: int) -> Tuple[EnumTable, ...]:
     """The counts of every order 1..n at x = p/q by one forward sweep.
 
     A state is the column-sum mask, with the columns left of the cursor
@@ -108,6 +87,9 @@ def _sweep(n: int, p: int, q: int) -> Tuple[EnumTable, ...]:
     would be 2.  Such a state is thus an order-m state padded with zero
     columns, each of weight 1, and it carries its order-m weight.
     """
+    if n < 1 or n > DP_LIMIT:
+        raise OutOfRange(f"n must lie in 1..{DP_LIMIT}")
+    p, q = _rational(x).as_integer_ratio()
     scaled = q != 1
     closed = {0: 1}
     tables = []
@@ -146,6 +128,11 @@ def _sweep(n: int, p: int, q: int) -> Tuple[EnumTable, ...]:
             closed, opened = nxt_closed, nxt_opened
         closed = opened
     return tuple(tables)
+
+
+def dp_refined_enum(n: int, x) -> EnumTable:
+    """Weighted refined counts A_n(r; x), r = 1..n, for a rational x."""
+    return dp_refined_tables(n, x)[-1]
 
 
 def packing_bits(n: int) -> int:

@@ -6,16 +6,16 @@ w = q**2.  That is all the irrationality the rest of the package ever
 needs.  An element is stored as one reduced integer triple (a, b, d)
 meaning (a + b*s)/d, with d > 0 and gcd(a, b, d) = 1, so equal values
 have equal triples.  Every ring operation is integer arithmetic plus one
-three-way gcd; a Fraction is built only to print an element.  There is
-no floating point anywhere.  Elements compare equal to ints and
-Fractions of the same value, and are unhashable.  QsElem is a ring
-type: nothing in the package divides in Q(s), so there is no inverse and
-no `/`, and a negative power raises TypeError.  A LaurentPoly is over
-Q and refuses a QsElem coefficient or point: the shift equation meets
-the cube roots only through the three factors 1 + w^k + w^-k, k mod 3,
-that tq builds once from OMEGA and OMEGA_BAR, and transform_checks
-evaluates its coefficient tuples at pairs of points of Q(s) through the
-homogeneous rule densepoly.horner.
+three-way gcd, and a difference adds the negation; a Fraction is built
+only to print an element.  There is no floating point anywhere.
+Elements compare equal to ints and Fractions of the same value, and are
+unhashable.  QsElem is a ring type: nothing in the package divides in
+Q(s), so there is no inverse and no `/`, and a negative power raises
+TypeError.  A LaurentPoly is over Q and refuses a QsElem coefficient or
+point: the shift equation meets the cube roots only through the factors
+1 + w^k + w^-k, which are 3 or 0 by k mod 3, so tq_check reads them as
+integers, and transform_checks evaluates its coefficient tuples at pairs
+of points of Q(s) through the homogeneous rule densepoly.horner.
 """
 
 from __future__ import annotations
@@ -77,6 +77,8 @@ class QsElem:
     An int or a Fraction may sit on either side of `*` and `==`, but only
     on the right of `+` and `-`: `S + 1` is an element and `1 + S` raises
     TypeError, as no code in the package puts a rational left of a sum.
+    There is no __bool__, since no code in the package tests an element
+    for truth, so every element is truthy: compare with 0 instead.
     """
 
     __slots__ = ("a", "b", "d")
@@ -107,13 +109,7 @@ class QsElem:
         return _reduced(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     def __sub__(self, other):
-        other = other if isinstance(other, QsElem) else _lift(other)
-        if other is None:
-            return NotImplemented
-        d, e = self.d, other.d
-        if d == e:
-            return _reduced(self.a - other.a, self.b - other.b, d)
-        return _reduced(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
+        return self + -other
 
     def __neg__(self):
         return _reduced(-self.a, -self.b, self.d)
@@ -153,9 +149,6 @@ class QsElem:
                 and self.d == other.denominator
             )
         return NotImplemented
-
-    def __bool__(self):
-        return bool(self.a or self.b)
 
     def __repr__(self):
         return f"QsElem({Fraction(self.a, self.d)!r}, {Fraction(self.b, self.d)!r})"

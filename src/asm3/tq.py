@@ -26,13 +26,14 @@ zero without building it.  No route builder calls it, and each route
 comparison stays an == of two built polynomials.
 
 All arithmetic is exact.  Every polynomial here is a LaurentPoly or a
-DensePoly over Q; Q(s) enters only through the three factors
-1 + w^k + w^-k that tq_check reads by k mod 3 and the pairs of points
-of Q(s) at which transform_checks evaluates its coefficient tuples by
-the homogeneous densepoly.horner, so nothing divides in Q(s).  The
-series builders (phi, e_poly, h1_poly and the series forms of f_poly
-and g_poly) take hyper.series_coeffs as its integer numerators over one
-denominator and stay in integers up to the constructor of their result.
+DensePoly over Q; Q(s) enters only through the pairs of points of Q(s)
+at which transform_checks evaluates its coefficient tuples by the
+homogeneous densepoly.horner, so nothing divides in Q(s).  The factors
+1 + w^k + w^-k of the shift equation are 3 or 0 by k mod 3, so
+tq_check reads them as integers.  The series builders (phi, e_poly,
+h1_poly and the series forms of f_poly and g_poly) take
+hyper.series_coeffs as its integer numerators over one denominator and
+stay in integers up to the constructor of their result.
 A builder keeps a cache only where a later verify block reads the same
 order again: f_poly, g_poly, q_poly, v_poly and e_poly (read 2 to 9
 times per order) and phi (bounded to the orders one relation block
@@ -54,7 +55,7 @@ from .densepoly import DensePoly, horner
 from .errors import OutOfRange, PoleAtSample
 from .hyper import pochhammer, series_coeffs
 from .laurent import LaurentPoly
-from .qfield import OMEGA, OMEGA_BAR, Q, QBAR, S
+from .qfield import Q, QBAR, S
 from .report import CheckResult
 
 THIRD = Fraction(1, 3)
@@ -130,18 +131,15 @@ def h_poly(m: int) -> LaurentPoly:
     return (g_poly(m) + f_poly(m) * Fraction(3 * m + 2, 3 * m + 1)) * c_norm(m)
 
 
-# 1 + w^k + w^-k for k = 0, 1 and 2 mod 3: (3, 0, 0), from w^3 = 1
-_SHIFT_FACTORS = tuple(OMEGA ** r + OMEGA_BAR ** r + 1 for r in range(3))
-
-
 def tq_check(p: LaurentPoly) -> bool:
     """True when p solves the three-term shift equation.
 
     The x^k coefficient of p(x) + p(w*x) + p(x/w) is p_k (1 + w^k + w^-k),
-    so p solves it exactly when the factor of every exponent in its
-    support is zero.
+    and since w^3 = 1 that factor is 3 when 3 divides k and 0 otherwise;
+    so p solves it exactly when no exponent in its support is a multiple
+    of 3.
     """
-    return not any(_SHIFT_FACTORS[k % 3] for k in p.support)
+    return all(k % 3 for k in p.support)
 
 
 # gauss_relation_checks(m) reads phi at orders m - 1, m and m + 1 with
@@ -168,7 +166,7 @@ def phi(m: int, k: int) -> LaurentPoly:
     integer lane N_j m!/j! over D m!.  The recurrence was guessed and is
     checked, not proved, as counts._t_row is: it equals the Gauss sum for
     every m <= 65 and 0 <= k <= m + 2, all the phi that verify reads;
-    ROADMAP item 14 plans its proof.  A vanishing (-m-k)_j factor with a
+    the ROADMAP plans its proof.  A vanishing (-m-k)_j factor with a
     numerator that has not already died raises DegenerateParameters; the
     smallest such case is phi(1, -1).
     """

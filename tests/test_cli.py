@@ -263,10 +263,12 @@ def test_output_is_deterministic(capsys):
     assert first == second
 
 
-def test_cross_failure_names_its_weight(monkeypatch):
-    # an MT oracle that is off by one at every weight but 1 spoils the
-    # packed comparison; each weight is then judged on its own sweep
-    real = oracle.mt_refined_tables
+def _cross_with_one_oracle_off(monkeypatch, name, max_n):
+    # cross with the oracle `name` off by one at every weight but 1: the
+    # packed comparison is spoiled, and each weight is then judged on its
+    # own sweep, so only the x = 2 and 3 lines fail, at every order that
+    # the triangle pass reaches, and the block does not raise
+    real = getattr(oracle, name)
 
     def off_by_one(n, x):
         tables = real(n, x)
@@ -276,8 +278,8 @@ def test_cross_failure_names_its_weight(monkeypatch):
             t._replace(counts=tuple(v + 1 for v in t.counts)) for t in tables
         )
 
-    monkeypatch.setattr(oracle, "mt_refined_tables", off_by_one)
-    results = list(checks.cross(0, oracle.MT_LIMIT))
+    monkeypatch.setattr(oracle, name, off_by_one)
+    results = checks.run_block(checks.cross, 0, max_n)
     sizes = range(1, oracle.MT_LIMIT + 1)
     assert [r.name for r in results] == ["oracles_agree"] * 3 * len(sizes)
     assert [r.params for r in results if r.passed] == [
@@ -286,6 +288,16 @@ def test_cross_failure_names_its_weight(monkeypatch):
     assert [r.params for r in results if not r.passed] == [
         f"n={n} x={x}" for n in sizes for x in (2, 3)
     ]
+
+
+def test_cross_failure_names_its_weight(monkeypatch):
+    _cross_with_one_oracle_off(monkeypatch, "mt_refined_tables", oracle.MT_LIMIT)
+
+
+def test_cross_failure_names_its_weight_on_the_dp_side(monkeypatch):
+    # run above MT_LIMIT, where cross still reads only the orders the
+    # triangle pass reaches
+    _cross_with_one_oracle_off(monkeypatch, "dp_refined_tables", 10)
 
 
 def test_generating_polynomial_of_the_wrong_length_fails_its_family(monkeypatch):
@@ -591,15 +603,21 @@ def test_table_picks_one_route_per_weight(capsys, monkeypatch):
         assert len(capsys.readouterr().out.splitlines()) == 5
 
 
-def test_table_sweeps_once_for_every_size(capsys):
+def test_table_sweeps_once_for_every_size(capsys, monkeypatch):
     # unsorted and repeated sizes at a fractional weight: one sweep to the
     # largest size prints the rows of the per-order sweeps
-    oracle._sweep.cache_clear()
+    real = oracle.dp_refined_tables
+    calls = []
+
+    def counted(n, x):
+        calls.append((n, x))
+        return real(n, x)
+
+    monkeypatch.setattr(oracle, "dp_refined_tables", counted)
     assert cli.main(["table", "--n", "9,1..3,9", "--x", "5/7"]) == 0
     out = capsys.readouterr().out
-    info = oracle._sweep.cache_info()
-    assert (info.misses, info.hits) == (1, 0)
     x = Fraction(5, 7)
+    assert calls == [(9, x)]
     want = ["n,r,value"] + [
         f"{n},{r},{v}"
         for n in (9, 1, 2, 3, 9)

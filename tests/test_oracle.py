@@ -16,13 +16,12 @@ from itertools import combinations, product
 import pytest
 from hypothesis import example, given, strategies as st
 
-from asm3 import checks, counts
+from asm3 import checks, counts, oracle
 from asm3.errors import OutOfRange
 from asm3.oracle import (
     DP_LIMIT,
     MT_LIMIT,
     _interlacing_extensions,
-    _sweep,
     dp_refined_enum,
     dp_refined_tables,
     mt_refined_enum,
@@ -87,7 +86,8 @@ def test_dp_against_literal_definition():
 
 def test_dp_tables_against_literal_definition():
     # every order of one sweep is read through the padding lemma of
-    # _sweep, so each is pinned to the definition, as the triangle pass is
+    # dp_refined_tables, so each is pinned to the definition, as the
+    # triangle pass is
     for x in (1, 3, F(5, 7), 0, -2):
         tables = dp_refined_tables(5, x)
         assert [t.n for t in tables] == [1, 2, 3, 4, 5]
@@ -168,12 +168,10 @@ def test_oracles_agree_on_rational_weights(n, p, q):
 
 def test_dp_keeps_no_memory():
     # the sweep holds only the states of the current column, and once it
-    # returns only the counts of its orders 1..n, in _sweep's memo of
-    # DP_LIMIT entries; a transition cache would hold about 3**n entries.
-    # The packed weight carries a whole polynomial in each state's value.
-    # The memo is emptied first, so that the sweep runs while it is traced.
+    # returns only the counts of its orders 1..n; a transition cache would
+    # hold about 3**n entries.  The packed weight carries a whole
+    # polynomial in each state's value.
     for x in (F(5, 7), 1 << packing_bits(12)):
-        _sweep.cache_clear()
         tracemalloc.start()
         try:
             dp_refined_enum(12, x)
@@ -308,7 +306,7 @@ def test_unpack_digits():
 
 
 def test_float_weights_are_refused():
-    # equal rationals swept first: the kept counts must not answer for them
+    # equal rationals swept first do not let a float or a str through
     dp_refined_enum(3, F(1, 2))
     dp_refined_enum(3, 1)
     for bad in (0.5, 1.0, "1/2"):
@@ -318,16 +316,28 @@ def test_float_weights_are_refused():
             mt_refined_enum(3, bad)
 
 
-def test_verify_sweeps_each_packed_weight_once():
-    # against_closed_forms sweeps once at the top order's packed weight
-    # and cross asks for that sweep again: one miss, one hit
+def test_verify_sweeps_each_packed_weight_once(monkeypatch):
+    # against_closed_forms sweeps once at its top order's packed weight
+    # and cross once at the triangle pass's; a passing run sweeps no
+    # single weight apart
+    real = oracle.dp_refined_tables
+    calls = []
+
+    def counted(n, x):
+        calls.append((n, x))
+        return real(n, x)
+
+    monkeypatch.setattr(oracle, "dp_refined_tables", counted)
     limits = (("oracle", 0, 10), ("oracle", 0, DP_LIMIT), ("all", 8, 10))
     for suite, max_m, max_n in limits:
-        _sweep.cache_clear()
+        calls.clear()
         results = list(checks.run(suite, max_m, max_n))
         assert results and all(r.passed for r in results)
-        info = _sweep.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+        top, mt_top = min(max_n, DP_LIMIT), min(max_n, MT_LIMIT)
+        assert calls == [
+            (top, 1 << packing_bits(top)),
+            (mt_top, 1 << packing_bits(mt_top)),
+        ]
 
 
 def test_size_limits():

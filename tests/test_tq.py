@@ -99,7 +99,7 @@ def _solves_three_term_sum(y):
     # y(x) + y(w x) + y(x/w), written out coefficient by coefficient: the
     # x^k coefficient is y_k + y_k w^k + y_k w^-k
     return all(
-        not (_omega_pow(k) * v + _omega_pow(-k) * v + v) for k, v in y.items()
+        _omega_pow(k) * v + _omega_pow(-k) * v + v == 0 for k, v in y.items()
     )
 
 
@@ -109,9 +109,13 @@ def test_tq_check_matches_the_literal_three_term_sum(y):
 
 
 def test_shift_factors_by_residue():
-    # 1 + w^k + w^-k for k = 0, 1, 2 mod 3, from w^3 = 1
+    # 1 + w^k + w^-k is 3 when 3 divides k and 0 otherwise, from w^3 = 1;
+    # tq_check reads that rule, here held against powers in Q(s)
     assert OMEGA ** 3 == 1
-    assert tq._SHIFT_FACTORS == (3, 0, 0)
+    for k in range(-6, 7):
+        factor = _omega_pow(k) + _omega_pow(-k) + 1
+        assert factor == (0 if k % 3 else 3)
+        assert tq_check(LaurentPoly({k: 1})) == (factor == 0)
 
 
 def test_families_solve_shift_equation():
@@ -180,7 +184,7 @@ def _qs_mul(x, y):
     for k1, v1 in x.items():
         for k2, v2 in y.items():
             out[k1 + k2] = out.get(k1 + k2, ZERO) + v1 * v2
-    return {k: v for k, v in out.items() if v}
+    return {k: v for k, v in out.items() if v != 0}
 
 
 @lru_cache(maxsize=None)
@@ -206,7 +210,7 @@ def _gauss_sum(m, k):
             total[e] = total.get(e, ZERO) + v * t
     # s^-m = s^m / (-3)^m, since s^2 = -3
     scale = S ** m * F(1, (-3) ** m)
-    return {e: v * scale for e, v in total.items() if v}
+    return {e: v * scale for e, v in total.items() if v != 0}
 
 
 # k = m + 2 is read by v_poly_phi(m + 1), one shift past relations' loop
