@@ -105,24 +105,22 @@ def generating_polys(max_m: int, max_n: int) -> Iterator[CheckResult]:
     )
     for name, n_min, poly, total, table in families:
         for n in range(n_min, max_n + 1):
-            c = poly(n).coeffs
+            p = poly(n)
+            c = p.nums
             count = total(n)
             row = table(n).counts
             tag = f"n={n}"
-            # each share c_(r-1) = row[r-1]/count, cross-multiplied in integers
+            # each share c_(r-1)/den = row[r-1]/count, cross-multiplied
             yield CheckResult(
                 f"{name}_matches_refinement",
                 tag,
                 len(c) == n
-                and all(
-                    s.numerator * count == v * s.denominator
-                    for s, v in zip(c, row)
-                ),
+                and all(s * count == v * p.den for s, v in zip(c, row)),
             )
             yield CheckResult(
                 f"{name}_reciprocal", tag, len(c) == n and c == c[::-1]
             )
-            yield CheckResult(f"{name}_unit_at_one", tag, sum(c) == 1)
+            yield CheckResult(f"{name}_unit_at_one", tag, sum(c) == p.den)
 
 
 def recursions(max_m: int, max_n: int) -> Iterator[CheckResult]:

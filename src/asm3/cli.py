@@ -43,13 +43,10 @@ MAX_DIGITS = MAX_HEIGHT.bit_length() - 1
 MAX_N_VALUES = 1000
 
 # wall-time caps on `verify --suite all`, measured on a 2-CPU VM (Python
-# 3.11.7) with the other limit at its default: max-m 64 took 2.1 to 2.6 s
-# at 19.4 to 19.5 MB peak RSS, and max-n 170 took 5.9 to 7.5 s at 52.4 to
-# 52.6 MB (three runs each); both caps at once took 7.6 s at 56.4 MB in
-# one run.
-# The VM's speed swings up to fourfold from day to day: on a slow day
-# max-n 170 took 52 to 65 s against a one-minute aim, so neither cap was
-# raised
+# 3.11.7) with the other limit at its default: max-m 64 took 1.5 to 1.9 s
+# at 19.0 to 19.1 MB peak RSS, and max-n 170 took 3.4 to 3.7 s at 51.6 to
+# 51.7 MB (three runs each); both caps at once took 5.7 s at 55.5 MB in
+# one run
 MAX_VERIFY_M = 64
 MAX_VERIFY_N = 170
 

@@ -1,29 +1,31 @@
-"""Polynomials in one variable t as coefficient tuples, constant term first.
+"""Polynomials in one variable t, constant term first.
 
 `horner` is the one Horner loop over such a tuple.  It returns the
 homogeneous value sum_k c_k a^k b^(K-k), K the degree: the value at a
 for b = 1, and b^K times the value at a/b otherwise, so no caller
 divides.  verify reads the oracle's polynomials at integer weights
 through it, hyper.hyp sums its series at u/v, and tq.transform_checks
-evaluates its coefficient tuples at pairs of points of Q(s).  When a or b is in
-Q(s) it runs on the points' integer triples over the coefficients'
-common denominator and reduces once, at the end.  A DensePoly
-is the tuple of its Fraction coefficients with trailing zeros trimmed,
-and its one operation is the product that glues h3_poly together, an
-integer convolution of the numerators over each operand's common
-denominator; like a LaurentPoly it is immutable by convention and
+evaluates integer numerator tuples at pairs of points of Q(s).  When a
+or b is in Q(s) the coefficients must be ints, a Fraction raising
+TypeError: it runs on the points' integer triples and reduces once, at
+the end.  A DensePoly is stored as a LaurentPoly is, integer numerators
+over one denominator: `nums`, constant term first with trailing zeros
+trimmed, over `den`, an int > 0 with gcd(den, *nums) = 1, so equal
+polynomials have equal fields, and zero is ((), 1).  `coeffs` reads its
+Fraction coefficients.  Its one operation is the product that glues
+h3_poly together, a convolution of the numerators over the product of
+the denominators; like a LaurentPoly it is immutable by convention and
 unhashable.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, Union
+from math import gcd
+from operator import index
+from typing import Iterable
 
-from .qfield import QsElem, _lift, _rational, _reduced
-
-Scalar = Union[int, Fraction]
+from .qfield import QsElem, _lift, _reduced
 
 
 def horner(coeffs, a, b=1):
@@ -35,57 +37,54 @@ def horner(coeffs, a, b=1):
             acc = acc * a + c * b_pow
             b_pow *= b
         return acc
-    # with a = (a1 + a2*s)/ad, b = (b1 + b2*s)/bd and c_k = n_k/d, the
-    # value is sum_k n_k A^k B^(K-k) / (d (ad bd)^K) over the integer
-    # pairs A = (a1 + a2*s) bd and B = (b1 + b2*s) ad, by Horner in A
-    d, nums = _over_common(coeffs)
+    # with a = (a1 + a2*s)/ad and b = (b1 + b2*s)/bd, the value is
+    # sum_k c_k A^k B^(K-k) / (ad bd)^K over the integer pairs
+    # A = (a1 + a2*s) bd and B = (b1 + b2*s) ad, by Horner in A; a
+    # non-integer coefficient makes the gcd of _reduced raise TypeError
     a, b = _lift(a), _lift(b)
     a1, a2 = a.a * b.d, a.b * b.d
     b1, b2 = b.a * a.d, b.b * a.d
-    x, y = nums[-1], 0
+    x, y = coeffs[-1], 0
     p, r = 1, 0  # B^(K-k)
-    for n in reversed(nums[:-1]):
+    for n in reversed(coeffs[:-1]):
         p, r = p * b1 - 3 * r * b2, p * b2 + r * b1
         x, y = x * a1 - 3 * y * a2 + n * p, x * a2 + y * a1 + n * r
-    return _reduced(x, y, d * (a.d * b.d) ** (len(nums) - 1))
-
-
-def _over_common(coeffs) -> tuple:
-    # (d, numerators) with every Fraction coefficient equal to numerator/d
-    d = lcm(*(c.denominator for c in coeffs))
-    return d, [c.numerator * (d // c.denominator) for c in coeffs]
+    return _reduced(x, y, (a.d * b.d) ** (len(coeffs) - 1))
 
 
 class DensePoly:
-    """Coefficient vector (constant term first), trailing zeros trimmed."""
+    """sum_k nums[k]/den * t^k, in canonical form."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
-        # a Fraction is kept, not built a second time
-        c = [v if isinstance(v, Fraction) else Fraction(_rational(v)) for v in coeffs]
-        while c and not c[-1]:
-            c.pop()
-        self.coeffs = tuple(c)
+    def __init__(self, nums: Iterable[int] = (), den: int = 1):
+        nums = [index(v) for v in nums]
+        den = index(den)
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        while nums and not nums[-1]:
+            nums.pop()
+        if den < 0:
+            den, nums = -den, [-v for v in nums]
+        g = gcd(den, *nums)
+        self.nums = tuple(v // g for v in nums)
+        self.den = den // g
+
+    @property
+    def coeffs(self) -> tuple:
+        """The Fraction coefficients, constant term first."""
+        return tuple(Fraction(v, self.den) for v in self.nums)
 
     def __mul__(self, other):
         if not isinstance(other, DensePoly):
             return NotImplemented
-        if not (self.coeffs and other.coeffs):
-            return DensePoly()
-        # the numerators over each operand's common denominator convolve
-        # in integers; each output coefficient is one Fraction
-        da, left = _over_common(self.coeffs)
-        db, right = _over_common(other.coeffs)
+        left, right = self.nums, other.nums
+        # a zero operand leaves out empty or all zeros, which trim to zero
         out = [0] * (len(left) + len(right) - 1)
         for i, a in enumerate(left):
             for j, b in enumerate(right):
                 out[i + j] += a * b
-        d = da * db
-        # leading coefficients are nonzero, so the product keeps its top
-        prod = object.__new__(DensePoly)
-        prod.coeffs = tuple(Fraction(v, d) for v in out)
-        return prod
+        return DensePoly(out, self.den * other.den)
 
     def __repr__(self):
-        return f"DensePoly({list(self.coeffs)!r})"
+        return f"DensePoly({self.nums!r}, {self.den!r})"

@@ -14,8 +14,8 @@ Q(s), so there is no inverse and no `/`, and a negative power raises
 TypeError.  A LaurentPoly is over Q and refuses a QsElem coefficient or
 point: the shift equation meets the cube roots only through the factors
 1 + w^k + w^-k, which are 3 or 0 by k mod 3, so tq_check reads them as
-integers, and transform_checks evaluates its coefficient tuples at pairs
-of points of Q(s) through the homogeneous rule densepoly.horner.
+integers, and transform_checks evaluates integer numerator tuples at
+pairs of points of Q(s) through the homogeneous rule densepoly.horner.
 """
 
 from __future__ import annotations
@@ -154,10 +154,7 @@ class QsElem:
         return f"QsElem({Fraction(self.a, self.d)!r}, {Fraction(self.b, self.d)!r})"
 
 
-ZERO = QsElem(0, 0)
 ONE = QsElem(1, 0)
 S = QsElem(0, 1)
 Q = QsElem(Fraction(1, 2), Fraction(1, 2))     # primitive sixth root of unity
 QBAR = Q.conjugate()                           # its inverse
-OMEGA = Q * Q                                  # primitive cube root of unity
-OMEGA_BAR = OMEGA.conjugate()

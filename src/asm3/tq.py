@@ -26,9 +26,10 @@ zero without building it.  No route builder calls it, and each route
 comparison stays an == of two built polynomials.
 
 All arithmetic is exact.  Every polynomial here is a LaurentPoly or a
-DensePoly over Q; Q(s) enters only through the pairs of points of Q(s)
-at which transform_checks evaluates its coefficient tuples by the
-homogeneous densepoly.horner, so nothing divides in Q(s).  The factors
+DensePoly, integer numerators over one denominator; Q(s) enters only
+through the pairs of points of Q(s) at which transform_checks evaluates
+the numerators of e_poly and h1_poly by the homogeneous
+densepoly.horner, so nothing divides in Q(s).  The factors
 1 + w^k + w^-k of the shift equation are 3 or 0 by k mod 3, so
 tq_check reads them as integers.  The series builders (phi, e_poly,
 h1_poly and the series forms of f_poly and g_poly) take
@@ -290,7 +291,7 @@ def e_poly(m: int) -> DensePoly:
 
     top = factorial(2 * m) * factorial(2 * m + 2)
     den *= 3 ** m * factorial(m + 1) * factorial(3 * m + 2)
-    return DensePoly(Fraction(top * c, den) for c in acc)
+    return DensePoly([top * c for c in acc], den)
 
 
 def h1_poly(n: int) -> DensePoly:
@@ -304,7 +305,7 @@ def h1_poly(n: int) -> DensePoly:
     nums, den = series_coeffs((1 - n, n), (2 - 2 * n,), n - 1)
     top = factorial(2 * n - 1) * factorial(2 * n - 2)
     den *= factorial(3 * n - 2) * factorial(n - 1)
-    return DensePoly(Fraction(top * v, den) for v in nums)
+    return DensePoly([top * v for v in nums], den)
 
 
 def h3_poly(n: int) -> DensePoly:
@@ -318,10 +319,10 @@ def h3_poly(n: int) -> DensePoly:
         raise OutOfRange("n must be >= 2")
     if n % 2 == 0:
         m = (n - 2) // 2
-        glue = DensePoly((Fraction(1, 2), Fraction(1, 2)))
+        glue = DensePoly((1, 1), 2)
     else:
         m = (n - 3) // 2
-        glue = DensePoly((Fraction(2, 9), Fraction(5, 9), Fraction(2, 9)))
+        glue = DensePoly((2, 5, 2), 9)
     return glue * e_poly(m)
 
 
@@ -470,21 +471,23 @@ def transform_checks(m: int) -> list:
         at x = 1, where both kernels are s, so the claim is G(x) q_poly(1)
         = G(1) q_poly(x) at each sample: the constant is fixed away from
         the samples and each of their lines can fail.
+    Both read the integer numerators of e_poly and h1_poly: (a) multiplies
+    its right side by e_poly's denominator, and in (b) h1_poly's cancels.
     """
     out = []
-    e = e_poly(m).coeffs
+    e = e_poly(m)
     v = v_poly(m)
     # at a rational x != 0, as every sample is, neither q*x - 1 nor x - q
     # vanishes, since q is not real, nor does x - 1 + 1/x = (x^2 - x + 1)/x
     for x0 in TRANSFORM_SAMPLES:
-        lhs = horner(e, Q - x0, Q * x0 - 1)
-        rhs = (-Q * x0) ** m * v.eval_at(x0)
+        lhs = horner(e.nums, Q - x0, Q * x0 - 1)
+        rhs = (-Q * x0) ** m * v.eval_at(x0) * e.den
         out.append(
             CheckResult("weight_map_even_family", f"m={m} x={x0}", lhs == rhs)
         )
 
     n = m + 1
-    hp = h1_poly(n).coeffs
+    hp = h1_poly(n).nums
     qp = q_poly(m)
     q_one = qp.eval_at(1)
     if not q_one:

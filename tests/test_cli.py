@@ -307,8 +307,8 @@ def test_generating_polynomial_of_the_wrong_length_fails_its_family(monkeypatch)
     real = tq.h1_poly
 
     def too_long(n):
-        c = real(n).coeffs
-        return DensePoly(c[:1] + c + c[-1:])
+        p = real(n)
+        return DensePoly(p.nums[:1] + p.nums + p.nums[-1:], p.den)
 
     monkeypatch.setattr(tq, "h1_poly", too_long)
     results = checks.run_block(checks.generating_polys, 0, 6)
@@ -328,7 +328,12 @@ def test_generating_polynomial_one_short_fails_its_family(monkeypatch):
     # length: an h3 row one coefficient short fails its lines without
     # raising, and the h1 lines still pass
     real = tq.h3_poly
-    monkeypatch.setattr(tq, "h3_poly", lambda n: DensePoly(real(n).coeffs[:-1]))
+
+    def short(n):
+        p = real(n)
+        return DensePoly(p.nums[:-1], p.den)
+
+    monkeypatch.setattr(tq, "h3_poly", short)
     results = checks.run_block(checks.generating_polys, 0, 6)
     assert not [r for r in results if r.params.startswith("raised")]
     failed = [(r.name, r.params) for r in results if not r.passed]

@@ -6,8 +6,14 @@ from hypothesis import given, strategies as st
 
 from asm3 import qfield
 from asm3.laurent import LaurentPoly
-from asm3.qfield import OMEGA, OMEGA_BAR, ONE, Q, QBAR, S, ZERO, QsElem
+from asm3.qfield import ONE, Q, QBAR, S, QsElem
 from asm3.tq import f_poly, tq_check
+
+# the zero of Q(s) and the primitive cube root of unity w = q^2 = (-1 + s)/2
+# with its conjugate w^-1; no package code reads them, so they are built here
+ZERO = QsElem(0, 0)
+OMEGA = QsElem(Fraction(-1, 2), Fraction(1, 2))
+OMEGA_BAR = QsElem(Fraction(-1, 2), Fraction(-1, 2))
 
 rationals = st.fractions(
     min_value=-8, max_value=8, max_denominator=12

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -12,7 +13,7 @@ from asm3 import checks, cli, counts, laurent, tq
 from asm3.densepoly import DensePoly
 from asm3.errors import DegenerateParameters, NonExactDivision, OutOfRange
 from asm3.laurent import LaurentPoly
-from asm3.qfield import OMEGA, OMEGA_BAR, Q, QBAR, S, ZERO, QsElem
+from asm3.qfield import Q, QBAR, S, QsElem
 from asm3.tq import (
     c_norm,
     e_poly,
@@ -36,6 +37,12 @@ from asm3.tq import (
 )
 
 F = Fraction
+
+# the zero of Q(s) and the primitive cube root of unity w = q^2 with its
+# conjugate w^-1; no package code reads them, so they are built here
+ZERO = QsElem(0, 0)
+OMEGA = Q * Q
+OMEGA_BAR = OMEGA.conjugate()
 
 
 def _support(p):
@@ -404,6 +411,22 @@ def test_e_poly_makes_no_polynomial_products(monkeypatch):
     assert e_poly(6).coeffs == expected
 
 
+# sha256 of the Fraction coefficient tuples of e_poly(m), h1_poly(n) and
+# h3_poly(n) for m, n <= 12, one "name index repr" line each, as written
+# when the builders still made one Fraction per coefficient
+T_POLY_DIGEST = "404ba3f0425ebaa2deb04d4808ba1a0e7dff2f5ddad4949800a6f11bc30253c6"
+
+
+def test_t_polynomials_are_integers_over_one_denominator():
+    rows = [("e", m, e_poly(m)) for m in range(13)]
+    rows += [("h1", n, tq.h1_poly(n)) for n in range(1, 13)]
+    rows += [("h3", n, tq.h3_poly(n)) for n in range(2, 13)]
+    for _, _, p in rows:
+        assert type(p.den) is int and all(type(v) is int for v in p.nums)
+    text = "\n".join(f"{name} {k} {p.coeffs!r}" for name, k, p in rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == T_POLY_DIGEST
+
+
 def test_independent_routes_never_call_horner(monkeypatch):
     # transform_checks evaluates the coefficient tuples by horner and
     # compares them with LaurentPoly.eval_at, and b_coeff_4f3 reaches it
@@ -637,8 +660,7 @@ def test_route_builders_never_read_a_residue(monkeypatch, fresh_tq_caches):
 def _plus_one(poly):
     # the add-one mutant: one more in the constant term
     if isinstance(poly, DensePoly):
-        c = poly.coeffs
-        return DensePoly((c[0] + 1, *c[1:]))
+        return DensePoly((poly.nums[0] + poly.den, *poly.nums[1:]), poly.den)
     return poly + 1
 
 
