@@ -70,8 +70,9 @@ def refinement(max_m: int, max_n: int) -> Iterator[CheckResult]:
             tag,
             t3.counts[0] == counts.total_asm3(n - 1),
         )
-        shares = counts.asm2_shares(n)
-        yield CheckResult("ratio2_sums_to_one", tag, sum(shares) == 1)
+        # the total 2^(n(n-1)/2) of Mills, Robbins and Rumsey
+        total2 = counts.asm2_table(n).total
+        yield CheckResult("ratio2_sums_to_one", tag, total2 == 2 ** (n * (n - 1) // 2))
 
 
 def b_family(max_m: int, max_n: int) -> Iterator[CheckResult]:
@@ -219,37 +220,21 @@ def degeneracy_guards(max_m: int, max_n: int) -> Iterator[CheckResult]:
 def against_closed_forms(max_m: int, max_n: int) -> Iterator[CheckResult]:
     # one sweep at the top order's x = 2^B holds every order's
     # polynomial, each coefficient below 2^B(n) <= 2^B; the weights 1, 3
-    # and 2 are read from the unpacked polynomials
+    # and 2 are read from the unpacked polynomials, and a row of the wrong
+    # length fails its ==.  Built per call, so a monkeypatched counts
+    # function is the one called
+    closed_forms = (
+        ("dp_matches_refined", 1, counts.asm_table),
+        ("dp_matches_refined3", 3, counts.asm3_table),
+        ("dp_matches_ratio2", 2, counts.asm2_table),
+    )
     top = min(max_n, oracle.DP_LIMIT)
     bits = oracle.packing_bits(top)
     for n, table in enumerate(oracle.dp_refined_tables(top, 1 << bits), 1):
         polys = [oracle.unpack(v, bits) for v in table.counts]
-        t1, t3, t2 = (
-            tuple(densepoly.horner(p, x) for p in polys) for x in (1, 3, 2)
-        )
-        yield CheckResult(
-            "dp_matches_refined",
-            f"n={n} x=1",
-            t1 == counts.asm_table(n).counts,
-        )
-        yield CheckResult(
-            "dp_matches_refined3",
-            f"n={n} x=3",
-            t3 == counts.asm3_table(n).counts,
-        )
-        # each share t2[r-1] / total2 against the closed-form ratio s,
-        # cross-multiplied in integers; a row of the wrong length or a zero
-        # total fails this line
-        total2 = sum(t2)
-        share_ok = (
-            len(t2) == n
-            and total2 != 0
-            and all(
-                t * s.denominator == s.numerator * total2
-                for t, s in zip(t2, counts.asm2_shares(n))
-            )
-        )
-        yield CheckResult("dp_matches_ratio2", f"n={n} x=2", share_ok)
+        for name, x, closed in closed_forms:
+            row = tuple(densepoly.horner(p, x) for p in polys)
+            yield CheckResult(name, f"n={n} x={x}", row == closed(n).counts)
 
 
 def cross(max_m: int, max_n: int) -> Iterator[CheckResult]:

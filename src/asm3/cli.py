@@ -43,10 +43,10 @@ MAX_DIGITS = MAX_HEIGHT.bit_length() - 1
 MAX_N_VALUES = 1000
 
 # wall-time caps on `verify --suite all`, measured on a 2-CPU VM (Python
-# 3.11.7) with the other limit at its default: max-m 64 took 1.5 to 1.9 s
-# at 19.0 to 19.1 MB peak RSS, and max-n 170 took 3.4 to 3.7 s at 51.6 to
-# 51.7 MB (three runs each); both caps at once took 5.7 s at 55.5 MB in
-# one run
+# 3.11.7), three runs each: max-m 64 (max-n at its default) took 1.9 to
+# 2.3 s at 19.1 to 19.2 MB peak RSS, max-n 170 (max-m at its default)
+# took 3.2 to 3.6 s at 51.4 to 51.5 MB, and both caps at once took 4.8 to
+# 5.3 s at 55.1 to 55.5 MB
 MAX_VERIFY_M = 64
 MAX_VERIFY_N = 170
 

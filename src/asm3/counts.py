@@ -2,19 +2,21 @@
 
 Implements the product formula for the total count, the binomial
 refinement by the position of the first row's 1, the closed forms for
-the 3-enumeration (each -1 weighted by 3), the normalized coefficient
-family b(m, .) behind the refined 3-enumeration, and an exact scan of
-the central mass of the refined distribution.  Everything is integer or
-Fraction arithmetic.  This route module imports only the shared
-modules, never oracle or tq, which verify compares it with.
+the 3- and 2-enumerations, the normalized coefficient family b(m, .)
+behind the refined 3-enumeration, and an exact scan of the central
+mass of the refined distribution.  Every total and closed-form row is
+integer arithmetic; Fraction appears only in b_table, the 4F3 route and
+the scan's masses.  This route module imports only the shared modules,
+never oracle or tq, which verify compares it with.
 
 Each closed-form refinement is one row per order n.  The scan keeps
 its per-alpha weight sum, one big-int product per alpha where a mixed
 column takes two or three: a scan over mixed columns was no faster
 (0.89-0.96 s against 0.88 s at n = 8000..8010 on one Xeon core).
 
-b(m, .) has two routes here.  b_coeff evaluates the paper's single sum
-at one alpha, O(m) big binomials per value.  _t_row yields the integer
+b(m, .) = T(m, .) times the m-only factor of _b_scale has two routes
+here.  b_coeff evaluates the paper's integer single sum T(m, alpha) at
+one alpha, O(m) big binomials per value.  _t_row yields the integer
 row T(m, 0..2m) from an exact order-4 recurrence in alpha, one integer
 step per value, seeded by b_coeff at alpha = 0..3, and holds only the
 four values a step reads.  b_table keeps the whole row as a tuple; the
@@ -27,7 +29,8 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from itertools import accumulate
+from math import comb, factorial, gcd
 from typing import Iterable, Iterator, List, Tuple, Union
 
 from .errors import NonExactDivision, OutOfRange
@@ -36,12 +39,34 @@ from .qfield import _rational
 from .report import EnumTable
 
 
-def _int_exact(num, den: int = 1) -> int:
-    # num / den as an int, for an int or Fraction num; a remainder raises
+def _int_exact(num: int, den: int) -> int:
+    # num / den for ints, as an int; a remainder raises
     q, rem = divmod(num, den)
     if rem:
-        raise NonExactDivision(f"expected an integer, got {Fraction(num, den)}")
+        raise NonExactDivision(f"expected an integer, got {num}/{den}")
     return q
+
+
+def _factorial_quotient(pairs: Iterable[Tuple[int, int]], scale: int = 1) -> int:
+    """scale * prod a!/b! over the pairs (a, b), as an int.
+
+    Each a!/b! is the run of integers b+1..a on top or a+1..b below: +1
+    on the exponents from b + 1 on and -1 from a + 1 on.  One running sum
+    of these marks cancels the runs of all pairs integer by integer, so
+    each integer enters once, to its net power, before one exact division.
+    """
+    pairs = list(pairs)
+    marks = [0] * (max(map(max, pairs), default=0) + 2)
+    for a, b in pairs:
+        marks[b + 1] += 1
+        marks[a + 1] -= 1
+    top, bottom = scale, 1
+    for j, e in enumerate(accumulate(marks)):
+        if e > 0:
+            top *= j ** e
+        elif e < 0:
+            bottom *= j ** -e
+    return _int_exact(top, bottom)
 
 
 @lru_cache(maxsize=None)
@@ -49,12 +74,7 @@ def total_asm(n: int) -> int:
     """Product formula prod_k (3k-2)!/(2n-k)! for the unweighted count."""
     if n < 1:
         raise OutOfRange("n must be >= 1")
-    # reduced step by step: one exact division of the two full products
-    # took three times as long over n = 1..170
-    val = Fraction(1)
-    for k in range(1, n + 1):
-        val *= Fraction(factorial(3 * k - 2), factorial(2 * n - k))
-    return _int_exact(val)
+    return _factorial_quotient((3 * k - 2, 2 * n - k) for k in range(1, n + 1))
 
 
 def asm_table(n: int) -> EnumTable:
@@ -78,31 +98,31 @@ def total_asm3(n: int) -> int:
     if n < 1:
         raise OutOfRange("n must be >= 1")
     if n % 2:
+        # 3^(m(m+1)) prod_k ((3k-1)!/(m+k)!)^2, k = 1..m
         m = (n - 1) // 2
-        val = Fraction(3 ** (m * (m + 1)))
-        for k in range(1, m + 1):
-            val *= Fraction(factorial(3 * k - 1), factorial(m + k)) ** 2
-        return _int_exact(val)
+        pairs = [(3 * k - 1, m + k) for k in range(1, m + 1)]
+        return _factorial_quotient(pairs * 2, 3 ** (m * (m + 1)))
+    # 3^m (3m+2)! m! / (2m+1)!^2 times the odd order below
     m = (n - 2) // 2
-    return _int_exact(
-        3 ** m * factorial(3 * m + 2) * factorial(m) * total_asm3(n - 1),
-        factorial(2 * m + 1) ** 2,
+    return _factorial_quotient(
+        [(3 * m + 2, 2 * m + 1), (m, 2 * m + 1)], 3 ** m * total_asm3(n - 1)
     )
 
 
-# a table row reads b(m, .) at 2m + 1 alphas, shared by the rows n = 2m + 2
+# a table row reads T(m, .) at 2m + 1 alphas, shared by the rows n = 2m + 2
 # and 2m + 3: 256 entries keep every hit of the largest x = 3 table (m <= 77)
 @lru_cache(maxsize=256)
-def b_coeff(m: int, alpha: int) -> Fraction:
-    """Single-sum form of the refined-3-enumeration coefficient.
+def b_coeff(m: int, alpha: int) -> int:
+    """The integer single sum T(m, alpha) of the paper's b(m, alpha).
 
-    Zero outside 0..2m.  The reflection symmetry b(m, alpha) =
-    b(m, 2m - alpha) is not imposed here; it emerges and is checked.
+    b(m, alpha) = T(m, alpha) * num / den with (num, den) = _b_scale(m).
+    Zero outside 0..2m.  The reflection symmetry T(m, alpha) =
+    T(m, 2m - alpha) is not imposed here; it emerges and is checked.
     """
     if m < 0:
         raise OutOfRange("m must be >= 0")
     if alpha < 0 or alpha > 2 * m:
-        return Fraction(0)
+        return 0
     total = 0
     for ell in range(max(0, alpha - m), alpha // 2 + 1):
         total += (
@@ -112,8 +132,7 @@ def b_coeff(m: int, alpha: int) -> Fraction:
             * comb(m + ell + 1, m + 1)
             * 2 ** (alpha - 2 * ell)
         )
-    num, den = _b_scale(m)
-    return Fraction(total * num, den)
+    return total
 
 
 def b_coeff_4f3(m: int, alpha: int) -> Fraction:
@@ -154,7 +173,7 @@ def b_coeff_4f3(m: int, alpha: int) -> Fraction:
 def _b_scale(m: int) -> Tuple[int, int]:
     """Numerator and denominator of the factor that takes T(m, .) to b(m, .).
 
-    T(m, alpha) is the integer sum inside b_coeff; the factor
+    T(m, alpha) is the integer sum b_coeff returns; the factor
     (2m+1)! m! / (3^m (3m+2)!) depends on m alone.
     """
     return factorial(2 * m + 1) * factorial(m), 3 ** m * factorial(3 * m + 2)
@@ -179,9 +198,7 @@ def _t_row(m: int) -> Iterator[int]:
     read.  Only the four values a step reads are held, so a reader that
     keeps no values needs memory for a few of them, not the whole row.
     """
-    num, den = _b_scale(m)
-    seeds = (b_coeff(m, a) for a in range(min(4, 2 * m + 1)))
-    last = [_int_exact(b.numerator * den, b.denominator * num) for b in seeds]
+    last = [b_coeff(m, a) for a in range(min(4, 2 * m + 1))]
     yield from last
     for a in range(2 * m - 3):
         t0, t1, t2, t3 = last
@@ -221,32 +238,33 @@ def _mix(n: int) -> Tuple[int, Tuple[int, ...], int]:
 def asm3_table(n: int) -> EnumTable:
     """Refined 3-enumeration of order n, one count per column r = 1..n.
 
-    Column r mixes b(m, r-1-i) with _mix(n)'s weights[i] / den, the row
-    b(m, 0..2m) read from b_coeff once per alpha over one lcm.  Each
-    count's integrality is an enforced invariant, not an assumption.
+    Column r mixes T(m, r-1-i) with _mix(n)'s weights[i], the row
+    T(m, 0..2m) read from b_coeff once per alpha, and takes the m-only
+    factor of _b_scale, total_asm3(n) and 1/den in one exact division.
+    Each count's integrality is an enforced invariant, not an assumption.
     """
     if n < 1:
         raise OutOfRange("n must be >= 1")
     if n == 1:
         return EnumTable(1, (total_asm3(1),))
-    m, weights, den = _mix(n)
-    row = [b_coeff(m, alpha) for alpha in range(2 * m + 1)]
-    common = lcm(*(b.denominator for b in row))
+    m, weights, weight_den = _mix(n)
     mixed = [0] * n
-    for alpha, b in enumerate(row):
-        t = b.numerator * (common // b.denominator)
+    for alpha in range(2 * m + 1):
+        t = b_coeff(m, alpha)
         for off, w in enumerate(weights):
             mixed[alpha + off] += w * t
-    total = total_asm3(n)
-    return EnumTable(n, tuple(_int_exact(c * total, common * den) for c in mixed))
+    num, den = _b_scale(m)
+    g = gcd(num, den)
+    factor, divisor = total_asm3(n) * (num // g), den // g * weight_den
+    return EnumTable(n, tuple(_int_exact(c * factor, divisor) for c in mixed))
 
 
-def asm2_shares(n: int) -> Tuple[Fraction, ...]:
-    """Shares of the 2-enumeration by column: C(n-1, r-1)/2^(n-1), r = 1..n."""
+def asm2_table(n: int) -> EnumTable:
+    """2-enumeration of order n by column r = 1..n: 2^((n-1)(n-2)/2) C(n-1, r-1)."""
     if n < 1:
         raise OutOfRange("n must be >= 1")
-    den = 2 ** (n - 1)
-    return tuple(Fraction(comb(n - 1, k), den) for k in range(n))
+    power = 2 ** ((n - 1) * (n - 2) // 2)
+    return EnumTable(n, tuple(power * comb(n - 1, k) for k in range(n)))
 
 
 def concentration_scan(

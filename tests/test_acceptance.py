@@ -50,9 +50,8 @@ def test_c02_classical_closed_forms():
         ok = ok and t.total == counts.total_asm(n)
     for n in range(1, 11):
         t = oracle.dp_refined_enum(n, 2)
-        tot = t.total
-        ok = ok and tuple(F(v, tot) for v in t.counts) == counts.asm2_shares(n)
-    _report(2, "closed forms vs oracle at x=1 (n<=8) and x=2 ratios (n<=10)", ok)
+        ok = ok and t.counts == counts.asm2_table(n).counts
+    _report(2, "closed forms vs oracle at x=1 (n<=8) and x=2 (n<=10)", ok)
 
 
 def test_c03_triple_route_b_coefficients():

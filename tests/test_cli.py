@@ -344,9 +344,9 @@ def test_generating_polynomial_one_short_fails_its_family(monkeypatch):
 
 @pytest.mark.parametrize("change", ["short", "long"])
 def test_dp_row_of_the_wrong_length_fails_its_share_line(monkeypatch, change):
-    # the x = 2 shares are compared cross-multiplied after the row's
-    # length: a row one count short or one count long fails
-    # dp_matches_ratio2 at every order, and the block does not raise
+    # each row is compared whole with its closed form: a row one count
+    # short or one count long fails dp_matches_ratio2 at every order, and
+    # the block does not raise
     real = oracle.dp_refined_tables
 
     def altered(n, x):

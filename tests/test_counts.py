@@ -1,12 +1,12 @@
 import tracemalloc
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
 from asm3 import checks, cli, counts
 from asm3.counts import (
-    asm2_shares,
+    asm2_table,
     asm3_table,
     asm_table,
     b_coeff,
@@ -39,13 +39,37 @@ def reference_asm(n, r):
 
 
 def reference_asm3(n, r):
-    # b(m, r-1), b(m, r-2) (and b(m, r-3) at odd n) over 2 or (2, 5, 2)/9
+    # b(m, r-1), b(m, r-2) (and b(m, r-3) at odd n) over 2 or (2, 5, 2)/9,
+    # each b the sum T = b_coeff times the m-only factor of _b_scale
     if n % 2 == 0:
         m, weights, den = (n - 2) // 2, (1, 1), 2
     else:
         m, weights, den = (n - 3) // 2, (2, 5, 2), 9
     mixed = sum(w * b_coeff(m, r - 1 - i) for i, w in enumerate(weights))
-    return mixed * total_asm3(n) / den
+    return mixed * F(*counts._b_scale(m)) * total_asm3(n) / den
+
+
+def reference_total_asm(n):
+    # the product formula as one Fraction reduced step by step
+    val = F(1)
+    for k in range(1, n + 1):
+        val *= F(factorial(3 * k - 2), factorial(2 * n - k))
+    return val
+
+
+def reference_total_asm3(n):
+    # the odd orders in closed form, each even order from the odd one below
+    if n % 2:
+        m = (n - 1) // 2
+        val = F(3 ** (m * (m + 1)))
+        for k in range(1, m + 1):
+            val *= F(factorial(3 * k - 1), factorial(m + k)) ** 2
+        return val
+    m = (n - 2) // 2
+    return F(
+        3 ** m * factorial(3 * m + 2) * factorial(m) * reference_total_asm3(n - 1),
+        factorial(2 * m + 1) ** 2,
+    )
 
 
 def test_total_asm_known_values():
@@ -56,6 +80,36 @@ def test_total_asm_known_values():
 def test_total_asm3_known_values():
     for n, v in KNOWN_TOTALS3.items():
         assert total_asm3(n) == v
+
+
+def test_totals_match_the_fraction_products():
+    for n in range(1, 171):
+        assert total_asm(n) == reference_total_asm(n), n
+    for n in range(1, 157):
+        assert total_asm3(n) == reference_total_asm3(n), n
+
+
+def test_factorial_quotient_is_exact():
+    assert counts._factorial_quotient([(5, 3)]) == 20
+    assert counts._factorial_quotient([(3, 5)], 40) == 2
+    with pytest.raises(NonExactDivision):
+        counts._factorial_quotient([(1, 2)])
+
+
+def test_total_asm_reads_no_smaller_order(monkeypatch):
+    # elementary_step_total compares total_asm(n - 1) with total_asm(n),
+    # so neither may be built from the other
+    direct = counts.total_asm
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return direct(n)
+
+    direct.cache_clear()
+    monkeypatch.setattr(counts, "total_asm", counted)
+    counts.total_asm(40)
+    assert calls == [40]
 
 
 def test_refined_asm_table_n4():
@@ -135,8 +189,9 @@ def test_asm3_table_stays_off_the_recurrence(monkeypatch):
 
 def test_int_exact_remainder_is_a_non_exact_division():
     with pytest.raises(NonExactDivision):
-        counts._int_exact(F(1, 2))
-    assert counts._int_exact(F(6, 3)) == 2
+        counts._int_exact(1, 2)
+    assert counts._int_exact(6, 3) == 2
+    assert counts._int_exact(-6, 3) == -2
 
 
 def test_b_coeff_small_tables():
@@ -149,6 +204,14 @@ def test_b_coeff_small_tables():
         F(5, 21),
         F(5, 126),
     )
+
+
+def test_b_coeff_returns_the_integer_sums():
+    for m in range(6):
+        row = [b_coeff(m, a) for a in range(-1, 2 * m + 2)]
+        assert all(type(t) is int for t in row), m
+        scale = F(*counts._b_scale(m))
+        assert tuple(t * scale for t in row[1:-1]) == b_table(m), m
 
 
 def test_b_coeff_outside_range_is_zero():
@@ -178,14 +241,14 @@ def test_b_routes_agree():
 
 def test_b_table_recurrence_matches_direct_sums():
     for m in range(61):
-        bt = b_table(m)
-        assert all(b_coeff(m, a) == bt[a] for a in range(2 * m + 1)), m
+        bt, scale = b_table(m), F(*counts._b_scale(m))
+        assert all(b_coeff(m, a) * scale == bt[a] for a in range(2 * m + 1)), m
 
 
 def test_b_table_recurrence_spot_values_at_m_640():
-    bt = b_table(640)
+    bt, scale = b_table(640), F(*counts._b_scale(640))
     for a in (0, 1, 3, 4, 5, 319, 640, 977, 1276, 1279, 1280):
-        assert b_coeff(640, a) == bt[a], a
+        assert b_coeff(640, a) * scale == bt[a], a
 
 
 def test_b_table_recurrence_corrupted_seed_fails_loudly(monkeypatch):
@@ -226,11 +289,13 @@ def test_scan_holds_no_recurrence_row():
 
 
 def test_refined_asm2_ratio():
-    assert asm2_shares(4) == (F(1, 8), F(3, 8), F(3, 8), F(1, 8))
-    assert asm2_shares(1) == (F(1),)
+    assert asm2_table(4).counts == (8, 24, 24, 8)
+    assert asm2_table(1).counts == (1,)
     for n in range(1, 9):
-        assert len(asm2_shares(n)) == n
-        assert sum(asm2_shares(n)) == 1
+        t = asm2_table(n)
+        assert len(t.counts) == n
+        assert t.total == 2 ** (n * (n - 1) // 2)
+        assert t.is_symmetric()
 
 
 def test_generating_polynomial_plain():
@@ -267,7 +332,7 @@ def test_range_guards():
             f(0)
 
 
-@pytest.mark.parametrize("f", [asm_table, asm3_table, asm2_shares])
+@pytest.mark.parametrize("f", [asm_table, asm3_table, asm2_table])
 @pytest.mark.parametrize("n", [0, -1, -3])
 def test_rows_refuse_orders_below_one(f, n):
     # an empty range of columns used to skip the range check and return ()

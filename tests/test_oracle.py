@@ -147,9 +147,7 @@ def test_dp_matches_closed_forms():
 
 def test_dp_two_enumeration_shares():
     for n in range(1, 9):
-        t = dp_refined_enum(n, 2)
-        tot = t.total
-        assert tuple(F(v, tot) for v in t.counts) == counts.asm2_shares(n)
+        assert dp_refined_enum(n, 2).counts == counts.asm2_table(n).counts
 
 
 @given(st.integers(1, 6), st.integers(-50, 50), st.integers(1, 1000))
